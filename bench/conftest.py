@@ -1,0 +1,7 @@
+"""Lets the benchmark's tests import the package from ``src/`` and the benchmark's modules."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
