@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ANGLE_TAGS, DataMatrix, DegenerateInputError, InsufficientNeighborsError, _fmt
-from .neighbors import direction_bundle, knn
+from .core import ANGLE_TAGS, DataMatrix, DegenerateInputError, _fmt
+# knn is no longer called here; it stays importable as analysis.knn because
+# the benchmark tracer (bench/spans.py) patches that name.
+from .neighbors import NeighborList, _map_neighbor_lists, direction_bundle, knn  # noqa: F401
 from . import angle_id
 
 __all__ = [
@@ -118,29 +119,19 @@ def trails(
     k_max = ks[-1]
     angle = tag in ANGLE_TAGS
 
-    def work(qi: int) -> np.ndarray:
-        try:
-            nl = knn(data, qi, k_max)
-            row = np.empty(len(ks))
-            bundle = direction_bundle(data, qi, nl) if angle else None
-            for j, k in enumerate(ks):
-                if angle:
-                    stats = angle_id.cosine_square_stats(bundle.prefix(k))
-                    est = angle_id.abid(stats) if tag == "abid" else angle_id.rabid(stats)
-                else:
-                    est = angle_id._dispatch(tag, None, nl.prefix(k), ged_pair)
-                row[j] = est.value
-            return row
-        except InsufficientNeighborsError as exc:
-            if exc.point is None:
-                raise InsufficientNeighborsError(exc.required, exc.available, point=qi) from None
-            raise
+    def work(qi: int, nl: NeighborList) -> np.ndarray:
+        row = np.empty(len(ks))
+        bundle = direction_bundle(data, qi, nl) if angle else None
+        for j, k in enumerate(ks):
+            if angle:
+                stats = angle_id.cosine_square_stats(bundle.prefix(k))
+                est = angle_id.abid(stats) if tag == "abid" else angle_id.rabid(stats)
+            else:
+                est = angle_id._dispatch(tag, None, nl.prefix(k), ged_pair)
+            row[j] = est.value
+        return row
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, points))
-    else:
-        rows = [work(qi) for qi in points]
+    rows = _map_neighbor_lists(data, points, k_max, work, threads)
     return TrailMatrix(tuple(ks), np.vstack(rows), tag, tuple(points))
 
 

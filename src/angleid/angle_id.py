@@ -21,7 +21,6 @@ pairwise loop.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 
@@ -38,7 +37,7 @@ from .core import (
     IdEstimate,
     InsufficientNeighborsError,
 )
-from .neighbors import DirectionBundle, NeighborList, direction_bundle, knn
+from .neighbors import DirectionBundle, NeighborList, _map_neighbor_lists, direction_bundle, knn
 from . import baseline_id
 
 __all__ = [
@@ -288,21 +287,10 @@ def estimate_table(
         queries = range(data.n)
     query_list = [int(q) for q in queries]
 
-    def work(qi: int):
-        try:
-            nl = knn(data, qi, k)
-            return _estimate_from_neighbors(data, qi, nl, tags, ged_pair, with_diagnostics)
-        except InsufficientNeighborsError as exc:
-            if exc.point is None:
-                raise InsufficientNeighborsError(exc.required, exc.available, point=qi) from None
-            raise
+    def work(qi: int, nl: NeighborList):
+        return _estimate_from_neighbors(data, qi, nl, tags, ged_pair, with_diagnostics)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, query_list))
-    else:
-        results = [work(qi) for qi in query_list]
-
+    results = _map_neighbor_lists(data, query_list, k, work, threads)
     rows = tuple((qi, ests) for qi, (ests, _) in zip(query_list, results))
     mean_cosines = tuple(mc for _, mc in results) if with_diagnostics else None
     return EstimateTable(rows, mean_cosines)

@@ -152,6 +152,8 @@ def _load_data(args) -> DataMatrix:
 
 
 def _subsample(n: int, count: int | None, seed: int) -> list[int] | None:
+    if count is not None and count < 1:
+        raise UsageError("--points must be >= 1")
     if count is None or count >= n:
         return None
     rng = np.random.default_rng(seed)
@@ -215,16 +217,20 @@ def _write_labeled_csv(matrix: DataMatrix, labels: np.ndarray, path) -> None:
 
 
 def cmd_estimate(args) -> int:
-    tags = [t.strip() for t in args.estimators.split(",") if t.strip()]
-    bad = [t for t in tags if t not in ESTIMATOR_TAGS]
-    if bad or not tags:
-        raise UsageError(f"unknown estimator tag(s) {bad}; valid: {list(ESTIMATOR_TAGS)}")
+    try:
+        tags = angle_id._check_tags(t.strip() for t in args.estimators.split(",") if t.strip())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     ged_pair = None
     if args.ged_pair is not None:
-        k1, k2 = (int(v) for v in _parse_floats(args.ged_pair, "--ged-pair"))
-        ged_pair = (k1, k2)
+        pair = _parse_floats(args.ged_pair, "--ged-pair")
+        if len(pair) != 2 or not all(v.is_integer() for v in pair):
+            raise UsageError(f"--ged-pair expects two integers k1,k2, got {args.ged_pair!r}")
+        ged_pair = (int(pair[0]), int(pair[1]))
+        if not 1 <= ged_pair[0] < ged_pair[1] <= args.k:
+            raise UsageError(f"--ged-pair needs 1 <= k1 < k2 <= k={args.k}, got {args.ged_pair!r}")
     data = _load_data(args)
     queries = _subsample(data.n, args.points, args.subsample_seed)
     table = angle_id.estimate_table(

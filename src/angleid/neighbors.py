@@ -1,13 +1,22 @@
 """Exact k-nearest-neighbor retrieval and neighbor direction bundles.
 
-Brute-force search is the reference implementation: estimator correctness,
-not search speed, is the subject here. Distances are Euclidean; the query
-point and its exact duplicates (distance exactly 0, not a tolerance) are
-always excluded from the candidate set.
+Distances are Euclidean; the query point and its exact duplicates
+(distance exactly 0, not a tolerance) are always excluded, and ties break
+by ascending point index, so knn(k) is a prefix of knn(k+1).
+
+Every k-nearest-neighbor search goes through one blocked kernel,
+``knn_many``. It screens a block of queries against all points with one
+matrix product (the expansion |x|^2 - 2 x.y + |y|^2), keeps every point
+that a rounding bound cannot rule out, and re-ranks those candidates with
+the same difference-based distances and (distance, index) order as a full
+sort of all n distances. The screen only narrows the candidates, so the
+neighbor lists are bitwise those of the full sort for any block size or
+thread count. The full sort itself remains for ``radius_neighbors``.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +91,16 @@ class DirectionBundle:
         return DirectionBundle(self.directions[:k], k)
 
 
+def _check_index(data: DataMatrix, idx: int) -> int:
+    if not 0 <= idx < data.n:
+        raise IndexError(f"query index {idx} out of range for n={data.n}")
+    return idx
+
+
 def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
     """A query is either a point index or an explicit D-vector."""
     if isinstance(query, (int, np.integer)):
-        idx = int(query)
-        if not 0 <= idx < data.n:
-            raise IndexError(f"query index {idx} out of range for n={data.n}")
+        idx = _check_index(data, int(query))
         return data.points[idx], idx
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (data.dim,):
@@ -109,6 +122,150 @@ def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.
     return sel, dist[sel]
 
 
+# Bytes of the (B, n) block of screened squared distances; it sets the
+# number B of query rows that knn_many screens with one matrix product.
+_BLOCK_BYTES = 1 << 20
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _knn_kernel(data: DataMatrix, k: int):
+    """The exact-kNN kernel for ``data`` and ``k``; the data's norms are computed once.
+
+    Returns ``block(q)``, which maps a (B, D) array of query vectors to
+    (B, k) int64 indices and (B, k) float64 distances, row for row bitwise
+    equal to the first k entries of ``_sorted_candidates``. ``block``
+    raises InsufficientNeighborsError for the first row with fewer than k
+    nonzero distances, with that row as ``point``. It reads only shared
+    arrays, so threads may call it at once.
+    """
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    pts = data.points
+    n, dim = pts.shape
+    pts_t = np.ascontiguousarray(pts.T)  # about twice as fast in the product as pts.T
+    sq = np.einsum("ij,ij->i", pts, pts)
+    max_sq = sq.max()
+
+    def block(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sq_q = np.einsum("ij,ij->i", q, q)
+        # Screen. With u = eps/2 and M = |q|^2 + max |p|^2, a - |q-p|^2 is
+        # within 2(D+2)u M: D-term rounding in |q|^2, |p|^2 and q.p (2 D u M)
+        # plus the two additions (4 u M). The re-rank's s = fl(sum fl(p-q)^2)
+        # is within (D+2)u |q-p|^2 <= 2(D+2)u M of |q-p|^2. Products that
+        # underflow add at most half the smallest subnormal each, 5D in all.
+        # So |a - s| <= e = (2D+4) eps M + 2.5 D tiny, and delta exceeds e
+        # by at least (2D+12) eps M, room for second-order terms and for
+        # the 4 eps M below. Norms so large that 4M overflows get
+        # delta = inf, and ~(a > x) keeps their NaNs in.
+        #
+        # Every s == 0 (query, duplicates) has a <= delta; a row has at most
+        # z such points. Among the m = k + z smallest a, at least k have
+        # s > 0 and s <= t + e, t the m-th smallest a, so the k-th nonzero
+        # s is at most t + e. A true neighbor has s at most that, or up to
+        # 2 eps s <= 4 eps M more when sqrt rounds it into a tie with the
+        # k-th distance, so a <= s + e <= t + 2 delta. A larger m keeps all
+        # this true, so the block takes its largest z; with m >= n, t = inf
+        # and every point is a candidate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (-2.0 * q) @ pts_t
+            a += sq_q[:, None]
+            a += sq
+            scale = sq_q + max_sq
+            delta = np.where(np.isfinite(4.0 * scale),
+                             4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
+            m = k + int((~(a > delta[:, None])).sum(axis=1).max())
+            t = np.partition(a, m - 1, axis=1)[:, m - 1] if m < n else np.inf
+            cut = t + 2.0 * delta
+            r, c = np.divmod(np.flatnonzero(~(a > cut[:, None])), n)
+        # Re-rank with the distances and order of _sorted_candidates.
+        diff = pts[c] - q[r]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = d > 0.0
+        r, c, d = r[keep], c[keep], d[keep]
+        order = np.lexsort((d, r))  # stable: ties keep ascending c
+        counts = np.bincount(r, minlength=len(q))
+        short = np.flatnonzero(counts < k)
+        if short.size:
+            row = int(short[0])
+            raise InsufficientNeighborsError(k, int(counts[row]), point=row)
+        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        return c[take], d[take]
+
+    return block
+
+
+def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact k nearest neighbors of every row of ``queries``, a (Q, D) array.
+
+    Returns (Q, k) int64 indices and (Q, k) float64 distances, row for row
+    bitwise equal to the first k entries of ``_sorted_candidates``. Raises
+    InsufficientNeighborsError for the first row with fewer than k nonzero
+    distances; its ``point`` is that row's position in ``queries``.
+    """
+    block = _knn_kernel(data, k)
+    rows = _block_rows(data.n)
+    idx = np.empty((len(queries), k), dtype=np.int64)
+    dist = np.empty((len(queries), k))
+    for lo in range(0, len(queries), rows):
+        try:
+            idx[lo:lo + rows], dist[lo:lo + rows] = block(queries[lo:lo + rows])
+        except InsufficientNeighborsError as exc:
+            raise InsufficientNeighborsError(k, exc.available, point=lo + exc.point) from None
+    return idx, dist
+
+
+def _map_neighbor_lists(data: DataMatrix, queries: list[int], k: int, fn, threads: int) -> list:
+    """``fn(qi, knn(data, qi, k))`` for every in-set query index, in query order.
+
+    Neighbors come from the knn_many kernel one block of queries at a
+    time; with ``threads > 1`` the blocks run in a thread pool. Errors
+    surface in query order, and an InsufficientNeighborsError that ``fn``
+    raises without a point gets the query index.
+    """
+    for qi in queries:
+        _check_index(data, qi)
+    kernel = _knn_kernel(data, k)
+    rows = _block_rows(data.n)
+    blocks = [queries[lo:lo + rows] for lo in range(0, len(queries), rows)]
+
+    def run(block: list[int]) -> list:
+        try:
+            idx, dist = kernel(data.points[block])
+        except InsufficientNeighborsError as exc:
+            raise InsufficientNeighborsError(k, exc.available, point=block[exc.point]) from None
+        out = []
+        for qi, i, d in zip(block, idx, dist):
+            try:
+                out.append(fn(qi, NeighborList(qi, i, d)))
+            except InsufficientNeighborsError as exc:
+                if exc.point is not None:
+                    raise
+                raise InsufficientNeighborsError(exc.required, exc.available, point=qi) from None
+        return out
+
+    def work(block: list[int]) -> list:
+        try:
+            return run(block)
+        except InsufficientNeighborsError:
+            if len(block) == 1:
+                raise
+        # Again one query at a time: a neighbor shortage found for the whole
+        # block must not overtake an earlier query's own error.
+        return [res for qi in block for res in run([qi])]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(work, blocks))
+    else:
+        parts = [work(block) for block in blocks]
+    return [res for part in parts for res in part]
+
+
 def knn(data: DataMatrix, query, k: int) -> NeighborList:
     """The exact k nearest neighbors of a query by Euclidean distance.
 
@@ -116,13 +273,12 @@ def knn(data: DataMatrix, query, k: int) -> NeighborList:
     counting. Ties are broken by ascending point index, which makes
     knn(data, q, k) a prefix of knn(data, q, k+1).
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
     q, qidx = _resolve_query(data, query)
-    sel, dist = _sorted_candidates(data, q)
-    if sel.size < k:
-        raise InsufficientNeighborsError(k, sel.size, point=qidx)
-    return NeighborList(qidx, sel[:k], dist[:k])
+    try:
+        idx, dist = knn_many(data, q[None, :], k)
+    except InsufficientNeighborsError as exc:
+        raise InsufficientNeighborsError(k, exc.available, point=qidx) from None
+    return NeighborList(qidx, idx[0], dist[0])
 
 
 def radius_neighbors(data: DataMatrix, query, radius: float) -> NeighborList:

@@ -83,6 +83,20 @@ class TestEstimate:
         assert run("estimate", "--input", ball_csv, "--k", 5,
                    "--estimators", "abid,alid", "-o", tmp_path / "x.csv") == 1
 
+    @pytest.mark.parametrize("args", [
+        ("--estimators", "abid,abid"),
+        ("--estimators", "ged", "--ged-pair", "5,3"),
+        ("--estimators", "ged", "--ged-pair", "5,11"),
+        ("--estimators", "ged", "--ged-pair", "0,5"),
+        ("--estimators", "ged", "--ged-pair", "2,4,6"),
+        ("--points", 0),
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, ball_csv, capsys, args):
+        assert run("estimate", "--input", ball_csv, "--k", 10, *args,
+                   "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path, ball_csv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -161,6 +175,11 @@ class TestTrailsCommand:
         out = tmp_path / "t.csv"
         assert run("trails", "--input", data, "--k-values", "10,20", "-o", out) == 0
         assert out.read_text().splitlines()[0] == "index,k10,k20"
+
+    def test_zero_points_is_usage_error(self, tmp_path, ball_csv, capsys):
+        assert run("trails", "--input", ball_csv, "--k-values", "10,20", "--points", 0,
+                   "-o", tmp_path / "t.csv") == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_incomplete_range_is_usage_error(self, tmp_path):
         data = tmp_path / "d.csv"
