@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ANGLE_TAGS, DataMatrix, DegenerateInputError, _fmt
-# knn is no longer called here; it stays importable as analysis.knn because
-# the benchmark tracer (bench/spans.py) patches that name.
-from .neighbors import NeighborList, _map_neighbor_lists, direction_bundle, knn  # noqa: F401
+from .core import ANGLE_TAGS, MIN_K, DataMatrix, DegenerateInputError, _fmt
+# knn and direction_bundle are no longer called here; they stay importable
+# as analysis.knn and analysis.direction_bundle because the benchmark
+# tracer (bench/spans.py) patches those names.
+from .neighbors import _directions, _map_neighbors, direction_bundle, knn  # noqa: F401
 from . import angle_id
 
 __all__ = [
@@ -109,30 +111,58 @@ def trails(
 
     Each point gets a single neighbor search at the largest k; smaller
     neighborhoods are its sorted prefixes, so trails are consistent by
-    construction and additional k values are nearly free.
+    construction. The trail of a point is one pass: its directions are
+    computed once, and ABID/RABID read every k off running sums of the
+    squared cosines (``angle_id._sq_sums``), O(k_max * D * min(D, k_max))
+    per point however many k values are asked for. MLE, MoM and GED run
+    on each distance prefix. Every entry is bitwise equal to
+    ``estimate_table`` at the same k, and ABID/RABID agree with the
+    explicit pairwise-cosine sums to 1e-13 relative.
+
+    The k values must be distinct integers, at least the estimator's
+    minimum (``core.MIN_K``; with ``ged_pair`` also at least its k2);
+    otherwise a ValueError is raised before any neighbor search.
     """
     (tag,) = angle_id._check_tags([estimator])
-    ks = sorted(int(k) for k in k_values)
+    ks = _check_k_values(k_values, tag, ged_pair)
+    points = list(range(data.n)) if point_subset is None else [int(i) for i in point_subset]
+    angle = tag in ANGLE_TAGS
+    pts = data.points
+
+    def work(qi: int, idx: np.ndarray, dist: np.ndarray) -> list[float]:
+        u = _directions(pts, pts[qi], idx, dist) if angle else None
+        return [value for value, _ in angle_id._estimates(u, dist, (tag,), ks, ged_pair)[tag]]
+
+    rows = _map_neighbors(data, points, ks[-1], work, threads)
+    return TrailMatrix(tuple(ks), np.array(rows, dtype=np.float64), tag, tuple(points))
+
+
+def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None = None) -> list[int]:
+    """The k values of a trail in ascending order, or a ValueError saying what is wrong.
+
+    They must be distinct positive integers, and the smallest must reach
+    the estimator's minimum k (for ``ged`` with ``ged_pair``, also its k2).
+    """
+    values = list(k_values)
+    try:
+        ks = sorted(operator.index(k) for k in values)
+    except TypeError:
+        raise ValueError(f"k values must be integers, got {values!r}") from None
     if not ks:
         raise ValueError("k_values must be non-empty")
-    points = list(range(data.n)) if point_subset is None else [int(i) for i in point_subset]
-    k_max = ks[-1]
-    angle = tag in ANGLE_TAGS
-
-    def work(qi: int, nl: NeighborList) -> np.ndarray:
-        row = np.empty(len(ks))
-        bundle = direction_bundle(data, qi, nl) if angle else None
-        for j, k in enumerate(ks):
-            if angle:
-                stats = angle_id.cosine_square_stats(bundle.prefix(k))
-                est = angle_id.abid(stats) if tag == "abid" else angle_id.rabid(stats)
-            else:
-                est = angle_id._dispatch(tag, None, nl.prefix(k), ged_pair)
-            row[j] = est.value
-        return row
-
-    rows = _map_neighbor_lists(data, points, k_max, work, threads)
-    return TrailMatrix(tuple(ks), np.vstack(rows), tag, tuple(points))
+    if ks[0] < 1:
+        raise ValueError(f"k values must be >= 1, got {ks[0]}")
+    if any(a == b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"k values must be distinct, got {ks}")
+    need, what = MIN_K[estimator], f"estimator {estimator}"
+    if estimator == "ged" and ged_pair is not None:
+        k1, k2 = ged_pair
+        if not 1 <= k1 < k2:
+            raise ValueError(f"ged_pair needs 1 <= k1 < k2, got ({k1}, {k2})")
+        need, what = max(need, k2), f"estimator ged with ged_pair ({k1}, {k2})"
+    if ks[0] < need:
+        raise ValueError(f"{what} needs k >= {need}, got k = {ks[0]}")
+    return ks
 
 
 def pearson(a, b) -> float:

@@ -287,13 +287,20 @@ def _read_column(path, column: str, delimiter: str) -> np.ndarray:
 
 def cmd_trails(args) -> int:
     if args.k_values is not None:
-        ks = [int(v) for v in _parse_floats(args.k_values, "--k-values")]
+        values = _parse_floats(args.k_values, "--k-values")
+        if not all(v.is_integer() for v in values):
+            raise UsageError(f"--k-values expects comma-separated integers, got {args.k_values!r}")
+        ks = [int(v) for v in values]
     else:
         if None in (args.k_min, args.k_max, args.k_step):
             raise UsageError("need --k-values or all of --k-min/--k-max/--k-step")
         if args.k_step < 1 or args.k_min < 1 or args.k_max < args.k_min:
             raise UsageError("invalid k range")
         ks = list(range(args.k_min, args.k_max + 1, args.k_step))
+    try:
+        ks = analysis._check_k_values(ks, args.estimator)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     data = _load_data(args)
     points = _subsample(data.n, args.points, args.subsample_seed)
     tm = analysis.trails(data, ks, args.estimator, point_subset=points, threads=args.threads)

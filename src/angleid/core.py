@@ -21,6 +21,7 @@ __all__ = [
     "ESTIMATOR_TAGS",
     "ANGLE_TAGS",
     "DISTANCE_TAGS",
+    "MIN_K",
     "CLAMPED_TO_K",
     "DEGENERATE_ZERO_DENOMINATOR",
     "INSUFFICIENT_NEIGHBORS",
@@ -34,6 +35,9 @@ __all__ = [
 ANGLE_TAGS = ("abid", "rabid")
 DISTANCE_TAGS = ("mle", "mom", "ged")
 ESTIMATOR_TAGS = ANGLE_TAGS + DISTANCE_TAGS
+
+# The smallest neighborhood each estimator is defined on.
+MIN_K = {"abid": 1, "rabid": 2, "mle": 2, "mom": 2, "ged": 4}
 
 # IdEstimate flag names.
 CLAMPED_TO_K = "clamped_to_k"

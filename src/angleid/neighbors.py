@@ -219,13 +219,16 @@ def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     return idx, dist
 
 
-def _map_neighbor_lists(data: DataMatrix, queries: list[int], k: int, fn, threads: int) -> list:
-    """``fn(qi, knn(data, qi, k))`` for every in-set query index, in query order.
+def _map_neighbors(data: DataMatrix, queries: list[int], k: int, fn, threads: int) -> list:
+    """``fn(qi, indices, distances)`` for every in-set query index, in query order.
 
-    Neighbors come from the knn_many kernel one block of queries at a
-    time; with ``threads > 1`` the blocks run in a thread pool. Errors
-    surface in query order, and an InsufficientNeighborsError that ``fn``
-    raises without a point gets the query index.
+    ``indices`` and ``distances`` are the query's row of the knn_many
+    kernel: the exact k nearest neighbors, already sorted, distinct and at
+    positive distance, so nothing is re-validated here. Neighbors come one
+    block of queries at a time; with ``threads > 1`` the blocks run in a
+    thread pool. Errors surface in query order, and an
+    InsufficientNeighborsError that ``fn`` raises without a point gets the
+    query index.
     """
     for qi in queries:
         _check_index(data, qi)
@@ -241,7 +244,7 @@ def _map_neighbor_lists(data: DataMatrix, queries: list[int], k: int, fn, thread
         out = []
         for qi, i, d in zip(block, idx, dist):
             try:
-                out.append(fn(qi, NeighborList(qi, i, d)))
+                out.append(fn(qi, i, d))
             except InsufficientNeighborsError as exc:
                 if exc.point is not None:
                     raise
@@ -300,5 +303,10 @@ def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBund
     q, qidx = _resolve_query(data, query)
     if qidx != nl.query_index:
         raise ValueError("neighbor list was built for a different query")
-    diff = data.points[nl.indices] - q
-    return DirectionBundle(diff / nl.distances[:, None], nl.k)
+    return DirectionBundle(_directions(data.points, q, nl.indices, nl.distances), nl.k)
+
+
+def _directions(points: np.ndarray, q: np.ndarray, indices: np.ndarray,
+                distances: np.ndarray) -> np.ndarray:
+    """Rows (points[indices[j]] - q) / distances[j], unchecked: the unit directions."""
+    return (points[indices] - q) / distances[:, None]

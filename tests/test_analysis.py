@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from angleid import analysis, angle_id, baseline_id, neighbors
 from angleid.analysis import (
     Histogram,
     TrailMatrix,
@@ -12,7 +13,8 @@ from angleid.analysis import (
     write_trails_csv,
 )
 from angleid.angle_id import estimate_table
-from angleid.core import DataMatrix, DegenerateInputError
+from angleid.core import ESTIMATOR_TAGS, MIN_K, DataMatrix, DegenerateInputError
+from angleid.neighbors import direction_bundle, knn
 from angleid.synth import sample_ball
 
 
@@ -103,6 +105,118 @@ class TestTrails:
         p = tmp_path / "t.csv"
         write_trails_csv(tm, p)
         assert p.read_text() == "index,k5,k9\n3,1.5,2.5\n"
+
+
+def _grid_with_duplicates() -> DataMatrix:
+    """A 5x5x5 integer grid, so distances tie, plus exact copies of every 7th point."""
+    axes = np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij")
+    grid = np.stack(axes, axis=-1).reshape(-1, 3)
+    return DataMatrix(np.vstack([grid, grid[::7]]))
+
+
+# A ball in D = 8, so the k values below run both sides of the Gram
+# identity (k < D and k >= D), and a grid with duplicates and ties.
+TRAIL_DATA = {"ball": lambda: sample_ball(160, 8, seed=5), "grid": _grid_with_duplicates}
+K_MAX = 40
+
+
+def _public_estimate(data, point, nl, tag):
+    """One estimate through the public, validated per-neighborhood functions."""
+    if tag in ("abid", "rabid"):
+        stats = angle_id.cosine_square_stats(direction_bundle(data, point, nl))
+        return getattr(angle_id, tag)(stats)
+    return {"mle": baseline_id.mle_hill, "mom": baseline_id.mom, "ged": baseline_id.ged}[tag](nl)
+
+
+@pytest.mark.filterwarnings("ignore::angleid.angle_id.NeighborhoodSizeWarning")
+class TestTrailContract:
+    """Every-k trails are bitwise the per-k tables and the per-k public estimators."""
+
+    @pytest.mark.parametrize("name", sorted(TRAIL_DATA))
+    @pytest.mark.parametrize("tag", ESTIMATOR_TAGS)
+    def test_every_k_equals_estimate_table(self, name, tag):
+        data = TRAIL_DATA[name]()
+        points = list(range(0, data.n, 9))
+        ks = range(MIN_K[tag], K_MAX + 1)
+        tm = trails(data, ks, tag, point_subset=points)
+        for k in ks:
+            table = estimate_table(data, k, (tag,), queries=points)
+            assert tm.column(k).tobytes() == table.values(tag).tobytes(), k
+
+    @pytest.mark.parametrize("name", sorted(TRAIL_DATA))
+    @pytest.mark.parametrize("tag", ESTIMATOR_TAGS)
+    def test_every_k_equals_public_estimators_on_knn_prefixes(self, name, tag):
+        data = TRAIL_DATA[name]()
+        points = list(range(3, data.n, 17))
+        ks = range(MIN_K[tag], K_MAX + 1)
+        tm = trails(data, ks, tag, point_subset=points)
+        for row, point in zip(tm.estimates, points):
+            nl = knn(data, point, K_MAX)
+            want = np.array([_public_estimate(data, point, nl.prefix(k), tag).value for k in ks])
+            assert row.tobytes() == want.tobytes(), point
+
+    def test_ged_pair_trails_equal_public_ged(self):
+        data = _grid_with_duplicates()
+        tm = trails(data, [20, 25, 30], "ged", point_subset=[0, 64], ged_pair=(5, 20))
+        for row, point in zip(tm.estimates, (0, 64)):
+            nl = knn(data, point, 30)
+            want = [baseline_id.ged(nl.prefix(k), pair=(5, 20)).value for k in (20, 25, 30)]
+            assert row.tolist() == want
+
+    @pytest.mark.parametrize("name", sorted(TRAIL_DATA))
+    def test_csv_bytes_do_not_depend_on_threads(self, tmp_path, monkeypatch, name):
+        data = TRAIL_DATA[name]()
+        # Blocks of 4 queries, so the thread pool has several to share.
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * 4)
+        points = list(range(0, data.n, 5))
+        for tag in ESTIMATOR_TAGS:
+            files = set()
+            for threads in (1, 2, 3):
+                tm = trails(data, range(MIN_K[tag], K_MAX + 1), tag, point_subset=points,
+                            threads=threads)
+                write_trails_csv(tm, tmp_path / "t.csv")
+                files.add((tmp_path / "t.csv").read_bytes())
+            assert len(files) == 1, tag
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a neighbor search ran for an invalid k list")
+
+
+class TestTrailKValues:
+    @pytest.mark.parametrize("k_values, match", [
+        ([0, 10], "k values must be >= 1"),
+        ([-3], "k values must be >= 1"),
+        ([10, 10], "k values must be distinct"),
+        ([10.5, 20], "k values must be integers"),
+        ([10.0, 20], "k values must be integers"),
+        (["10"], "k values must be integers"),
+        ([], "non-empty"),
+    ])
+    def test_bad_k_lists_fail_before_any_search(self, monkeypatch, k_values, match):
+        monkeypatch.setattr(analysis, "_map_neighbors", _no_search)
+        with pytest.raises(ValueError, match=match):
+            trails(sample_ball(300, 3, seed=1), k_values, "abid")
+
+    @pytest.mark.parametrize("tag", ["rabid", "mle", "mom", "ged"])
+    def test_k_below_the_estimator_minimum_names_the_estimator(self, monkeypatch, tag):
+        monkeypatch.setattr(analysis, "_map_neighbors", _no_search)
+        need = MIN_K[tag]
+        with pytest.raises(ValueError, match=f"^estimator {tag} needs k >= {need}, got k = {need - 1}$"):
+            trails(sample_ball(300, 3, seed=1), [need - 1, 8], tag)
+
+    def test_ged_pair_sets_the_minimum_k(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_map_neighbors", _no_search)
+        data = sample_ball(300, 3, seed=1)
+        with pytest.raises(ValueError, match=r"ged_pair \(5, 20\) needs k >= 20, got k = 10"):
+            trails(data, [10, 30], "ged", ged_pair=(5, 20))
+        with pytest.raises(ValueError, match="ged_pair needs 1 <= k1 < k2"):
+            trails(data, [10, 30], "ged", ged_pair=(20, 5))
+
+    def test_unsorted_k_values_are_sorted(self):
+        data = sample_ball(100, 2, seed=2)
+        tm = trails(data, [20, 10], "abid", point_subset=[0])
+        assert tm.k_values == (10, 20)
 
 
 class TestCorrelations:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from angleid import angle_id
 from angleid.angle_id import (
     CosineSquareStats,
     NeighborhoodSizeWarning,
@@ -85,6 +88,71 @@ class TestCosineSquareStats:
             s = cosine_square_stats(b)
             assert 0.0 <= s.off_diag_sq_sum <= k * k - k
             assert 0.0 < s.mean_sq_cosine_with_diagonal <= 1.0
+
+
+def _unit_rows(kind: str, k_max: int, dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "orthonormal":
+        # Signed, permuted rows of the identity: every cosine is exactly 0 or 1.
+        rows = np.eye(dim)[rng.permutation(dim)[:k_max]]
+        return rows * rng.choice([-1.0, 1.0], size=(len(rows), 1))
+    if kind == "gaussian":
+        v = rng.standard_normal((k_max, dim))
+    elif kind == "lattice":
+        # Integer directions: many exact zeros and repeated cosines.
+        v = rng.integers(-2, 3, size=(k_max, dim)).astype(float)
+        v[~v.any(axis=1), 0] = 1.0
+    else:  # a tight cluster: cosines near 1, sums near k**2
+        v = rng.standard_normal(dim) + 1e-3 * rng.standard_normal((k_max, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestSqSums:
+    """``_sq_sums`` against the explicit pairwise-cosine sums, on both sides of the Gram identity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_explicit_pairwise_sum_at_every_k(self, draw):
+        kind = draw.draw(st.sampled_from(["gaussian", "lattice", "cluster", "orthonormal"]))
+        dim = draw.draw(st.integers(1, 80), label="D")
+        k_max = draw.draw(st.integers(1, dim if kind == "orthonormal" else 60), label="k_max")
+        u = _unit_rows(kind, min(k_max, 60), dim, draw.draw(st.integers(0, 2**32 - 1)))
+        k_max = len(u)
+        ks = sorted(set(draw.draw(st.lists(st.integers(1, k_max), min_size=1), label="ks")))
+        got = angle_id._sq_sums(u, ks)
+        # The oracle sums the explicit k-by-k squared cosines in extended precision.
+        ul = u.astype(np.longdouble)
+        sq = (ul @ ul.T) ** 2
+        for j, k in enumerate(ks):
+            want = sq[:k, :k].sum()
+            assert abs(got[j] - want) <= 1e-13 * want, (k, got[j], want)
+            # S(k) depends on the first k rows alone, bitwise.
+            assert angle_id._sq_sums(np.array(u[:k]), [k])[0] == got[j], k
+        if kind == "orthonormal":
+            assert got.tolist() == [float(k) for k in ks]
+
+    @pytest.mark.parametrize("k,dim", [(1, 1), (2, 2), (3, 3), (5, 40), (60, 80)])
+    def test_orthonormal_rows_give_exact_zeros(self, k, dim):
+        u = np.eye(dim)[:k]
+        s = cosine_square_stats(_bundle(u))
+        assert s.off_diag_sq_sum == 0.0
+        assert abid(s).value == float(k)
+        ests = angle_id._estimates(u, None, ("abid",), list(range(1, k + 1)), None)
+        assert [v for v, _ in ests["abid"]] == [float(j) for j in range(1, k + 1)]
+        if k >= 2:
+            assert rabid(s).flags == {CLAMPED_TO_K, DEGENERATE_ZERO_DENOMINATOR}
+            rabid_k = angle_id._estimates(u, None, ("rabid",), list(range(2, k + 1)), None)["rabid"]
+            assert all(f == {CLAMPED_TO_K, DEGENERATE_ZERO_DENOMINATOR} for _, f in rabid_k)
+
+    def test_single_k_is_the_same_arithmetic_as_every_k(self):
+        rng = np.random.default_rng(3)
+        for dim in (3, 12):
+            u = _random_bundle(rng, 30, dim).directions
+            every = angle_id._estimates(u, None, ("abid", "rabid"), list(range(2, 31)), None)
+            for j, k in enumerate(range(2, 31)):
+                stats = cosine_square_stats(DirectionBundle(u[:k], k))
+                assert every["abid"][j][0] == abid(stats).value
+                assert every["rabid"][j] == (rabid(stats).value, rabid(stats).flags)
 
 
 class TestAbid:

@@ -181,6 +181,24 @@ class TestTrailsCommand:
                    "-o", tmp_path / "t.csv") == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("args", [
+        ("--k-values", "0,10"),
+        ("--k-values", "10,10"),
+        ("--k-values", "10.5,20"),
+        ("--k-values", "3,8", "--estimator", "ged"),
+        ("--k-min", 1, "--k-max", 5, "--k-step", 1, "--estimator", "rabid"),
+    ])
+    def test_bad_k_values_are_usage_errors(self, tmp_path, ball_csv, capsys, args):
+        assert run("trails", "--input", ball_csv, *args, "-o", tmp_path / "t.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_too_small_k_names_the_estimator(self, tmp_path, ball_csv, capsys):
+        assert run("trails", "--input", ball_csv, "--k-values", "3,8", "--estimator", "ged",
+                   "-o", tmp_path / "t.csv") == 1
+        assert capsys.readouterr().err == "usage error: estimator ged needs k >= 4, got k = 3\n"
+
     def test_incomplete_range_is_usage_error(self, tmp_path):
         data = tmp_path / "d.csv"
         assert run("generate", "--shape", "ball", "--d", 2, "--n", 50, "--seed", 6, "-o", data) == 0
