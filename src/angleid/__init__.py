@@ -15,7 +15,7 @@ from .core import (
     DEGENERATE_ZERO_DENOMINATOR,
     DISTANCE_TAGS,
     ESTIMATOR_TAGS,
-    INSUFFICIENT_NEIGHBORS,
+    FLAG_BITS,
     AngleIdError,
     CsvFormatError,
     DataMatrix,

@@ -111,13 +111,15 @@ def trails(
 
     Each point gets a single neighbor search at the largest k; smaller
     neighborhoods are its sorted prefixes, so trails are consistent by
-    construction. The trail of a point is one pass: its directions are
-    computed once, and ABID/RABID read every k off running sums of the
-    squared cosines (``angle_id._sq_sums``), O(k_max * D * min(D, k_max))
-    per point however many k values are asked for. MLE, MoM and GED run
-    on each distance prefix. Every entry is bitwise equal to
-    ``estimate_table`` at the same k, and ABID/RABID agree with the
-    explicit pairwise-cosine sums to 1e-13 relative.
+    construction. Trails run through the same estimation core as tables
+    (``angle_id._estimates``), on blocks of points at every k at once.
+    The trail of a point is one pass: its directions are computed once,
+    and ABID/RABID read every k off running sums of the squared cosines
+    (``angle_id._sq_sums``), O(k_max * D * min(D, k_max)) per point
+    however many k values are asked for. MLE, MoM and GED run on each
+    distance prefix. Every entry is bitwise equal to ``estimate_table``
+    at the same k, and ABID/RABID agree with the explicit pairwise-cosine
+    sums to 1e-13 relative.
 
     The k values must be distinct integers, at least the estimator's
     minimum (``core.MIN_K``; with ``ged_pair`` also at least its k2);
@@ -129,12 +131,13 @@ def trails(
     angle = tag in ANGLE_TAGS
     pts = data.points
 
-    def work(qi: int, idx: np.ndarray, dist: np.ndarray) -> list[float]:
-        u = _directions(pts, pts[qi], idx, dist) if angle else None
-        return [value for value, _ in angle_id._estimates(u, dist, (tag,), ks, ged_pair)[tag]]
+    def work(block: list[int], idx: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        u = _directions(pts, pts[block], idx, dist) if angle else None
+        return angle_id._estimates(u, dist, (tag,), ks, ged_pair)[tag][0]
 
-    rows = _map_neighbors(data, points, ks[-1], work, threads)
-    return TrailMatrix(tuple(ks), np.array(rows, dtype=np.float64), tag, tuple(points))
+    rows = angle_id._estimate_rows(ks[-1], data.dim, (tag,), angle)
+    parts = _map_neighbors(data, points, ks[-1], work, threads, rows)
+    return TrailMatrix(tuple(ks), np.concatenate(parts), tag, tuple(points))
 
 
 def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None = None) -> list[int]:

@@ -15,9 +15,12 @@ cosine is 1/d, so its inverse estimates d:
 
 Both derive from one sufficient statistic, the off-diagonal sum of squared
 cosines, computed here through a Gram identity rather than an explicit
-pairwise loop. One function, ``_sq_sums``, computes it for every
-requested k in one pass; the public statistics, tables and trails all
-read it from there.
+pairwise loop. One function, ``_sq_sums``, computes it for a block of
+queries at every requested k in one pass. ``_estimates``, the one
+estimation core of this package, turns it (and, for the distance-based
+estimators of ``baseline_id``, the sorted neighbor distances) into value
+and flag arrays; tables, trails and the public estimator functions all
+call it.
 """
 
 from __future__ import annotations
@@ -34,15 +37,16 @@ from .core import (
     CLAMPED_TO_K,
     DEGENERATE_ZERO_DENOMINATOR,
     ESTIMATOR_TAGS,
+    FLAG_BITS,
     DataMatrix,
     EstimateTable,
     FixedPointDivergenceError,
     IdEstimate,
     InsufficientNeighborsError,
     MIN_K,
+    _FLAG_SETS,
 )
 from .neighbors import DirectionBundle, _directions, _map_neighbors, direction_bundle, knn
-from . import baseline_id
 
 __all__ = [
     "CosineSquareStats",
@@ -87,32 +91,52 @@ class CosineSquareStats:
         return self.off_diag_sq_sum / (self.k * self.k - self.k)
 
 
-# Elements of the largest temporary array _sq_sums builds at once (4 MiB).
-_CHUNK = 1 << 19
+# Elements of the largest temporary array the estimation core builds at
+# once (512 KiB): it sets the query rows of an estimation block
+# (``_estimate_rows``) and, for a neighborhood larger than that on its own,
+# the k chunks of ``_outer_sums``. Larger blocks were no faster on the
+# benchmark's workloads and raise the peak memory.
+_CHUNK = 1 << 16
+
+
+def _estimate_rows(k_max: int, dim: int, tags, need_u: bool) -> int:
+    """Query rows per call of the estimation core for neighborhoods of up to ``k_max``.
+
+    The largest temporary per row is the (k_max, D(D+1)/2) running sum of
+    outer products for ABID/RABID, else the (k_max, D) directions, else
+    a (k_max,) distance row.
+    """
+    if any(t in ANGLE_TAGS for t in tags):
+        width = dim * (dim + 1) // 2
+    else:
+        width = dim if need_u else 1
+    return max(1, _CHUNK // (k_max * width))
 
 
 def _sq_sums(u: np.ndarray, ks) -> np.ndarray:
-    """S(k), the sum over i, j < k of (u_i . u_j)**2, at every k of ``ks`` in one pass.
+    """S(k), the sum over i, j < k of (u_i . u_j)**2, per row at every k of ``ks`` in one pass.
 
-    ``u`` holds unit rows, ``ks`` ascending integers in [1, len(u)]. Each
-    S(k) is taken on the cheaper side of the Gram identity at that k: for
-    k >= D it is ||sum_{i<k} u_i u_i^T||_F**2, read off running sums of
-    the outer products; for k < D it is the sum of the squared entries of
-    the k-by-k Gram matrix, read off running sums of its rows. Sums over
-    rows run in index order (np.cumsum) and each Gram entry is a dot
-    product of fixed length D, so S(k) depends only on the first k rows
-    and is bitwise the same whichever other k values are requested; a
-    BLAS matrix product is avoided because its rounding depends on the
-    matrix size. Cost O(k_max * D * min(D, k_max)) for k_max = max(ks).
+    ``u`` is a (B, k_max, D) block of unit directions, ``ks`` ascending
+    integers in [1, k_max]; the result is (B, len(ks)). Each S(k) is taken
+    on the cheaper side of the Gram identity at that k: for k >= D it is
+    ||sum_{i<k} u_i u_i^T||_F**2, read off running sums of the outer
+    products; for k < D it is the sum of the squared entries of the
+    k-by-k Gram matrix, read off running sums of its rows. Sums over
+    directions run in index order (np.cumsum) and each Gram entry is a
+    dot product of fixed length D, so S(k) depends only on the first k
+    directions of its row and is bitwise the same whichever other k
+    values, rows or block size are involved; a BLAS matrix product is
+    avoided because its rounding depends on the matrix size. Cost
+    O(k_max * D * min(D, k_max)) per row for k_max = max(ks).
     """
     ks = np.asarray(ks, dtype=np.int64)
-    dim = u.shape[1]
+    dim = u.shape[2]
     if ks[0] >= dim:
         return _outer_sums(u, ks)
     if ks[-1] < dim:
         return _gram_sums(u, ks)
     gram = ks < dim
-    return np.concatenate([_gram_sums(u, ks[gram]), _outer_sums(u, ks[~gram])])
+    return np.concatenate([_gram_sums(u, ks[gram]), _outer_sums(u, ks[~gram])], axis=1)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -123,21 +147,21 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # Only the upper triangle a <= b of each outer product is summed; the
     # off-diagonal entries count twice in the Frobenius norm.
-    a, b, weight = _triu(u.shape[1])
+    a, b, weight = _triu(u.shape[2])
     k_max = int(ks[-1])
-    step = max(1, _CHUNK // a.size)
-    out = np.empty(ks.size)
+    step = max(1, _CHUNK // (len(u) * a.size))
+    out = np.empty((len(u), ks.size))
     total = None
     for lo in range(0, k_max, step):
-        v = u[lo:min(lo + step, k_max)]
-        c = v[:, a] * v[:, b]
+        v = u[:, lo:min(lo + step, k_max)]
+        c = v[:, :, a] * v[:, :, b]
         if total is not None:
-            c[0] += total
-        np.cumsum(c, axis=0, out=c)  # c[j]: sum of the first lo + j + 1 products
-        total = c[-1]
-        j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + len(v), side="right")
-        sel = c[ks[j0:j1] - lo - 1]
-        out[j0:j1] = _row_sums(sel * sel * weight)
+            c[:, 0] += total
+        np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
+        total = c[:, -1]
+        j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
+        sel = c[:, ks[j0:j1] - lo - 1]
+        out[:, j0:j1] = _row_sums(sel * sel * weight)
     return out
 
 
@@ -152,26 +176,26 @@ def _triu(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _gram_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    # k < D here, so the Gram matrix is smaller than u itself.
-    v = u[:int(ks[-1])]
-    g = np.einsum("id,jd->ij", v, v)
-    g *= g
-    rows = np.diagonal(g) + 2.0 * _row_sums(np.tril(g, -1))
-    return np.cumsum(rows)[ks - 1]
+    # k < D here, so each Gram matrix is smaller than its directions. One
+    # row at a time: a batched einsum need not round the same way.
+    out = np.empty((len(u), ks.size))
+    for r, v in enumerate(u[:, :int(ks[-1])]):
+        g = np.einsum("id,jd->ij", v, v)
+        g *= g
+        rows = np.diagonal(g) + 2.0 * _row_sums(np.tril(g, -1))
+        out[r] = np.cumsum(rows)[ks - 1]
+    return out
 
 
-def _off_diag(sq_sum: float, k: int) -> float:
-    """S(k) without its k diagonal ones, roundoff clamped into [0, k**2 - k]."""
-    return min(max(sq_sum - k, 0.0), float(k * k - k))
-
-
-def _mean_cosine(u: np.ndarray) -> float:
-    k = len(u)
+def _mean_cosines(u: np.ndarray) -> np.ndarray:
+    """Mean pairwise cosine of each (k, D) row of ``u`` (0 when k == 1), clamped into [-1, 1]."""
+    k = u.shape[1]
     if k == 1:
-        return 0.0
-    s = u.sum(axis=0)
-    mean = (float(s @ s) - k) / (k * k - k)
-    return min(max(mean, -1.0), 1.0)
+        return np.zeros(len(u))
+    s = u.sum(axis=1)
+    # A 1-d dot per row: a batched product need not round like it.
+    dots = np.array([float(r @ r) for r in s])
+    return np.clip((dots - k) / (k * k - k), -1.0, 1.0)
 
 
 def cosine_square_stats(bundle: DirectionBundle) -> CosineSquareStats:
@@ -184,30 +208,21 @@ def cosine_square_stats(bundle: DirectionBundle) -> CosineSquareStats:
     exactly k and is subtracted; roundoff is clamped back into
     [0, k**2 - k].
     """
-    u = bundle.directions
+    u = bundle.directions[None]
     k = bundle.source_k
-    off = _off_diag(float(_sq_sums(u, [k])[0]), k)
-    return CosineSquareStats(k, off, _mean_cosine(u))
+    off = _off_diag(_sq_sums(u, [k]), np.array([float(k)]))
+    return CosineSquareStats(k, float(off[0, 0]), float(_mean_cosines(u)[0]))
 
 
-_NO_FLAGS = frozenset()
-_RABID_ZERO = frozenset({CLAMPED_TO_K, DEGENERATE_ZERO_DENOMINATOR})
-_RABID_CLAMPED = frozenset({CLAMPED_TO_K})
+def _estimate(tag: str, values: np.ndarray, flags: np.ndarray, k: int) -> IdEstimate:
+    """The IdEstimate of a one-row, one-k result of the core."""
+    return IdEstimate(tag, float(values[0, 0]), k, _FLAG_SETS[int(flags[0, 0])])
 
 
-def _abid(off: float, k: int) -> tuple[float, frozenset]:
-    return k * k / (off + k), _NO_FLAGS
-
-
-def _rabid(off: float, k: int) -> tuple[float, frozenset]:
-    if k < MIN_K["rabid"]:
-        raise InsufficientNeighborsError(MIN_K["rabid"], k)
-    if off == 0.0:
-        return float(k), _RABID_ZERO
-    value = (k * k - k) / off
-    if value > k:
-        return float(k), _RABID_CLAMPED
-    return value, _NO_FLAGS
+def _from_stats(tag: str, stats: CosineSquareStats) -> IdEstimate:
+    """An angle-based estimate from the statistics, through the core with B = 1."""
+    off = np.array([[stats.off_diag_sq_sum]])
+    return _estimate(tag, *_estimates(None, None, (tag,), [stats.k], None, off)[tag], stats.k)
 
 
 def abid(stats: CosineSquareStats) -> IdEstimate:
@@ -217,8 +232,7 @@ def abid(stats: CosineSquareStats) -> IdEstimate:
     The denominator is at least k, so the value is finite, positive, and
     never exceeds k; no flags are ever set.
     """
-    value, flags = _abid(stats.off_diag_sq_sum, stats.k)
-    return IdEstimate("abid", value, stats.k, flags)
+    return _from_stats("abid", stats)
 
 
 def rabid(stats: CosineSquareStats) -> IdEstimate:
@@ -228,8 +242,7 @@ def rabid(stats: CosineSquareStats) -> IdEstimate:
     is clamped to k with flags, since k directions span at most a
     k-dimensional space.
     """
-    value, flags = _rabid(stats.off_diag_sq_sum, stats.k)
-    return IdEstimate("rabid", value, stats.k, flags)
+    return _from_stats("rabid", stats)
 
 
 def abid_via_fixed_point(
@@ -304,50 +317,107 @@ def _check_tags(estimators) -> tuple[str, ...]:
     return tags
 
 
-_ESTIMATORS = {"abid": _abid, "rabid": _rabid, "mle": baseline_id._mle, "mom": baseline_id._mom}
+_CLAMPED = FLAG_BITS[CLAMPED_TO_K]
+_DEGENERATE = FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
 
 
-def _estimates(u: np.ndarray | None, d: np.ndarray, tags, ks: list[int], ged_pair) -> dict:
-    """Every estimator of ``tags`` at every k of ``ks`` on one query's neighbors.
+def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks, ged_pair,
+               off: np.ndarray | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every estimator of ``tags`` at every k of ``ks`` on a block of B queries.
 
-    The one estimation core of tables and trails. ``u`` are the unit
-    directions to the neighbors (None when no angle estimator is asked
-    for), ``d`` their sorted distances and ``ks`` ascending integers.
-    Returns ``{tag: [(value, flags) for each k]}``. ABID and RABID read
-    every k off one pass of ``_sq_sums``; the distance estimators run on
-    the prefixes ``d[:k]``. Each value comes from the same arithmetic as
-    the public estimator functions. A k below an estimator's minimum
-    raises InsufficientNeighborsError.
+    The one place estimator arithmetic lives: tables are the ``ks = [k]``
+    case, trails keep the values, and the public estimator functions call
+    it with B = 1. ``u`` is the (B, k_max, D) block of unit directions to
+    the neighbors (None when no angle estimator is asked for), ``d`` the
+    (B, k_max) sorted neighbor distances (None when only angle estimators
+    are) and ``ks`` ascending integers in [1, k_max]. ``off``, the (B,
+    len(ks)) off-diagonal sums, replaces ``u`` when it is already known.
+    Returns ``{tag: (values, flags)}``, both (B, len(ks)): float64
+    estimates and uint8 flag masks (``core.FLAG_BITS``).
+
+    ABID and RABID read every k off one pass of ``_sq_sums``. MLE, MoM and
+    GED work on the distance prefixes ``d[:, :k]``; sums and means along
+    the rows of a C-contiguous block are the per-row 1-d (pairwise)
+    reductions bitwise (a test pins this), so a row's values do not depend
+    on the block it came in, nor on the other k values. A k below
+    an estimator's minimum raises InsufficientNeighborsError, and a GED
+    pair outside [1, k] a ValueError, before anything is computed.
     """
-    if any(t in ANGLE_TAGS for t in tags):
-        offs = [_off_diag(s, k) for s, k in zip(_sq_sums(u, ks).tolist(), ks)]
-    out = {}
+    ks = np.asarray(ks, dtype=np.int64)
+    if d is not None:
+        # Row sums are the 1-d pairwise sums only along contiguous rows.
+        d = np.ascontiguousarray(d)
     for tag in tags:
-        if tag == "ged":
-            out[tag] = [baseline_id._ged(d[:k], ged_pair) for k in ks]
-        elif tag in ANGLE_TAGS:
-            out[tag] = [_ESTIMATORS[tag](off, k) for off, k in zip(offs, ks)]
-        else:
-            out[tag] = [_ESTIMATORS[tag](d[:k]) for k in ks]
+        if ks[0] < MIN_K[tag]:
+            raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]))
+        if tag == "ged" and ged_pair is not None and not 1 <= ged_pair[0] < ged_pair[1] <= ks[0]:
+            raise ValueError(f"need 1 <= k1 < k2 <= {ks[0]}, got ({ged_pair[0]}, {ged_pair[1]})")
+    kf = ks.astype(np.float64)
+    if off is None and any(t in ANGLE_TAGS for t in tags):
+        off = _off_diag(_sq_sums(u, ks), kf)
+    out = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for tag in tags:
+            if tag == "abid":
+                out[tag] = kf * kf / (off + kf), np.zeros(off.shape, np.uint8)
+            elif tag == "rabid":
+                value = (kf * kf - kf) / off  # inf where off == 0
+                over = value > kf
+                flags = over * _CLAMPED | (off == 0.0) * _DEGENERATE
+                out[tag] = np.where(over, kf, value), flags.astype(np.uint8)
+            elif tag == "mle":
+                log_sums = _per_k(d, ks, lambda p: np.log(p[:, :-1] / p[:, -1:]).sum(axis=1))
+                out[tag] = _degenerate(-(kf - 1.0) / log_sums, log_sums == 0.0, kf)
+            elif tag == "mom":
+                m = _per_k(d, ks, lambda p: p.mean(axis=1))
+                w = d[:, ks - 1]
+                out[tag] = _degenerate(m / (w - m), w == m, kf)
+            else:
+                if ged_pair is None:
+                    k1, k2 = (ks + 1) // 2, ks
+                else:
+                    k1, k2 = np.full_like(ks, ged_pair[0]), np.full_like(ks, ged_pair[1])
+                d1, d2 = d[:, k1 - 1], d[:, k2 - 1]
+                out[tag] = _degenerate(np.log(k2 / k1) / np.log(d2 / d1), d1 == d2, kf)
     return out
 
 
-def _row(u: np.ndarray | None, d: np.ndarray, tags, ged_pair) -> dict[str, IdEstimate]:
-    """One table row: the estimates of ``tags`` at k = len(d)."""
-    k = d.size
-    out = {tag: IdEstimate(tag, value, k, flags)
-           for tag, [(value, flags)] in _estimates(u, d, tags, [k], ged_pair).items()}
-    for tag in tags:
-        if tag in ANGLE_TAGS and out[tag].value > k - 2:
-            # Estimates this close to k suggest the neighborhood is smaller
-            # than d + 2, below the size needed for proper regularization.
+def _off_diag(sq_sums: np.ndarray, kf: np.ndarray) -> np.ndarray:
+    """S(k) without its k diagonal ones, roundoff clamped into [0, k**2 - k]."""
+    return np.minimum(np.maximum(sq_sums - kf, 0.0), kf * kf - kf)
+
+
+def _per_k(d: np.ndarray, ks: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(d[:, :k])`` for every k of ``ks``, as a (B, len(ks)) array."""
+    out = np.empty((len(d), ks.size))
+    for j, k in enumerate(ks.tolist()):
+        out[:, j] = reduce(d[:, :k])
+    return out
+
+
+def _degenerate(value: np.ndarray, zero: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and flags of a distance estimator: k and the degeneracy flag where ``zero``.
+
+    ``zero`` marks a zero denominator, an infinite estimate.
+    """
+    return np.where(zero, kf, value), (zero * _DEGENERATE).astype(np.uint8)
+
+
+def _warn_small(values: dict[str, np.ndarray], k: int) -> None:
+    """One NeighborhoodSizeWarning per row whose angle-based estimate exceeds k - 2.
+
+    Estimates this close to k suggest the neighborhood is smaller than
+    d + 2, below the size needed for proper regularization. ``values``
+    maps tags to one value per row.
+    """
+    angle = [values[t] > k - 2 for t in ANGLE_TAGS if t in values]
+    if angle:
+        for _ in range(int(np.count_nonzero(np.logical_or.reduce(angle)))):
             warnings.warn(
                 f"k={k} may be too small: an angle-based estimate exceeded k-2",
                 NeighborhoodSizeWarning,
                 stacklevel=3,
             )
-            break
-    return out
 
 
 def estimate_point(
@@ -366,8 +436,10 @@ def estimate_point(
     tags = _check_tags(estimators)
     nl = knn(data, query, k)
     angle = any(t in ANGLE_TAGS for t in tags)
-    u = direction_bundle(data, query, nl).directions if angle else None
-    return _row(u, nl.distances, tags, ged_pair)
+    u = direction_bundle(data, query, nl).directions[None] if angle else None
+    est = _estimates(u, nl.distances[None], tags, [k], ged_pair)
+    _warn_small({t: values[:, 0] for t, (values, _) in est.items()}, k)
+    return {t: _estimate(t, values, flags, k) for t, (values, flags) in est.items()}
 
 
 def estimate_table(
@@ -382,22 +454,28 @@ def estimate_table(
     """Estimates for many in-set query points, one row per query.
 
     ``queries`` defaults to every point index. Work is an independent map
-    over queries; ``threads`` only sets the parallel width and never
-    changes results or row order.
+    over blocks of queries; ``threads`` only sets the parallel width and
+    never changes results or row order. One NeighborhoodSizeWarning is
+    issued per row whose angle-based estimate exceeds k - 2.
     """
     tags = _check_tags(estimators)
     if queries is None:
         queries = range(data.n)
     query_list = [int(q) for q in queries]
+    if not query_list:
+        raise ValueError("EstimateTable requires at least one row")
 
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
     points = data.points
 
-    def work(qi: int, idx: np.ndarray, dist: np.ndarray):
-        u = _directions(points, points[qi], idx, dist) if need_u else None
-        return _row(u, dist, tags, ged_pair), (_mean_cosine(u) if with_diagnostics else None)
+    def work(block: list[int], idx: np.ndarray, dist: np.ndarray):
+        u = _directions(points, points[block], idx, dist) if need_u else None
+        return _estimates(u, dist, tags, [k], ged_pair), (_mean_cosines(u) if with_diagnostics else None)
 
-    results = _map_neighbors(data, query_list, k, work, threads)
-    rows = tuple((qi, ests) for qi, (ests, _) in zip(query_list, results))
-    mean_cosines = tuple(mc for _, mc in results) if with_diagnostics else None
-    return EstimateTable(rows, mean_cosines)
+    rows = _estimate_rows(k, data.dim, tags, need_u)
+    parts = _map_neighbors(data, query_list, k, work, threads, rows)
+    values = {t: np.concatenate([est[t][0][:, 0] for est, _ in parts]) for t in tags}
+    flags = {t: np.concatenate([est[t][1][:, 0] for est, _ in parts]) for t in tags}
+    mean_cosines = np.concatenate([mc for _, mc in parts]) if with_diagnostics else None
+    _warn_small(values, k)
+    return EstimateTable(query_list, mean_cosines, k=k, values=values, flags=flags)

@@ -9,61 +9,17 @@ under rescaling of the data.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import (
-    DEGENERATE_ZERO_DENOMINATOR,
-    MIN_K,
-    IdEstimate,
-    InsufficientNeighborsError,
-)
+from .core import IdEstimate
+from .angle_id import _estimate, _estimates
 from .neighbors import NeighborList
 
 __all__ = ["mle_hill", "mom", "ged"]
 
-# The array helpers below take the k sorted neighbor distances of one
-# query and return (value, flags); the public functions wrap them around a
-# NeighborList, and tables and trails call them on distance prefixes.
-_NO_FLAGS = frozenset()
-_DEGENERATE = frozenset({DEGENERATE_ZERO_DENOMINATOR})
 
-
-def _mle(d: np.ndarray) -> tuple[float, frozenset]:
-    k = d.size
-    if k < MIN_K["mle"]:
-        raise InsufficientNeighborsError(MIN_K["mle"], k)
-    log_sum = float(np.log(d[:-1] / d[-1]).sum())
-    if log_sum == 0.0:
-        return float(k), _DEGENERATE
-    return -(k - 1) / log_sum, _NO_FLAGS
-
-
-def _mom(d: np.ndarray) -> tuple[float, frozenset]:
-    k = d.size
-    if k < MIN_K["mom"]:
-        raise InsufficientNeighborsError(MIN_K["mom"], k)
-    w = float(d[-1])
-    m = float(d.mean())
-    if w == m:
-        return float(k), _DEGENERATE
-    return m / (w - m), _NO_FLAGS
-
-
-def _ged(d: np.ndarray, pair: tuple[int, int] | None) -> tuple[float, frozenset]:
-    k = d.size
-    if k < MIN_K["ged"]:
-        raise InsufficientNeighborsError(MIN_K["ged"], k)
-    if pair is None:
-        k1, k2 = (k + 1) // 2, k
-    else:
-        k1, k2 = pair
-    if not (1 <= k1 < k2 <= k):
-        raise ValueError(f"need 1 <= k1 < k2 <= {k}, got ({k1}, {k2})")
-    d1 = float(d[k1 - 1])
-    d2 = float(d[k2 - 1])
-    if d1 == d2:
-        return float(k), _DEGENERATE
-    return float(np.log(k2 / k1) / np.log(d2 / d1)), _NO_FLAGS
+def _one(tag: str, nl: NeighborList, pair=None) -> IdEstimate:
+    """One estimate on one neighbor list, through the estimation core with B = 1."""
+    est = _estimates(None, nl.distances[None], (tag,), [nl.k], pair)[tag]
+    return _estimate(tag, *est, nl.k)
 
 
 def mle_hill(nl: NeighborList) -> IdEstimate:
@@ -73,8 +29,7 @@ def mle_hill(nl: NeighborList) -> IdEstimate:
     are equal the log-sum is zero and the infinite estimate is reported as
     k with a degeneracy flag.
     """
-    value, flags = _mle(nl.distances)
-    return IdEstimate("mle", value, nl.k, flags)
+    return _one("mle", nl)
 
 
 def mom(nl: NeighborList) -> IdEstimate:
@@ -85,8 +40,7 @@ def mom(nl: NeighborList) -> IdEstimate:
     converges to m0 as k grows. All distances equal means w == m and the
     infinite estimate is reported as k with a degeneracy flag.
     """
-    value, flags = _mom(nl.distances)
-    return IdEstimate("mom", value, nl.k, flags)
+    return _one("mom", nl)
 
 
 def ged(nl: NeighborList, pair: tuple[int, int] | None = None) -> IdEstimate:
@@ -97,5 +51,4 @@ def ged(nl: NeighborList, pair: tuple[int, int] | None = None) -> IdEstimate:
     a stable deterministic split; any 1-based pair k1 < k2 <= k can be
     passed instead. Equal radii at both counts degenerate to k.
     """
-    value, flags = _ged(nl.distances, pair)
-    return IdEstimate("ged", value, nl.k, flags)
+    return _one("ged", nl, pair)

@@ -231,6 +231,11 @@ def cmd_estimate(args) -> int:
         ged_pair = (int(pair[0]), int(pair[1]))
         if not 1 <= ged_pair[0] < ged_pair[1] <= args.k:
             raise UsageError(f"--ged-pair needs 1 <= k1 < k2 <= k={args.k}, got {args.ged_pair!r}")
+    for tag in tags:
+        try:
+            analysis._check_k_values([args.k], tag, ged_pair)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     data = _load_data(args)
     queries = _subsample(data.n, args.points, args.subsample_seed)
     table = angle_id.estimate_table(
@@ -243,7 +248,7 @@ def cmd_estimate(args) -> int:
         threads=args.threads,
     )
     write_csv(table, args.output, delimiter=args.delimiter)
-    print(f"estimated {len(table.rows)} points at k={args.k}: {','.join(tags)}", file=sys.stderr)
+    print(f"estimated {len(table)} points at k={args.k}: {','.join(tags)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ __all__ = [
     "MIN_K",
     "CLAMPED_TO_K",
     "DEGENERATE_ZERO_DENOMINATOR",
-    "INSUFFICIENT_NEIGHBORS",
+    "FLAG_BITS",
     "DataMatrix",
     "IdEstimate",
     "EstimateTable",
@@ -39,10 +39,13 @@ ESTIMATOR_TAGS = ANGLE_TAGS + DISTANCE_TAGS
 # The smallest neighborhood each estimator is defined on.
 MIN_K = {"abid": 1, "rabid": 2, "mle": 2, "mom": 2, "ged": 4}
 
-# IdEstimate flag names.
+# IdEstimate flag names, and their bits in an EstimateTable's flag masks.
 CLAMPED_TO_K = "clamped_to_k"
 DEGENERATE_ZERO_DENOMINATOR = "degenerate_zero_denominator"
-INSUFFICIENT_NEIGHBORS = "insufficient_neighbors"
+FLAG_BITS = {CLAMPED_TO_K: 1, DEGENERATE_ZERO_DENOMINATOR: 2}
+# The flag set of every mask value.
+_FLAG_SETS = tuple(frozenset(f for f, bit in FLAG_BITS.items() if mask & bit)
+                   for mask in range(1 << len(FLAG_BITS)))
 
 
 class AngleIdError(Exception):
@@ -125,51 +128,110 @@ class IdEstimate:
             raise ValueError("clamped estimates must carry value == k")
 
 
-@dataclass(frozen=True, eq=False)
 class EstimateTable:
     """Per-point estimates: one row per query point, one column per estimator.
 
-    All rows share the same estimator set and the same k. ``mean_cosines``
-    is an optional per-row diagnostic column.
+    The table is stored by columns: the query ``indices``, one ``k`` for
+    all rows, and per estimator tag a float64 value array and a uint8 flag
+    mask array (bits ``FLAG_BITS``), plus an optional per-row diagnostic
+    column ``mean_cosines``. ``rows`` builds the same content as
+    ``(index, {tag: IdEstimate})`` pairs when it is first asked for.
+
+    ``EstimateTable(rows, mean_cosines)`` builds a table from such rows,
+    which must share one estimator set and one k. With ``values`` and
+    ``flags`` given (dicts of per-row arrays keyed by tag, in column
+    order), the first argument is the index column instead.
     """
 
-    rows: tuple[tuple[int, dict[str, IdEstimate]], ...]
-    mean_cosines: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        rows = tuple((int(i), dict(ests)) for i, ests in self.rows)
-        if not rows:
+    def __init__(self, rows, mean_cosines=None, *, k=None, values=None, flags=None):
+        if values is None:
+            rows, k, values, flags = _columns(rows)
+        indices = tuple(np.asarray(rows, dtype=np.int64).tolist())
+        n = len(indices)
+        if not n:
             raise ValueError("EstimateTable requires at least one row")
-        tags = tuple(rows[0][1].keys())
-        k = next(iter(rows[0][1].values())).k
-        for idx, ests in rows:
-            if tuple(ests.keys()) != tags:
-                raise ValueError(f"row {idx} has estimator set {tuple(ests)}, expected {tags}")
-            for est in ests.values():
-                if est.k != k:
-                    raise ValueError(f"row {idx} has k={est.k}, expected {k}")
-        if self.mean_cosines is not None:
-            mc = tuple(float(v) for v in self.mean_cosines)
-            if len(mc) != len(rows):
-                raise ValueError("mean_cosines length must match row count")
-            object.__setattr__(self, "mean_cosines", mc)
-        object.__setattr__(self, "rows", rows)
+        if list(flags) != list(values):
+            raise ValueError("values and flags must have the same estimator tags")
+        self._indices = indices
+        self._k = int(k)
+        self._values = {t: _column(v, np.float64, n) for t, v in values.items()}
+        self._flags = {t: _column(flags[t], np.uint8, n) for t in values}
+        if mean_cosines is not None:
+            mean_cosines = tuple(_column(mean_cosines, np.float64, n).tolist())
+        self._mean_cosines = mean_cosines
+        self._rows = None
+
+    def __len__(self) -> int:
+        return len(self._indices)
 
     @property
     def estimators(self) -> tuple[str, ...]:
-        return tuple(self.rows[0][1].keys())
+        return tuple(self._values)
 
     @property
     def k(self) -> int:
-        return next(iter(self.rows[0][1].values())).k
+        return self._k
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.rows)
+        return self._indices
+
+    @property
+    def mean_cosines(self) -> tuple[float, ...] | None:
+        return self._mean_cosines
 
     def values(self, tag: str) -> np.ndarray:
         """Estimate values of one column, in row order."""
-        return np.array([ests[tag].value for _, ests in self.rows], dtype=np.float64)
+        return self._values[tag].copy()
+
+    def flags(self, tag: str) -> np.ndarray:
+        """Flag masks of one column, in row order; bit values are ``FLAG_BITS``."""
+        return self._flags[tag].copy()
+
+    @property
+    def rows(self) -> tuple[tuple[int, dict[str, IdEstimate]], ...]:
+        """The table as ``(index, {tag: IdEstimate})`` rows, built on first use."""
+        if self._rows is None:
+            k = self._k
+            cols = [(t, self._values[t].tolist(), self._flags[t].tolist()) for t in self._values]
+            self._rows = tuple(
+                (idx, {t: IdEstimate(t, v[r], k, _FLAG_SETS[f[r]]) for t, v, f in cols})
+                for r, idx in enumerate(self._indices)
+            )
+        return self._rows
+
+
+def _column(values, dtype, n: int) -> np.ndarray:
+    col = np.array(values, dtype=dtype)
+    if col.shape != (n,):
+        raise ValueError(f"a column must hold one entry per row ({n}), got shape {col.shape}")
+    col.setflags(write=False)
+    return col
+
+
+def _columns(rows) -> tuple[list[int], int, dict, dict]:
+    """Index column, k, values and flag masks of ``(index, {tag: IdEstimate})`` rows."""
+    rows = tuple((int(i), dict(ests)) for i, ests in rows)
+    if not rows:
+        raise ValueError("EstimateTable requires at least one row")
+    tags = tuple(rows[0][1].keys())
+    k = next(iter(rows[0][1].values())).k
+    for idx, ests in rows:
+        if tuple(ests.keys()) != tags:
+            raise ValueError(f"row {idx} has estimator set {tuple(ests)}, expected {tags}")
+        for est in ests.values():
+            if est.k != k:
+                raise ValueError(f"row {idx} has k={est.k}, expected {k}")
+    values = {t: [ests[t].value for _, ests in rows] for t in tags}
+    flags = {t: [_flag_mask(ests[t].flags) for _, ests in rows] for t in tags}
+    return [i for i, _ in rows], k, values, flags
+
+
+def _flag_mask(flags) -> int:
+    unknown = set(flags) - FLAG_BITS.keys()
+    if unknown:
+        raise ValueError(f"unknown flag(s) {sorted(unknown)}; valid: {list(FLAG_BITS)}")
+    return sum(FLAG_BITS[f] for f in flags)
 
 
 def _fmt(x: float) -> str:
@@ -224,33 +286,53 @@ def write_csv(obj, path, delimiter: str = ",") -> None:
     EstimateTable gets a header row, DataMatrix does not.
     """
     if isinstance(obj, DataMatrix):
-        lines = (delimiter.join(_fmt(v) for v in row) for row in obj.points)
+        chunks = _matrix_chunks(obj, delimiter)
     elif isinstance(obj, EstimateTable):
-        lines = _table_lines(obj, delimiter)
+        chunks = _table_chunks(obj, delimiter)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(chunks)
 
 
-def _table_lines(table: EstimateTable, delimiter: str):
+# Rows formatted per write, which bounds the memory write_csv holds.
+_CSV_ROWS = 4096
+
+
+def _row_format(cells: list[str], delimiter: str) -> str:
+    """A %-format for one CSV line of ``cells`` (each a %-conversion)."""
+    return delimiter.replace("%", "%%").join(cells) + "\n"
+
+
+def _matrix_chunks(matrix: DataMatrix, delimiter: str):
+    # One format over each chunk of the flattened matrix; "%.17g" is _fmt.
+    n, dim = matrix.points.shape
+    fmt = _row_format(["%.17g"] * dim, delimiter)
+    for lo in range(0, n, _CSV_ROWS):
+        part = matrix.points[lo:lo + _CSV_ROWS]
+        yield (fmt * len(part)) % tuple(part.ravel().tolist())
+
+
+def _table_chunks(table: EstimateTable, delimiter: str):
     tags = table.estimators
     header = ["index", *tags]
+    cells = ["%d"] + ["%.17g"] * len(tags)
+    columns = [table.indices] + [table._values[t].tolist() for t in tags]
     if table.mean_cosines is not None:
         header += ["mean_cosine", "flags"]
-    yield delimiter.join(header)
-    for row_pos, (idx, ests) in enumerate(table.rows):
-        cells = [str(idx)] + [_fmt(ests[t].value) for t in tags]
-        if table.mean_cosines is not None:
-            cells.append(_fmt(table.mean_cosines[row_pos]))
-            cells.append(_flags_cell(ests, tags))
-        yield delimiter.join(cells)
+        cells += ["%.17g", "%s"]
+        columns += [table.mean_cosines, _flag_cells(table, tags)]
+    yield delimiter.join(header) + "\n"
+    fmt = _row_format(cells, delimiter)
+    for lo in range(0, len(table), _CSV_ROWS):
+        yield "".join([fmt % row for row in zip(*(c[lo:lo + _CSV_ROWS] for c in columns))])
 
 
-def _flags_cell(ests: dict[str, IdEstimate], tags: tuple[str, ...]) -> str:
-    parts = []
-    for t in tags:
-        parts.extend(f"{t}:{f}" for f in sorted(ests[t].flags))
-    return "|".join(parts)
+def _flag_cells(table: EstimateTable, tags: tuple[str, ...]) -> list[str]:
+    """The flags column: ``tag:flag`` items joined by ``|``, flags sorted within a tag."""
+    names = [[[f"{t}:{f}" for f in sorted(fs)] for fs in _FLAG_SETS] for t in tags]
+    masks = np.stack([table._flags[t] for t in tags], axis=1)
+    cells = [""] * len(masks)
+    for r in np.flatnonzero(masks.any(axis=1)).tolist():
+        cells[r] = "|".join(item for t, m in enumerate(masks[r].tolist()) for item in names[t][m])
+    return cells

@@ -219,53 +219,67 @@ def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     return idx, dist
 
 
-def _map_neighbors(data: DataMatrix, queries: list[int], k: int, fn, threads: int) -> list:
-    """``fn(qi, indices, distances)`` for every in-set query index, in query order.
+def _map_neighbors(data: DataMatrix, queries: list[int], k: int, fn, threads: int,
+                   rows: int) -> list:
+    """``fn(block, indices, distances)`` for blocks of up to ``rows`` in-set query indices.
 
-    ``indices`` and ``distances`` are the query's row of the knn_many
-    kernel: the exact k nearest neighbors, already sorted, distinct and at
-    positive distance, so nothing is re-validated here. Neighbors come one
-    block of queries at a time; with ``threads > 1`` the blocks run in a
-    thread pool. Errors surface in query order, and an
+    Returns the results in query order, one per call of ``fn``.
+    ``indices`` and ``distances`` are the block's (B, k) rows of the
+    knn_many kernel: the exact k nearest neighbors of each query, already
+    sorted, distinct and at positive distance, so nothing is re-validated
+    here. The kernel runs on whole blocks of its own size
+    (``_block_rows``); a unit of work is a whole number of these, cut into
+    ``fn``'s blocks, and with ``threads > 1`` the units run in a thread
+    pool. Errors surface in query order, and an
     InsufficientNeighborsError that ``fn`` raises without a point gets the
-    query index.
+    index of the query it concerns.
     """
     for qi in queries:
         _check_index(data, qi)
     kernel = _knn_kernel(data, k)
-    rows = _block_rows(data.n)
-    blocks = [queries[lo:lo + rows] for lo in range(0, len(queries), rows)]
+    knn_rows = _block_rows(data.n)
+    unit = knn_rows * max(1, rows // knn_rows)
+    rows = min(rows, unit)
+    units = [queries[lo:lo + unit] for lo in range(0, len(queries), unit)]
 
     def run(block: list[int]) -> list:
-        try:
-            idx, dist = kernel(data.points[block])
-        except InsufficientNeighborsError as exc:
-            raise InsufficientNeighborsError(k, exc.available, point=block[exc.point]) from None
-        out = []
-        for qi, i, d in zip(block, idx, dist):
+        idx = np.empty((len(block), k), dtype=np.int64)
+        dist = np.empty((len(block), k))
+        for lo in range(0, len(block), knn_rows):
+            part = block[lo:lo + knn_rows]
             try:
-                out.append(fn(qi, i, d))
+                idx[lo:lo + knn_rows], dist[lo:lo + knn_rows] = kernel(data.points[part])
             except InsufficientNeighborsError as exc:
-                if exc.point is not None:
+                raise InsufficientNeighborsError(k, exc.available, point=part[exc.point]) from None
+        out = []
+        for lo in range(0, len(block), rows):
+            part = block[lo:lo + rows]
+            try:
+                out.append(fn(part, idx[lo:lo + rows], dist[lo:lo + rows]))
+            except InsufficientNeighborsError as exc:
+                if exc.point is not None or len(block) > 1:
                     raise
-                raise InsufficientNeighborsError(exc.required, exc.available, point=qi) from None
+                raise InsufficientNeighborsError(exc.required, exc.available, point=block[0]) from None
         return out
 
     def work(block: list[int]) -> list:
         try:
             return run(block)
-        except InsufficientNeighborsError:
+        except InsufficientNeighborsError as exc:
             if len(block) == 1:
                 raise
-        # Again one query at a time: a neighbor shortage found for the whole
-        # block must not overtake an earlier query's own error.
-        return [res for qi in block for res in run([qi])]
+            error = exc
+        # Again one query at a time: the first query to fail, in query
+        # order, is the one the error names.
+        for qi in block:
+            run([qi])
+        raise error
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
+            parts = list(pool.map(work, units))
     else:
-        parts = [work(block) for block in blocks]
+        parts = [work(block) for block in units]
     return [res for part in parts for res in part]
 
 
@@ -308,5 +322,8 @@ def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBund
 
 def _directions(points: np.ndarray, q: np.ndarray, indices: np.ndarray,
                 distances: np.ndarray) -> np.ndarray:
-    """Rows (points[indices[j]] - q) / distances[j], unchecked: the unit directions."""
-    return (points[indices] - q) / distances[:, None]
+    """Rows (points[indices[j]] - q) / distances[j], unchecked: the unit directions.
+
+    Also for a block: q (B, D) with (B, k) indices and distances gives (B, k, D).
+    """
+    return (points[indices] - q[..., None, :]) / distances[..., None]

@@ -20,7 +20,9 @@ from angleid.angle_id import (
 from angleid.core import (
     CLAMPED_TO_K,
     DEGENERATE_ZERO_DENOMINATOR,
+    FLAG_BITS,
     DataMatrix,
+    _FLAG_SETS,
     FixedPointDivergenceError,
     InsufficientNeighborsError,
 )
@@ -119,7 +121,7 @@ class TestSqSums:
         u = _unit_rows(kind, min(k_max, 60), dim, draw.draw(st.integers(0, 2**32 - 1)))
         k_max = len(u)
         ks = sorted(set(draw.draw(st.lists(st.integers(1, k_max), min_size=1), label="ks")))
-        got = angle_id._sq_sums(u, ks)
+        got = angle_id._sq_sums(u[None], ks)[0]
         # The oracle sums the explicit k-by-k squared cosines in extended precision.
         ul = u.astype(np.longdouble)
         sq = (ul @ ul.T) ** 2
@@ -127,7 +129,7 @@ class TestSqSums:
             want = sq[:k, :k].sum()
             assert abs(got[j] - want) <= 1e-13 * want, (k, got[j], want)
             # S(k) depends on the first k rows alone, bitwise.
-            assert angle_id._sq_sums(np.array(u[:k]), [k])[0] == got[j], k
+            assert angle_id._sq_sums(np.array(u[None, :k]), [k])[0, 0] == got[j], k
         if kind == "orthonormal":
             assert got.tolist() == [float(k) for k in ks]
 
@@ -137,22 +139,23 @@ class TestSqSums:
         s = cosine_square_stats(_bundle(u))
         assert s.off_diag_sq_sum == 0.0
         assert abid(s).value == float(k)
-        ests = angle_id._estimates(u, None, ("abid",), list(range(1, k + 1)), None)
-        assert [v for v, _ in ests["abid"]] == [float(j) for j in range(1, k + 1)]
+        values, _ = angle_id._estimates(u[None], None, ("abid",), list(range(1, k + 1)), None)["abid"]
+        assert values[0].tolist() == [float(j) for j in range(1, k + 1)]
         if k >= 2:
             assert rabid(s).flags == {CLAMPED_TO_K, DEGENERATE_ZERO_DENOMINATOR}
-            rabid_k = angle_id._estimates(u, None, ("rabid",), list(range(2, k + 1)), None)["rabid"]
-            assert all(f == {CLAMPED_TO_K, DEGENERATE_ZERO_DENOMINATOR} for _, f in rabid_k)
+            _, flags = angle_id._estimates(u[None], None, ("rabid",), list(range(2, k + 1)), None)["rabid"]
+            assert np.all(flags == FLAG_BITS[CLAMPED_TO_K] | FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR])
 
     def test_single_k_is_the_same_arithmetic_as_every_k(self):
         rng = np.random.default_rng(3)
         for dim in (3, 12):
             u = _random_bundle(rng, 30, dim).directions
-            every = angle_id._estimates(u, None, ("abid", "rabid"), list(range(2, 31)), None)
+            every = angle_id._estimates(u[None], None, ("abid", "rabid"), list(range(2, 31)), None)
             for j, k in enumerate(range(2, 31)):
                 stats = cosine_square_stats(DirectionBundle(u[:k], k))
-                assert every["abid"][j][0] == abid(stats).value
-                assert every["rabid"][j] == (rabid(stats).value, rabid(stats).flags)
+                assert every["abid"][0][0, j] == abid(stats).value
+                values, flags = every["rabid"]
+                assert (values[0, j], _FLAG_SETS[flags[0, j]]) == (rabid(stats).value, rabid(stats).flags)
 
 
 class TestAbid:

@@ -74,10 +74,21 @@ class TestEstimate:
         assert header == "index,abid,mle"
         assert first.startswith("0,")
 
-    def test_rabid_needs_two_neighbors(self, tmp_path, ball_csv):
+    def test_rabid_needs_two_neighbors(self, tmp_path, ball_csv, capsys):
         out = tmp_path / "est.csv"
         assert run("estimate", "--input", ball_csv, "--k", 1,
-                   "--estimators", "rabid", "-o", out) == 2
+                   "--estimators", "rabid", "-o", out) == 1
+        assert capsys.readouterr().err == "usage error: estimator rabid needs k >= 2, got k = 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (("--k", 3, "--estimators", "abid,ged"), "estimator ged needs k >= 4, got k = 3"),
+        (("--k", 1, "--estimators", "abid,mle"), "estimator mle needs k >= 2, got k = 1"),
+    ])
+    def test_k_below_an_estimator_minimum_is_a_usage_error(self, tmp_path, ball_csv, capsys,
+                                                          args, message):
+        assert run("estimate", "--input", ball_csv, *args, "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_unknown_estimator_is_usage_error(self, tmp_path, ball_csv):
         assert run("estimate", "--input", ball_csv, "--k", 5,

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from angleid.core import (
+    CLAMPED_TO_K,
+    DEGENERATE_ZERO_DENOMINATOR,
+    FLAG_BITS,
     CsvFormatError,
     DataMatrix,
     EstimateTable,
@@ -117,6 +120,16 @@ class TestWriteCsv:
         write_csv(m, p)
         assert np.array_equal(load_csv(p).points, m.points)
 
+    def test_matrix_bytes_are_one_17_digit_field_per_value(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        pts[0] = [0.0, -0.0, 2 ** -1074]
+        for delimiter in (",", ";", "%"):
+            p = tmp_path / "m.csv"
+            write_csv(DataMatrix(pts), p, delimiter=delimiter)
+            want = "".join(delimiter.join("%.17g" % v for v in row) + "\n" for row in pts)
+            assert p.read_bytes() == want.encode()
+
     def test_unsupported_type(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv([1, 2, 3], tmp_path / "x.csv")
@@ -174,3 +187,46 @@ class TestEstimateTable:
         lines = p.read_text().splitlines()
         assert lines[0] == "index,rabid,mean_cosine,flags"
         assert lines[1] == "0,3,0.25,rabid:clamped_to_k|rabid:degenerate_zero_denominator"
+
+    def test_columns_and_rows_build_the_same_table(self, tmp_path):
+        both = FLAG_BITS[CLAMPED_TO_K] | FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+        columns = EstimateTable(
+            np.array([4, 2, 9]), np.array([0.5, -0.25, 1 / 3]), k=3,
+            values={"rabid": np.array([1.5, 3.0, 3.0]), "mle": np.array([2.0, 3.0, 0.1])},
+            flags={"rabid": np.array([0, both, FLAG_BITS[CLAMPED_TO_K]]),
+                   "mle": np.array([0, FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR], 0])},
+        )
+        rows = EstimateTable(columns.rows, columns.mean_cosines)
+        assert len(columns) == len(rows) == 3
+        assert columns.indices == rows.indices == (4, 2, 9)
+        assert columns.estimators == rows.estimators == ("rabid", "mle")
+        assert columns.k == rows.k == 3
+        assert columns.rows[1][1]["rabid"] == IdEstimate(
+            "rabid", 3.0, 3, {CLAMPED_TO_K, DEGENERATE_ZERO_DENOMINATOR})
+        for tag in ("rabid", "mle"):
+            assert columns.values(tag).tobytes() == rows.values(tag).tobytes()
+            assert columns.flags(tag).tolist() == rows.flags(tag).tolist()
+        write_csv(columns, tmp_path / "c.csv")
+        write_csv(rows, tmp_path / "r.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert (tmp_path / "c.csv").read_text().splitlines() == [
+            "index,rabid,mle,mean_cosine,flags",
+            "4,1.5,2,0.5,",
+            "2,3,3,-0.25,rabid:clamped_to_k|rabid:degenerate_zero_denominator"
+            "|mle:degenerate_zero_denominator",
+            "9,3,0.10000000000000001,0.33333333333333331,rabid:clamped_to_k",
+        ]
+
+    def test_columns_are_read_only_copies(self):
+        rows = ((0, {"abid": IdEstimate("abid", 2.0, 4)}),)
+        t = EstimateTable(rows)
+        t.values("abid")[0] = 9.0
+        assert t.values("abid").tolist() == [2.0]
+
+    def test_rejects_unknown_flags_and_ragged_columns(self):
+        with pytest.raises(ValueError, match="unknown flag"):
+            EstimateTable(((0, {"mle": IdEstimate("mle", 2.0, 4, {"odd"})}),))
+        with pytest.raises(ValueError, match="one entry per row"):
+            EstimateTable([0, 1], k=4, values={"mle": [1.0]}, flags={"mle": [0]})
+        with pytest.raises(ValueError, match="same estimator tags"):
+            EstimateTable([0], k=4, values={"mle": [1.0]}, flags={"mom": [0]})
