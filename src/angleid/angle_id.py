@@ -220,9 +220,11 @@ def _estimate(tag: str, values: np.ndarray, flags: np.ndarray, k: int) -> IdEsti
 
 
 def _from_stats(tag: str, stats: CosineSquareStats) -> IdEstimate:
-    """An angle-based estimate from the statistics, through the core with B = 1."""
+    """An angle-based estimate from the statistics, with the core's arithmetic (``_angle``)."""
+    k = stats.k
+    _check_ks((tag,), np.array([k]), None)
     off = np.array([[stats.off_diag_sq_sum]])
-    return _estimate(tag, *_estimates(None, None, (tag,), [stats.k], None, off)[tag], stats.k)
+    return _estimate(tag, *_angle(tag, off, np.array([float(k)])), k)
 
 
 def abid(stats: CosineSquareStats) -> IdEstimate:
@@ -317,23 +319,24 @@ def _check_tags(estimators) -> tuple[str, ...]:
     return tags
 
 
-_CLAMPED = FLAG_BITS[CLAMPED_TO_K]
-_DEGENERATE = FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+# uint8 scalars, so flag arithmetic on boolean arrays stays uint8.
+_CLAMPED = np.uint8(FLAG_BITS[CLAMPED_TO_K])
+_DEGENERATE = np.uint8(FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR])
 
 
-def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks, ged_pair,
-               off: np.ndarray | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
+               ged_pair) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every estimator of ``tags`` at every k of ``ks`` on a block of B queries.
 
     The one place estimator arithmetic lives: tables are the ``ks = [k]``
     case, trails keep the values, and the public estimator functions call
-    it with B = 1. ``u`` is the (B, k_max, D) block of unit directions to
-    the neighbors (None when no angle estimator is asked for), ``d`` the
-    (B, k_max) sorted neighbor distances (None when only angle estimators
-    are) and ``ks`` ascending integers in [1, k_max]. ``off``, the (B,
-    len(ks)) off-diagonal sums, replaces ``u`` when it is already known.
-    Returns ``{tag: (values, flags)}``, both (B, len(ks)): float64
-    estimates and uint8 flag masks (``core.FLAG_BITS``).
+    it with B = 1 (``abid``/``rabid``, which start from known statistics,
+    through its ABID/RABID part ``_angle``). ``u`` is the (B, k_max, D)
+    block of unit directions to the neighbors (None when no angle
+    estimator is asked for), ``d`` the (B, k_max) sorted neighbor
+    distances (None when only angle estimators are) and ``ks`` ascending
+    integers in [1, k_max]. Returns ``{tag: (values, flags)}``, both (B,
+    len(ks)): float64 estimates and uint8 flag masks (``core.FLAG_BITS``).
 
     ABID and RABID read every k off one pass of ``_sq_sums``. MLE, MoM and
     GED work on the distance prefixes ``d[:, :k]``; sums and means along
@@ -347,24 +350,15 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks, ged_pair,
     if d is not None:
         # Row sums are the 1-d pairwise sums only along contiguous rows.
         d = np.ascontiguousarray(d)
-    for tag in tags:
-        if ks[0] < MIN_K[tag]:
-            raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]))
-        if tag == "ged" and ged_pair is not None and not 1 <= ged_pair[0] < ged_pair[1] <= ks[0]:
-            raise ValueError(f"need 1 <= k1 < k2 <= {ks[0]}, got ({ged_pair[0]}, {ged_pair[1]})")
+    _check_ks(tags, ks, ged_pair)
     kf = ks.astype(np.float64)
-    if off is None and any(t in ANGLE_TAGS for t in tags):
+    if any(t in ANGLE_TAGS for t in tags):
         off = _off_diag(_sq_sums(u, ks), kf)
     out = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for tag in tags:
-            if tag == "abid":
-                out[tag] = kf * kf / (off + kf), np.zeros(off.shape, np.uint8)
-            elif tag == "rabid":
-                value = (kf * kf - kf) / off  # inf where off == 0
-                over = value > kf
-                flags = over * _CLAMPED | (off == 0.0) * _DEGENERATE
-                out[tag] = np.where(over, kf, value), flags.astype(np.uint8)
+            if tag in ANGLE_TAGS:
+                out[tag] = _angle(tag, off, kf)
             elif tag == "mle":
                 log_sums = _per_k(d, ks, lambda p: np.log(p[:, :-1] / p[:, -1:]).sum(axis=1))
                 out[tag] = _degenerate(-(kf - 1.0) / log_sums, log_sums == 0.0, kf)
@@ -380,6 +374,25 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks, ged_pair,
                 d1, d2 = d[:, k1 - 1], d[:, k2 - 1]
                 out[tag] = _degenerate(np.log(k2 / k1) / np.log(d2 / d1), d1 == d2, kf)
     return out
+
+
+def _check_ks(tags, ks: np.ndarray, ged_pair) -> None:
+    """Errors for a k below an estimator's minimum or a GED pair outside [1, k]."""
+    for tag in tags:
+        if ks[0] < MIN_K[tag]:
+            raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]))
+        if tag == "ged" and ged_pair is not None and not 1 <= ged_pair[0] < ged_pair[1] <= ks[0]:
+            raise ValueError(f"need 1 <= k1 < k2 <= {ks[0]}, got ({ged_pair[0]}, {ged_pair[1]})")
+
+
+def _angle(tag: str, off: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ABID or RABID values and flags from the off-diagonal sums ``off`` at each k of ``kf``."""
+    if tag == "abid":
+        return kf * kf / (off + kf), np.zeros(off.shape, np.uint8)
+    with np.errstate(divide="ignore"):
+        value = (kf * kf - kf) / off  # inf where off == 0
+    over = value > kf
+    return np.where(over, kf, value), over * _CLAMPED | (off == 0.0) * _DEGENERATE
 
 
 def _off_diag(sq_sums: np.ndarray, kf: np.ndarray) -> np.ndarray:
@@ -400,7 +413,7 @@ def _degenerate(value: np.ndarray, zero: np.ndarray, kf: np.ndarray) -> tuple[np
 
     ``zero`` marks a zero denominator, an infinite estimate.
     """
-    return np.where(zero, kf, value), (zero * _DEGENERATE).astype(np.uint8)
+    return np.where(zero, kf, value), zero * _DEGENERATE
 
 
 def _warn_small(values: dict[str, np.ndarray], k: int) -> None:

@@ -227,10 +227,12 @@ def _map_neighbors(data: DataMatrix, queries: list[int], k: int, fn, threads: in
     ``indices`` and ``distances`` are the block's (B, k) rows of the
     knn_many kernel: the exact k nearest neighbors of each query, already
     sorted, distinct and at positive distance, so nothing is re-validated
-    here. The kernel runs on whole blocks of its own size
-    (``_block_rows``); a unit of work is a whole number of these, cut into
-    ``fn``'s blocks, and with ``threads > 1`` the units run in a thread
-    pool. Errors surface in query order, and an
+    here. A unit of work is a whole number of the kernel's blocks
+    (``_block_rows``), cut into ``fn``'s blocks. With ``threads > 1`` the
+    units run in a thread pool, and a unit is cut down to a ``threads``-th
+    of the queries where it would be larger, so every thread gets work;
+    the kernel's results do not depend on its block size. Errors surface
+    in query order, and an
     InsufficientNeighborsError that ``fn`` raises without a point gets the
     index of the query it concerns.
     """
@@ -238,7 +240,8 @@ def _map_neighbors(data: DataMatrix, queries: list[int], k: int, fn, threads: in
         _check_index(data, qi)
     kernel = _knn_kernel(data, k)
     knn_rows = _block_rows(data.n)
-    unit = knn_rows * max(1, rows // knn_rows)
+    per_thread = max(1, -(-len(queries) // max(1, threads)))
+    unit = min(knn_rows * max(1, rows // knn_rows), per_thread)
     rows = min(rows, unit)
     units = [queries[lo:lo + unit] for lo in range(0, len(queries), unit)]
 

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -290,6 +291,29 @@ class TestBlockedTables:
                 analysis.write_trails_csv(tm, tmp_path / "r.csv")
                 trail_files.add((tag, (tmp_path / "r.csv").read_bytes()))
         assert len(tables) == 1 and len(trail_files) == 2
+
+    def test_every_thread_gets_a_share_of_the_queries(self, monkeypatch):
+        units = []
+
+        class Pool(ThreadPoolExecutor):
+            def map(self, fn, blocks):
+                units.append([len(b) for b in blocks])
+                return super().map(fn, blocks)
+
+        monkeypatch.setattr(neighbors, "ThreadPoolExecutor", Pool)
+        data = synth.sample_ball(1500, 4, seed=12)
+        queries = list(range(0, 1480, 40))
+        # Kernel blocks of 5 queries, then one kernel block for all 37.
+        for block_bytes in (8 * data.n * 5, neighbors._BLOCK_BYTES):
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
+            for threads in (2, 3, 4):
+                units.clear()
+                angle_id.estimate_table(data, 20, ESTIMATOR_TAGS, queries=queries,
+                                        threads=threads)
+                analysis.trails(data, [5, 12, 20], "mle", point_subset=queries, threads=threads)
+                for sizes in units:
+                    assert len(sizes) == threads and sum(sizes) == 37, (threads, sizes)
+                assert len(units) == 2
 
     def test_errors_keep_query_order(self):
         # Points 0-3 coincide, so each has a single distinct neighbor, point 4.
