@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ANGLE_TAGS, MIN_K, DataMatrix, DegenerateInputError, _fmt
+from .core import MIN_K, DataMatrix, DegenerateInputError, _fmt
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
-from .neighbors import _directions, _map_neighbors, direction_bundle, knn  # noqa: F401
+from .neighbors import direction_bundle, knn  # noqa: F401
 from . import angle_id
 
 __all__ = [
@@ -121,23 +121,20 @@ def trails(
     at the same k, and ABID/RABID agree with the explicit pairwise-cosine
     sums to 1e-13 relative.
 
-    The k values must be distinct integers, at least the estimator's
-    minimum (``core.MIN_K``; with ``ged_pair`` also at least its k2);
-    otherwise a ValueError is raised before any neighbor search.
+    Points are mapped in blocks by ``angle_id._estimate_many``, the same
+    query map as tables. The k values must be distinct integers, at least
+    the estimator's minimum (``core.MIN_K``; with ``ged_pair`` also at
+    least its k2), ``point_subset`` must not be empty and ``threads`` must
+    be a positive integer; otherwise a ValueError is raised before any
+    neighbor search.
     """
     (tag,) = angle_id._check_tags([estimator])
     ks = _check_k_values(k_values, tag, ged_pair)
     points = list(range(data.n)) if point_subset is None else [int(i) for i in point_subset]
-    angle = tag in ANGLE_TAGS
-    pts = data.points
-
-    def work(block: list[int], idx: np.ndarray, dist: np.ndarray) -> np.ndarray:
-        u = _directions(pts, pts[block], idx, dist) if angle else None
-        return angle_id._estimates(u, dist, (tag,), ks, ged_pair)[tag][0]
-
-    rows = angle_id._estimate_rows(ks[-1], data.dim, (tag,), angle)
-    parts = _map_neighbors(data, points, ks[-1], work, threads, rows)
-    return TrailMatrix(tuple(ks), np.concatenate(parts), tag, tuple(points))
+    if not points:
+        raise ValueError("trails require at least one point; point_subset is empty")
+    est, _ = angle_id._estimate_many(data, points, (tag,), ks, ged_pair, threads)
+    return TrailMatrix(tuple(ks), est[tag][0], tag, tuple(points))
 
 
 def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None = None) -> list[int]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 
@@ -46,7 +47,8 @@ from .core import (
     MIN_K,
     _FLAG_SETS,
 )
-from .neighbors import DirectionBundle, _directions, _map_neighbors, direction_bundle, knn
+from .neighbors import (DirectionBundle, _block_rows, _check_index, _check_positive, _directions,
+                        _knn_kernel, direction_bundle, knn)
 
 __all__ = [
     "CosineSquareStats",
@@ -376,11 +378,11 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     return out
 
 
-def _check_ks(tags, ks: np.ndarray, ged_pair) -> None:
-    """Errors for a k below an estimator's minimum or a GED pair outside [1, k]."""
+def _check_ks(tags, ks: np.ndarray, ged_pair, point=None) -> None:
+    """Errors for a k below an estimator's minimum (for ``point``) or a GED pair outside [1, k]."""
     for tag in tags:
         if ks[0] < MIN_K[tag]:
-            raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]))
+            raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]), point)
         if tag == "ged" and ged_pair is not None and not 1 <= ged_pair[0] < ged_pair[1] <= ks[0]:
             raise ValueError(f"need 1 <= k1 < k2 <= {ks[0]}, got ({ged_pair[0]}, {ged_pair[1]})")
 
@@ -467,28 +469,72 @@ def estimate_table(
     """Estimates for many in-set query points, one row per query.
 
     ``queries`` defaults to every point index. Work is an independent map
-    over blocks of queries; ``threads`` only sets the parallel width and
-    never changes results or row order. One NeighborhoodSizeWarning is
-    issued per row whose angle-based estimate exceeds k - 2.
+    over blocks of queries (``_estimate_many``); ``threads`` only sets the
+    parallel width and never changes results or row order. A ``k`` or
+    ``threads`` below 1 raises a ValueError before any search. One
+    NeighborhoodSizeWarning is issued per row whose angle-based estimate
+    exceeds k - 2.
     """
     tags = _check_tags(estimators)
-    if queries is None:
-        queries = range(data.n)
-    query_list = [int(q) for q in queries]
+    k = _check_positive("k", k)
+    query_list = [int(q) for q in (range(data.n) if queries is None else queries)]
     if not query_list:
         raise ValueError("EstimateTable requires at least one row")
-
-    need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
-    points = data.points
-
-    def work(block: list[int], idx: np.ndarray, dist: np.ndarray):
-        u = _directions(points, points[block], idx, dist) if need_u else None
-        return _estimates(u, dist, tags, [k], ged_pair), (_mean_cosines(u) if with_diagnostics else None)
-
-    rows = _estimate_rows(k, data.dim, tags, need_u)
-    parts = _map_neighbors(data, query_list, k, work, threads, rows)
-    values = {t: np.concatenate([est[t][0][:, 0] for est, _ in parts]) for t in tags}
-    flags = {t: np.concatenate([est[t][1][:, 0] for est, _ in parts]) for t in tags}
-    mean_cosines = np.concatenate([mc for _, mc in parts]) if with_diagnostics else None
+    est, mean_cosines = _estimate_many(data, query_list, tags, [k], ged_pair, threads,
+                                       with_diagnostics)
+    values = {t: v[:, 0] for t, (v, _) in est.items()}
+    flags = {t: f[:, 0] for t, (_, f) in est.items()}
     _warn_small(values, k)
     return EstimateTable(query_list, mean_cosines, k=k, values=values, flags=flags)
+
+
+def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, threads: int,
+                   with_diagnostics: bool = False):
+    """Every estimator of ``tags`` at every k of ``ks`` for each in-set query index.
+
+    The one query map behind tables and trails. Returns ``{tag: (values,
+    flags)}`` with (Q, len(ks)) arrays, as ``_estimates`` does, and the
+    (Q,) mean cosines at the largest k (None without ``with_diagnostics``).
+
+    The queries are cut into blocks of ``_estimate_rows`` rows, rounded
+    down to whole kernel blocks (``neighbors._block_rows``) where that
+    holds more than one, and capped at ceil(Q / threads) so every thread
+    gets work. Each block is one kernel search, then ``_directions`` and
+    ``_estimates``; with ``threads > 1`` the blocks run in a thread pool.
+    No result depends on the block size. Errors come in query order: a k
+    below an estimator's minimum names the first query before any search;
+    a neighbor shortage names the first short query, as the kernel reports
+    a block's first short row and the blocks are collected in order.
+    """
+    threads = _check_positive("threads", threads)
+    for qi in queries:
+        _check_index(data, qi)
+    ks = np.asarray(ks, dtype=np.int64)
+    _check_ks(tags, ks, ged_pair, queries[0])
+    k_max = int(ks[-1])
+    need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
+    search = _knn_kernel(data, k_max)
+    rows, knn_rows = _estimate_rows(k_max, data.dim, tags, need_u), _block_rows(data.n)
+    if rows > knn_rows:
+        rows -= rows % knn_rows
+    rows = min(rows, -(-len(queries) // threads))
+    points = data.points
+
+    def work(block: list[int]):
+        q = points[block]
+        try:
+            idx, dist = search(q)
+        except InsufficientNeighborsError as exc:
+            raise InsufficientNeighborsError(k_max, exc.available, point=block[exc.point]) from None
+        u = _directions(points, q, idx, dist) if need_u else None
+        return _estimates(u, dist, tags, ks, ged_pair), (_mean_cosines(u) if with_diagnostics else None)
+
+    blocks = [queries[lo:lo + rows] for lo in range(0, len(queries), rows)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(work, blocks))
+    else:
+        parts = [work(block) for block in blocks]
+    est = {t: tuple(np.concatenate([part[t][i] for part, _ in parts]) for i in (0, 1))
+           for t in tags}
+    return est, (np.concatenate([mc for _, mc in parts]) if with_diagnostics else None)

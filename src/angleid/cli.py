@@ -142,6 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+
+
 def _load_data(args) -> DataMatrix:
     data = load_csv(args.input, delimiter=args.delimiter, skip_header=args.header)
     if getattr(args, "label_column", False):
@@ -223,6 +228,7 @@ def cmd_estimate(args) -> int:
         raise UsageError(str(exc)) from None
     if args.k < 1:
         raise UsageError("--k must be >= 1")
+    _check_threads(args)
     ged_pair = None
     if args.ged_pair is not None:
         pair = _parse_floats(args.ged_pair, "--ged-pair")
@@ -306,6 +312,7 @@ def cmd_trails(args) -> int:
         ks = analysis._check_k_values(ks, args.estimator)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_threads(args)
     data = _load_data(args)
     points = _subsample(data.n, args.points, args.subsample_seed)
     tm = analysis.trails(data, ks, args.estimator, point_subset=points, threads=args.threads)

@@ -194,24 +194,33 @@ class TestTrailKValues:
         ([], "non-empty"),
     ])
     def test_bad_k_lists_fail_before_any_search(self, monkeypatch, k_values, match):
-        monkeypatch.setattr(analysis, "_map_neighbors", _no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         with pytest.raises(ValueError, match=match):
             trails(sample_ball(300, 3, seed=1), k_values, "abid")
 
     @pytest.mark.parametrize("tag", ["rabid", "mle", "mom", "ged"])
     def test_k_below_the_estimator_minimum_names_the_estimator(self, monkeypatch, tag):
-        monkeypatch.setattr(analysis, "_map_neighbors", _no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         need = MIN_K[tag]
         with pytest.raises(ValueError, match=f"^estimator {tag} needs k >= {need}, got k = {need - 1}$"):
             trails(sample_ball(300, 3, seed=1), [need - 1, 8], tag)
 
     def test_ged_pair_sets_the_minimum_k(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_map_neighbors", _no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         data = sample_ball(300, 3, seed=1)
         with pytest.raises(ValueError, match=r"ged_pair \(5, 20\) needs k >= 20, got k = 10"):
             trails(data, [10, 30], "ged", ged_pair=(5, 20))
         with pytest.raises(ValueError, match="ged_pair needs 1 <= k1 < k2"):
             trails(data, [10, 30], "ged", ged_pair=(20, 5))
+
+    def test_empty_point_subset_or_bad_threads_fail_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+        data = sample_ball(300, 3, seed=1)
+        with pytest.raises(ValueError, match="point_subset is empty"):
+            trails(data, [5, 10], "abid", point_subset=[])
+        for threads in (0, -4):
+            with pytest.raises(ValueError, match="threads must be a positive integer"):
+                trails(data, [5, 10], "abid", threads=threads)
 
     def test_unsorted_k_values_are_sorted(self):
         data = sample_ball(100, 2, seed=2)

@@ -415,6 +415,21 @@ class TestEstimateTable:
             estimate_table(data, 2, estimators=("abid",))
         assert exc.value.point == 0
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"k": 0}, "k must be a positive integer, got 0"),
+        ({"k": -3}, "k must be a positive integer, got -3"),
+        ({"k": 2.5}, "k must be a positive integer, got 2.5"),
+        ({"k": 5, "threads": 0}, "threads must be a positive integer, got 0"),
+        ({"k": 5, "threads": -4}, "threads must be a positive integer, got -4"),
+    ])
+    def test_bad_k_or_threads_fail_before_any_search(self, monkeypatch, kwargs, match):
+        def no_search(*args, **kw):
+            raise AssertionError("a neighbor search ran")
+
+        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            estimate_table(sample_ball(50, 2, seed=1), estimators=("abid", "mle"), **kwargs)
+
     def test_query_subset_and_diagnostics(self):
         data = sample_ball(60, 2, seed=3)
         t = estimate_table(data, 8, queries=[5, 7], with_diagnostics=True)

@@ -108,6 +108,18 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ("estimate", "--k", 10),
+        ("trails", "--k-values", "10,20"),
+    ])
+    def test_threads_below_one_are_usage_errors_before_loading(self, tmp_path, capsys,
+                                                                 command):
+        # The input does not exist: a data error would mean it was read first.
+        for threads in (0, -4):
+            assert run(*command, "--input", tmp_path / "missing.csv", "--threads", threads,
+                       "-o", tmp_path / "x.csv") == 1
+            assert capsys.readouterr().err == f"usage error: --threads must be >= 1, got {threads}\n"
+
     def test_byte_identical_reruns(self, tmp_path, ball_csv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

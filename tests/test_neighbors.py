@@ -300,7 +300,7 @@ class TestBlockedTables:
                 units.append([len(b) for b in blocks])
                 return super().map(fn, blocks)
 
-        monkeypatch.setattr(neighbors, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(angle_id, "ThreadPoolExecutor", Pool)
         data = synth.sample_ball(1500, 4, seed=12)
         queries = list(range(0, 1480, 40))
         # Kernel blocks of 5 queries, then one kernel block for all 37.
@@ -325,6 +325,39 @@ class TestBlockedTables:
         with pytest.raises(InsufficientNeighborsError) as exc:
             angle_id.estimate_table(data, 2, ("ged",), queries=[4, 1])
         assert (exc.value.point, exc.value.required, exc.value.available) == (4, 4, 2)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_shortage_in_a_later_block_names_the_first_short_query(self, monkeypatch,
+                                                                      threads):
+        # Points 0-9 coincide, so each has only the 30 others at a nonzero
+        # distance; points 10-39 have 39.
+        data = DataMatrix(np.concatenate([np.full(10, 50.0), np.arange(30.0)])[:, None])
+        k = 35
+        distinct = list(range(39, 9, -1))
+        queries = distinct[:28] + [5] + distinct[28:] + [9, 8, 7, 6, 4, 3, 2, 1, 0]
+        # One-row kernel blocks in three-row blocks: query 5 is the second
+        # row of the tenth block, and every later block is short as well.
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n)
+        monkeypatch.setattr(angle_id, "_CHUNK", 3 * k)
+        for tags in (("abid", "mle"), ("mle",)):
+            with pytest.raises(InsufficientNeighborsError) as exc:
+                angle_id.estimate_table(data, k, tags, queries=queries, threads=threads)
+            assert (exc.value.point, exc.value.required, exc.value.available) == (5, k, 30)
+        with pytest.raises(InsufficientNeighborsError) as exc:
+            analysis.trails(data, [10, k], "abid", point_subset=queries, threads=threads)
+        assert (exc.value.point, exc.value.required, exc.value.available) == (5, k, 30)
+
+    def test_an_estimator_minimum_names_the_first_query_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a neighbor search ran")
+
+        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+        data = DataMatrix([[0.0], [0.0], [0.0], [0.0], [1.0]])
+        # Query 1 is also short of neighbors; the estimator minimum comes first.
+        for queries in ([4, 1], [1, 4]):
+            with pytest.raises(InsufficientNeighborsError) as exc:
+                angle_id.estimate_table(data, 2, ("ged",), queries=queries)
+            assert (exc.value.point, exc.value.required, exc.value.available) == (queries[0], 4, 2)
 
     def test_query_indices_out_of_range_are_rejected(self):
         data = synth.sample_ball(50, 2, seed=1)
