@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import MIN_K, DataMatrix, DegenerateInputError, _fmt
+from .core import MIN_K, DataMatrix, DegenerateInputError, _write_csv
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -55,11 +54,15 @@ class Histogram:
 
 def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
     """Exact integer histogram with deterministic edge assignment."""
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
+    if not math.isfinite(origin):
+        raise ValueError(f"origin must be finite, got {origin}")
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("cannot histogram empty input")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot histogram non-finite values")
     idx = np.floor((x - origin) / bin_width).astype(np.int64)
     bins, counts = np.unique(idx, return_counts=True)
     return Histogram(
@@ -205,17 +208,13 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def write_histogram_csv(hist: Histogram, path, delimiter: str = ",") -> None:
     """Serialize occupied bins as (bin_left, count) rows with a header."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"bin_left{delimiter}count\n")
-        for b in sorted(hist.counts):
-            left = hist.origin + b * hist.bin_width
-            fh.write(f"{_fmt(left)}{delimiter}{hist.counts[b]}\n")
+    bins = sorted(hist.counts)
+    lefts = hist.origin + np.array(bins) * hist.bin_width
+    rows = np.column_stack([lefts, [hist.counts[b] for b in bins]])
+    _write_csv(path, rows, delimiter, ["bin_left", "count"])
 
 
 def write_trails_csv(tm: TrailMatrix, path, delimiter: str = ",") -> None:
     """Serialize trails as one row per point under a k-valued header."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(delimiter.join(["index"] + [f"k{k}" for k in tm.k_values]) + "\n")
-        for i, idx in enumerate(tm.point_indices):
-            cells = [str(idx)] + [_fmt(v) for v in tm.estimates[i]]
-            fh.write(delimiter.join(cells) + "\n")
+    rows = np.column_stack([tm.point_indices, tm.estimates])
+    _write_csv(path, rows, delimiter, ["index"] + [f"k{k}" for k in tm.k_values])

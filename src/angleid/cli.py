@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .core import (
     DataMatrix,
     load_csv,
     write_csv,
-    _fmt,
+    _read_csv,
 )
 
 EXIT_OK = 0
@@ -169,7 +169,10 @@ def _subsample(n: int, count: int | None, seed: int) -> list[int] | None:
 
 def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
-    out = synth.generate(spec)
+    try:
+        out = synth.generate(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     matrix = out.matrix
     if out.query is not None:
         # Append the query point as the final row so the whole scenario
@@ -177,10 +180,9 @@ def cmd_generate(args) -> int:
         matrix = DataMatrix(np.vstack([matrix.points, out.query]))
         print("query point appended as the last row", file=sys.stderr)
     if out.labels is not None:
-        _write_labeled_csv(matrix, out.labels, args.output)
-    else:
-        write_csv(matrix, args.output)
-    print(f"shape={spec.shape} n={matrix.n} D={matrix.dim} seed={spec.seed}", file=sys.stderr)
+        matrix = DataMatrix(np.column_stack([matrix.points, out.labels]))
+    write_csv(matrix, args.output)
+    print(f"shape={spec.shape} n={matrix.n} D={out.matrix.dim} seed={spec.seed}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -213,12 +215,6 @@ def _spec_from_args(args) -> synth.GeneratorSpec:
         return synth.GeneratorSpec(shape=shape, n=args.n, seed=args.seed, params=params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _write_labeled_csv(matrix: DataMatrix, labels: np.ndarray, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for row, label in zip(matrix.points, labels):
-            fh.write(",".join([_fmt(v) for v in row] + [str(int(label))]) + "\n")
 
 
 def cmd_estimate(args) -> int:
@@ -259,8 +255,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    if args.bin_width <= 0:
-        raise UsageError("--bin-width must be positive")
+    if not 0 < args.bin_width < math.inf:
+        raise UsageError(f"--bin-width must be positive and finite, got {args.bin_width}")
+    if not math.isfinite(args.origin):
+        raise UsageError(f"--origin must be finite, got {args.origin}")
     values = _read_column(args.input, args.column, args.delimiter)
     if args.x_min is not None:
         values = values[values >= args.x_min]
@@ -275,25 +273,10 @@ def cmd_histogram(args) -> int:
 
 
 def _read_column(path, column: str, delimiter: str) -> np.ndarray:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(delimiter)
-        if column not in header:
-            raise UsageError(f"column {column!r} not in header {header}")
-        pos = header.index(column)
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\r\n").split(delimiter)
-            if len(fields) != len(header):
-                raise CsvFormatError(path, lineno, f"expected {len(header)} fields")
-            try:
-                values.append(float(fields[pos]))
-            except ValueError:
-                raise CsvFormatError(
-                    path, lineno, f"non-numeric field {fields[pos]!r}"
-                ) from None
-    if not values:
-        raise CsvFormatError(path, None, "file contains no data rows")
-    return np.asarray(values)
+    try:
+        return _read_csv(path, delimiter, column=column)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def cmd_trails(args) -> int:
@@ -333,7 +316,7 @@ def cmd_validate(args) -> int:
     failed = False
     for name, stat, threshold, ok in checks:
         failed |= not ok
-        print(f"{name},{_fmt(stat)},{_fmt(threshold)},{'PASS' if ok else 'FAIL'}")
+        print(f"{name},{stat:.17g},{threshold:.17g},{'PASS' if ok else 'FAIL'}")
     if failed:
         bad = ",".join(name for name, _, _, ok in checks if not ok)
         print(f"validation failed: {bad}", file=sys.stderr)

@@ -7,8 +7,10 @@ accumulation visibly biases results.
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import islice
 
 import numpy as np
 
@@ -234,48 +236,14 @@ def _flag_mask(flags) -> int:
     return sum(FLAG_BITS[f] for f in flags)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip 64-bit floats exactly.
-    return "%.17g" % x
-
-
 def load_csv(path, delimiter: str = ",", skip_header: bool = False) -> DataMatrix:
     """Parse a numeric CSV file into a DataMatrix, preserving row order.
 
     Data files carry no header by default; pass ``skip_header=True`` to
     drop the first line. Raises CsvFormatError naming the offending
-    1-based line for ragged rows or non-numeric fields.
+    1-based line for ragged rows or non-numeric or non-finite fields.
     """
-    path = Path(path)
-    rows: list[list[float]] = []
-    width = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            fields = line.rstrip("\r\n").split(delimiter)
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise CsvFormatError(
-                    path, lineno, f"expected {width} fields, found {len(fields)}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                bad = next(f for f in fields if not _is_float(f))
-                raise CsvFormatError(path, lineno, f"non-numeric field {bad!r}") from None
-    if not rows:
-        raise CsvFormatError(path, None, "file contains no data rows")
-    return DataMatrix(np.asarray(rows, dtype=np.float64))
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+    return DataMatrix(_read_csv(path, delimiter, skip_header))
 
 
 def write_csv(obj, path, delimiter: str = ",") -> None:
@@ -286,46 +254,17 @@ def write_csv(obj, path, delimiter: str = ",") -> None:
     EstimateTable gets a header row, DataMatrix does not.
     """
     if isinstance(obj, DataMatrix):
-        chunks = _matrix_chunks(obj, delimiter)
+        _write_csv(path, obj.points, delimiter)
     elif isinstance(obj, EstimateTable):
-        chunks = _table_chunks(obj, delimiter)
+        tags = obj.estimators
+        header = ["index", *tags]
+        columns = [obj.indices, *(obj._values[t] for t in tags)]
+        if obj.mean_cosines is not None:
+            header += ["mean_cosine", "flags"]
+            columns += [obj.mean_cosines, _flag_cells(obj, tags)]
+        _write_csv(path, np.array(columns, dtype=object).T, delimiter, header)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
-
-
-# Rows formatted per write, which bounds the memory write_csv holds.
-_CSV_ROWS = 4096
-
-
-def _row_format(cells: list[str], delimiter: str) -> str:
-    """A %-format for one CSV line of ``cells`` (each a %-conversion)."""
-    return delimiter.replace("%", "%%").join(cells) + "\n"
-
-
-def _matrix_chunks(matrix: DataMatrix, delimiter: str):
-    # One format over each chunk of the flattened matrix; "%.17g" is _fmt.
-    n, dim = matrix.points.shape
-    fmt = _row_format(["%.17g"] * dim, delimiter)
-    for lo in range(0, n, _CSV_ROWS):
-        part = matrix.points[lo:lo + _CSV_ROWS]
-        yield (fmt * len(part)) % tuple(part.ravel().tolist())
-
-
-def _table_chunks(table: EstimateTable, delimiter: str):
-    tags = table.estimators
-    header = ["index", *tags]
-    cells = ["%d"] + ["%.17g"] * len(tags)
-    columns = [table.indices] + [table._values[t].tolist() for t in tags]
-    if table.mean_cosines is not None:
-        header += ["mean_cosine", "flags"]
-        cells += ["%.17g", "%s"]
-        columns += [table.mean_cosines, _flag_cells(table, tags)]
-    yield delimiter.join(header) + "\n"
-    fmt = _row_format(cells, delimiter)
-    for lo in range(0, len(table), _CSV_ROWS):
-        yield "".join([fmt % row for row in zip(*(c[lo:lo + _CSV_ROWS] for c in columns))])
 
 
 def _flag_cells(table: EstimateTable, tags: tuple[str, ...]) -> list[str]:
@@ -336,3 +275,79 @@ def _flag_cells(table: EstimateTable, tags: tuple[str, ...]) -> list[str]:
     for r in np.flatnonzero(masks.any(axis=1)).tolist():
         cells[r] = "|".join(item for t, m in enumerate(masks[r].tolist()) for item in names[t][m])
     return cells
+
+
+# Lines parsed or formatted at a time, which bounds the memory the CSV
+# reader and writer hold besides their result.
+_CSV_ROWS = 4096
+
+
+def _write_csv(path, rows: np.ndarray, delimiter: str, header=None) -> None:
+    """Write a header line, if given, and the rows of a 2-D array as CSV.
+
+    Every number is written ``"%.17g"``: 17 significant digits round-trip
+    float64 exactly, and whole numbers such as indices and counts print
+    as integers. The str cells of an object array are written as they are.
+    Lines end in LF. Each chunk of rows is formatted by one %-format.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header is not None:
+            fh.write(delimiter.join(header) + "\n")
+        if len(rows):
+            cells = ["%s" if isinstance(c, str) else "%.17g" for c in rows[0]]
+            fmt = delimiter.replace("%", "%%").join(cells) + "\n"
+            for lo in range(0, len(rows), _CSV_ROWS):
+                part = rows[lo:lo + _CSV_ROWS]
+                fh.write((fmt * len(part)) % tuple(part.ravel().tolist()))
+
+
+def _read_csv(path, delimiter: str, skip_header: bool = False, column: str | None = None):
+    """The numbers of a CSV file: a float64 array with one row per line.
+
+    Every line must have as many fields as the first line read, and every
+    field must parse as a finite float. ``skip_header`` drops the first
+    line. With ``column`` the first line is a header: it sets the field
+    count, and only the named column is parsed, into a 1-D array; a name
+    not in the header raises KeyError. Raises CsvFormatError naming the
+    1-based line of a ragged row or of a non-numeric or non-finite field,
+    and for a file without data lines.
+    """
+    blocks, width, start, step, lineno = [], None, 0, 1, 1
+    with open(path, encoding="utf-8") as fh:
+        if skip_header or column is not None:
+            header, lineno = fh.readline().rstrip("\r\n").split(delimiter), 2
+        if column is not None:
+            if column not in header:
+                raise KeyError(f"column {column!r} not in header {header}")
+            width = step = len(header)
+            start = header.index(column)
+        while lines := [line.rstrip("\r\n") for line in islice(fh, _CSV_ROWS)]:
+            width = width or lines[0].count(delimiter) + 1
+            block = None
+            if all(line.count(delimiter) == width - 1 for line in lines):
+                fields = delimiter.join(lines).split(delimiter)[start::step]
+                with suppress(ValueError):
+                    block = np.fromiter(map(float, fields), np.float64, len(fields))
+            if block is None or not np.isfinite(block).all():
+                _raise_first_error(path, lineno, lines, delimiter, width, start, step)
+            blocks.append(block)
+            lineno += len(lines)
+    if not blocks:
+        raise CsvFormatError(path, None, "file contains no data rows")
+    values = np.concatenate(blocks)
+    return values if column is not None else values.reshape(-1, width)
+
+
+def _raise_first_error(path, lineno, lines, delimiter, width, start, step) -> None:
+    """Raise CsvFormatError for the first ragged line or bad field of ``lines``."""
+    for n, line in enumerate(lines, start=lineno):
+        fields = line.split(delimiter)
+        if len(fields) != width:
+            raise CsvFormatError(path, n, f"expected {width} fields, found {len(fields)}")
+        for text in fields[start::step]:
+            try:
+                finite = math.isfinite(float(text))
+            except ValueError:
+                raise CsvFormatError(path, n, f"non-numeric field {text!r}") from None
+            if not finite:
+                raise CsvFormatError(path, n, f"non-finite field {text!r}")

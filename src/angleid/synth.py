@@ -71,10 +71,12 @@ def koch_polyline(depth: int) -> np.ndarray:
     Starts from a counterclockwise equilateral triangle of side 1; each
     subdivision replaces every segment with 4 segments of a third the
     length, bumping outward. Returns the (3 * 4**depth + 1, 2) vertex
-    array with first vertex repeated at the end.
+    array with first vertex repeated at the end; depth is capped at 10.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth > 10:
+        raise ValueError(f"depth={depth} would emit 3*4**{depth} + 1 vertices; limit is 10")
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [0.0, 0.0]])
     cos60, sin60 = 0.5, math.sqrt(3.0) / 2.0
     for _ in range(depth):

@@ -43,6 +43,21 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([1.0], bin_width=0.0)
 
+    @pytest.mark.parametrize("width", [-1.0, np.nan, np.inf])
+    def test_non_finite_or_negative_width_rejected(self, width):
+        with pytest.raises(ValueError, match="bin_width"):
+            histogram([1.0], bin_width=width)
+
+    @pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf])
+    def test_non_finite_origin_rejected(self, origin):
+        with pytest.raises(ValueError, match="origin"):
+            histogram([1.0], bin_width=0.5, origin=origin)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            histogram([bad, 1.0], bin_width=0.5)
+
     def test_mode_tie_resolves_to_lowest_bin(self):
         h = histogram([0.1, 1.1], bin_width=1.0)
         assert h.mode_bin() == 0

@@ -54,6 +54,19 @@ class TestGenerate:
         assert run("generate", "--shape", "ball", "--n", 10, "-o", tmp_path / "x.csv") == 1
         assert run("generate", "--shape", "ball", "--d", 2, "-o", tmp_path / "x.csv") == 1
 
+    @pytest.mark.parametrize("args", [
+        ("--shape", "lattice", "--dims", 11),
+        ("--shape", "nested_cubes", "--max-dim", 9),
+        ("--shape", "ball", "--d", 2, "--n", 5, "--seed", -1),
+        ("--shape", "line", "--n", 5, "--length", -1),
+        ("--shape", "koch", "--n", 10, "--depth", 11),
+    ])
+    def test_generator_argument_errors_are_usage_errors(self, tmp_path, capsys, args):
+        assert run("generate", *args, "-o", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_shape_is_usage_error(self, tmp_path):
         assert run("generate", "--shape", "donut", "--n", 10, "-o", tmp_path / "x.csv") == 1
 
@@ -149,6 +162,14 @@ class TestEstimate:
         assert len(out.read_text().splitlines()) == 26
         assert "subsample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+    def test_non_finite_input_is_data_error(self, tmp_path, capsys, text):
+        data = tmp_path / "d.csv"
+        data.write_text(f"0,0\n{text},1\n1,0\n0,1\n1,1\n")
+        assert run("estimate", "--input", data, "--k", 2, "-o", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 2: non-finite field {text!r}\n")
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("estimate", "--input", tmp_path / "nope.csv", "--k", 5,
                    "-o", tmp_path / "x.csv") == 2
@@ -179,6 +200,44 @@ class TestHistogramCommand:
         rows = out.read_text().splitlines()[1:]
         lefts = [float(r.split(",")[0]) for r in rows]
         assert all(2.25 <= v <= 3.5 for v in lefts)
+
+
+    @pytest.mark.parametrize("args", [
+        ("--bin-width", "nan"),
+        ("--bin-width", "inf"),
+        ("--bin-width", 0),
+        ("--bin-width", 0.5, "--origin", "inf"),
+        ("--bin-width", 0.5, "--origin", "nan"),
+    ])
+    def test_bad_bins_are_usage_errors_before_loading(self, tmp_path, capsys, args):
+        # The input does not exist: a data error would mean it was read first.
+        assert run("histogram", "--input", tmp_path / "missing.csv", "--column", "abid",
+                   *args, "-o", tmp_path / "h.csv") == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys):
+        est = tmp_path / "est.csv"
+        est.write_text("index,abid,flags\n0,2.5,\n1,nan,\n")
+        assert run("histogram", "--input", est, "--column", "abid", "--bin-width", 0.5,
+                   "-o", tmp_path / "h.csv") == 2
+        assert capsys.readouterr().err == f"error: {est}: line 3: non-finite field 'nan'\n"
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_ragged_row_names_both_field_counts(self, tmp_path, capsys):
+        est = tmp_path / "est.csv"
+        est.write_text("index,abid,flags\n0,2.5,\n1,3.5\n")
+        assert run("histogram", "--input", est, "--column", "abid", "--bin-width", 0.5,
+                   "-o", tmp_path / "h.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {est}: line 3: expected 3 fields, found 2\n")
+
+    def test_only_the_named_column_is_parsed(self, tmp_path):
+        est = tmp_path / "est.csv"
+        est.write_text("index,abid,flags\n0,2.5,abid:clamped_to_k\n1,2.6,\n")
+        out = tmp_path / "h.csv"
+        assert run("histogram", "--input", est, "--column", "abid", "--bin-width", 0.5,
+                   "-o", out) == 0
+        assert out.read_text() == "bin_left,count\n2.5,2\n"
 
 
 class TestTrailsCommand:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from angleid.core import (
     CLAMPED_TO_K,
@@ -12,6 +15,7 @@ from angleid.core import (
     load_csv,
     write_csv,
 )
+from angleid.analysis import Histogram, TrailMatrix, write_histogram_csv, write_trails_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -90,6 +94,31 @@ class TestLoadCsv:
     def test_custom_delimiter(self, tmp_path):
         m = load_csv(_write(tmp_path, "1;2\n3;4\n"), delimiter=";")
         assert m.points[1, 1] == 4.0
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_field_names_line(self, tmp_path, text):
+        with pytest.raises(CsvFormatError, match=f"line 2: non-finite field '{text}'") as exc:
+            load_csv(_write(tmp_path, f"1,2\n3,{text}\n4,5\n"))
+        assert exc.value.line == 2
+
+    def test_first_bad_line_wins(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="line 2: non-numeric field 'x'"):
+            load_csv(_write(tmp_path, "1,2\nx,nan\n3\n"))
+        with pytest.raises(CsvFormatError, match="line 2: expected 2 fields, found 3"):
+            load_csv(_write(tmp_path, "1,2\n3,4,5\n6,x\n"))
+
+    def test_lines_past_the_first_block(self, tmp_path):
+        """Files longer than one parse block keep their rows and line numbers."""
+        rows = [f"{i},{-i / 7}" for i in range(9000)]
+        m = load_csv(_write(tmp_path, "a,b\n" + "\n".join(rows) + "\n"), skip_header=True)
+        assert m.points.shape == (9000, 2)
+        assert np.array_equal(m.points[:, 1], -np.arange(9000) / 7)
+        for lineno, bad, message in [(5000, "1,x", "non-numeric"), (8193, "1", "expected 2"),
+                                     (4097, "nan,1", "non-finite")]:
+            lines = rows[:lineno - 1] + [bad] + rows[lineno:]
+            with pytest.raises(CsvFormatError, match=message) as exc:
+                load_csv(_write(tmp_path, "\n".join(lines)))
+            assert exc.value.line == lineno
 
 
 class TestWriteCsv:
@@ -230,3 +259,50 @@ class TestEstimateTable:
             EstimateTable([0, 1], k=4, values={"mle": [1.0]}, flags={"mle": [0]})
         with pytest.raises(ValueError, match="same estimator tags"):
             EstimateTable([0], k=4, values={"mle": [1.0]}, flags={"mom": [0]})
+
+
+# Finite float64 values, with the edge cases that a 17-digit format must
+# keep apart: signed zeros, subnormals and the largest magnitudes.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308]
+_finite = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+_matrices = arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)), elements=_finite)
+_delimiters = st.sampled_from([",", ";", "\t", "%", "|"])
+
+
+def _join(rows, delimiter):
+    return "".join(delimiter.join(row) + "\n" for row in rows).encode()
+
+
+class TestCsvProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(m=_matrices, delimiter=_delimiters)
+    @example(m=np.array([_EDGES]), delimiter=",")
+    def test_matrix_round_trip_is_bit_exact(self, tmp_path_factory, m, delimiter):
+        p = tmp_path_factory.mktemp("rt") / "m.csv"
+        write_csv(DataMatrix(m), p, delimiter=delimiter)
+        assert load_csv(p, delimiter=delimiter).points.tobytes() == m.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=_matrices, delimiter=_delimiters, data=st.data())
+    def test_trails_bytes(self, tmp_path_factory, m, delimiter, data):
+        n, nk = m.shape
+        ks = sorted(data.draw(st.sets(st.integers(1, 10**4), min_size=nk, max_size=nk)))
+        idx = data.draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=True))
+        p = tmp_path_factory.mktemp("tr") / "t.csv"
+        write_trails_csv(TrailMatrix(ks, m, "abid", idx), p, delimiter=delimiter)
+        want = [["index"] + [f"k{k}" for k in ks]]
+        want += [[str(i)] + ["%.17g" % v for v in row] for i, row in zip(idx, m)]
+        assert p.read_bytes() == _join(want, delimiter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(origin=st.one_of(st.sampled_from(_EDGES[:5]), st.floats(-1e6, 1e6)), width=st.floats(1e-3, 1e3), delimiter=_delimiters,
+           counts=st.dictionaries(st.integers(-10**6, 10**6), st.integers(1, 10**12),
+                                  min_size=1, max_size=30))
+    def test_histogram_bytes(self, tmp_path_factory, origin, width, delimiter, counts):
+        p = tmp_path_factory.mktemp("h") / "h.csv"
+        write_histogram_csv(Histogram(width, origin, counts, sum(counts.values())), p,
+                            delimiter=delimiter)
+        want = [["bin_left", "count"]]
+        want += [["%.17g" % (origin + b * width), str(counts[b])] for b in sorted(counts)]
+        assert p.read_bytes() == _join(want, delimiter)

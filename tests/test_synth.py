@@ -94,6 +94,10 @@ class TestKoch:
         assert np.sum(lengths) == pytest.approx(3.0 * (4.0 / 3.0) ** depth, rel=1e-12)
         assert np.array_equal(v[0], v[-1])
 
+    def test_depth_above_ten_is_rejected(self):
+        with pytest.raises(ValueError, match="limit is 10"):
+            koch_polyline(11)
+
     def test_depth_zero_is_triangle(self):
         pts = koch_snowflake(0, 500, seed=5).points
         tri = koch_polyline(0)
