@@ -53,7 +53,12 @@ class Histogram:
 
 
 def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
-    """Exact integer histogram with deterministic edge assignment."""
+    """Exact integer histogram with deterministic edge assignment.
+
+    Raises ValueError for empty or non-finite input, a bin width that is
+    not positive and finite, a non-finite origin, and a value whose bin
+    index does not fit in int64.
+    """
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     if not math.isfinite(origin):
@@ -63,7 +68,14 @@ def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
         raise ValueError("cannot histogram empty input")
     if not np.isfinite(x).all():
         raise ValueError("cannot histogram non-finite values")
-    idx = np.floor((x - origin) / bin_width).astype(np.int64)
+    with np.errstate(over="ignore"):
+        pos = np.floor((x - origin) / bin_width)
+    # int64 holds [-2**63, 2**63), and both bounds are exact doubles.
+    outside = np.flatnonzero(~((pos >= -2.0**63) & (pos < 2.0**63)))
+    if outside.size:
+        raise ValueError(f"bin index of value {float(x[outside[0]])!r} does not fit in int64 "
+                         f"(bin_width {bin_width}, origin {origin})")
+    idx = pos.astype(np.int64)
     bins, counts = np.unique(idx, return_counts=True)
     return Histogram(
         float(bin_width),

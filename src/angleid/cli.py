@@ -147,6 +147,11 @@ def _check_threads(args) -> None:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
 
+def _check_delimiter(args) -> None:
+    if not args.delimiter:
+        raise UsageError("--delimiter must not be empty")
+
+
 def _load_data(args) -> DataMatrix:
     data = load_csv(args.input, delimiter=args.delimiter, skip_header=args.header)
     if getattr(args, "label_column", False):
@@ -225,6 +230,7 @@ def cmd_estimate(args) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     _check_threads(args)
+    _check_delimiter(args)
     ged_pair = None
     if args.ged_pair is not None:
         pair = _parse_floats(args.ged_pair, "--ged-pair")
@@ -259,6 +265,12 @@ def cmd_histogram(args) -> int:
         raise UsageError(f"--bin-width must be positive and finite, got {args.bin_width}")
     if not math.isfinite(args.origin):
         raise UsageError(f"--origin must be finite, got {args.origin}")
+    for flag, bound in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if bound is not None and math.isnan(bound):
+            raise UsageError(f"{flag} must not be NaN")
+    if None not in (args.x_min, args.x_max) and args.x_min > args.x_max:
+        raise UsageError(f"--x-min {args.x_min} is above --x-max {args.x_max}")
+    _check_delimiter(args)
     values = _read_column(args.input, args.column, args.delimiter)
     if args.x_min is not None:
         values = values[values >= args.x_min]
@@ -266,7 +278,10 @@ def cmd_histogram(args) -> int:
         values = values[values <= args.x_max]
     if values.size == 0:
         raise CsvFormatError(args.input, None, "no values left to histogram")
-    hist = analysis.histogram(values, args.bin_width, args.origin)
+    try:
+        hist = analysis.histogram(values, args.bin_width, args.origin)
+    except ValueError as exc:  # a bin index beyond int64
+        raise CsvFormatError(args.input, None, str(exc)) from None
     analysis.write_histogram_csv(hist, args.output, delimiter=args.delimiter)
     print(f"histogram of {hist.n_total} values, mode at {hist.mode_center()}", file=sys.stderr)
     return EXIT_OK
@@ -296,6 +311,7 @@ def cmd_trails(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_threads(args)
+    _check_delimiter(args)
     data = _load_data(args)
     points = _subsample(data.n, args.points, args.subsample_seed)
     tm = analysis.trails(data, ks, args.estimator, point_subset=points, threads=args.threads)

@@ -7,13 +7,24 @@ by ascending point index, so knn(k) is a prefix of knn(k+1).
 Every k-nearest-neighbor search goes through one blocked kernel,
 ``_knn_kernel``: ``knn`` and ``knn_many`` call it, and so does the query
 map behind tables and trails (``angle_id._estimate_many``). It screens a
-block of queries against all points with one matrix product (the
-expansion |x|^2 - 2 x.y + |y|^2), keeps every point that a rounding bound
-cannot rule out, and re-ranks those candidates with the same
-difference-based distances and (distance, index) order as a full sort of
-all n distances. The screen only narrows the candidates, so the neighbor
-lists are bitwise those of the full sort for any block size or thread
-count. The full sort itself remains for ``radius_neighbors``.
+block of queries against all points with one matrix product into a buffer
+reused for the whole search (the expansion |x|^2 - 2 x.y + |y|^2, on
+coordinates centered at the points' mean), keeps every point that a
+rounding bound cannot rule out, and re-ranks those candidates with the
+same difference-based distances and (distance, index) order as a full
+sort of all n distances. Each row's cut comes from one of two paths:
+
+- sampled, where 2(k+1) >= 64 and n >= 16 (k+1) D: the 32nd smallest of
+  every s-th screened value, s = floor(2(k+1) / 32), so about 2(k+1)
+  candidates per row. A row is kept only if k of its candidates are
+  provably no farther than that cut; any other row takes the exact path.
+- exact, for every other (n, k, D): a partition of the whole row, past
+  the query's duplicates.
+
+The rule reads only n, k and D. The screen only narrows the candidates,
+so the neighbor lists are bitwise those of the full sort for any block
+size, thread count or path. The full sort itself remains for
+``radius_neighbors``.
 """
 
 from __future__ import annotations
@@ -129,6 +140,8 @@ def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.
 _BLOCK_BYTES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+# The sampled path cuts each row at this order statistic of its sample.
+_SAMPLE_RANK = 32
 
 
 def _block_rows(n: int) -> int:
@@ -146,76 +159,147 @@ def _check_positive(name: str, value) -> int:
 
 
 def _knn_kernel(data: DataMatrix, k: int):
-    """The exact-kNN kernel for ``data`` and ``k``; the data's norms are computed once.
+    """The exact-kNN kernel for ``data`` and ``k``; its screen matrix is built once.
 
     Returns ``search(queries)``, which maps a (Q, D) array of query
     vectors to (Q, k) int64 indices and (Q, k) float64 distances, row for
     row bitwise equal to the first k entries of ``_sorted_candidates``.
-    It screens ``_block_rows`` queries at a time, and no result depends
-    on that block size. ``search`` raises InsufficientNeighborsError for
-    the first row with fewer than k nonzero distances, with that row's
-    position in ``queries`` as ``point``. It reads only shared arrays, so
-    threads may call it at once.
+    It screens ``_block_rows`` queries at a time into one buffer per call,
+    and no result depends on that block size. ``search`` raises
+    InsufficientNeighborsError for the first row with fewer than k nonzero
+    distances, with that row's position in ``queries`` as ``point``. It
+    reads only shared arrays, so threads may call it at once.
     """
     k = _check_positive("k", k)
     pts = data.points
     n, dim = pts.shape
-    pts_t = np.ascontiguousarray(pts.T)  # about twice as fast in the product as pts.T
-    sq = np.einsum("ij,ij->i", pts, pts)
-    max_sq = sq.max()
+    # Rows 0..D-1 hold the centered points, row D their squared norms and
+    # row D+1 ones, so one product with the centered query rows
+    # (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2 into a buffer.
+    screen = np.empty((dim + 2, n))
+    screen[:dim] = pts.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = screen[:dim].mean(axis=1)  # along rows: far faster than pts.mean(0)
+        screen[:dim] -= center[:, None]
+        np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim])
+    screen[dim + 1] = 1.0
+    max_sq = screen[dim].max()
     rows = _block_rows(n)
+    step = 2 * (k + 1) // _SAMPLE_RANK
+    sampled = step >= 2 and n >= 16 * (k + 1) * dim
 
     def search(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.empty((len(queries), k), dtype=np.int64)
         dist = np.empty((len(queries), k))
+        buf = np.empty((min(rows, len(queries)), n))
+        mask = np.empty(buf.shape, dtype=bool)
+        spare = None  # the exact cut's partition buffer, made on first use
+
+        def collect(a, cut):
+            """Row and column of every screened value at most its row's cut."""
+            return np.divmod(np.flatnonzero(np.less_equal(a, cut[:, None], out=mask[:len(a)])), n)
+
+        def exact_cut(a, delta):
+            nonlocal spare
+            zeros = np.less_equal(a, delta[:, None], out=mask[:len(a)])
+            m = k + int(zeros.sum(axis=1).max())
+            if m >= n:
+                return np.full(len(a), np.inf)
+            if spare is None:
+                spare = np.empty_like(buf)
+            t = spare[:len(a)]
+            np.copyto(t, a)
+            t.partition(m - 1, axis=1)
+            return t[:, m - 1] + 2.0 * delta
+
         for lo in range(0, len(queries), rows):
             q = queries[lo:lo + rows]
-            sq_q = np.einsum("ij,ij->i", q, q)
-            # Screen. With u = eps/2 and M = |q|^2 + max |p|^2, a - |q-p|^2 is
-            # within 2(D+2)u M: D-term rounding in |q|^2, |p|^2 and q.p (2 D u M)
-            # plus the two additions (4 u M). The re-rank's s = fl(sum fl(p-q)^2)
-            # is within (D+2)u |q-p|^2 <= 2(D+2)u M of |q-p|^2. Products that
-            # underflow add at most half the smallest subnormal each, 5D in all.
-            # So |a - s| <= e = (2D+4) eps M + 2.5 D tiny, and delta exceeds e
-            # by at least (2D+12) eps M, room for second-order terms and for
-            # the 4 eps M below. Norms so large that 4M overflows get
-            # delta = inf, and ~(a > x) keeps their NaNs in.
-            #
-            # Every s == 0 (query, duplicates) has a <= delta; a row has at most
-            # z such points. Among the m = k + z smallest a, at least k have
-            # s > 0 and s <= t + e, t the m-th smallest a, so the k-th nonzero
-            # s is at most t + e. A true neighbor has s at most that, or up to
-            # 2 eps s <= 4 eps M more when sqrt rounds it into a tie with the
-            # k-th distance, so a <= s + e <= t + 2 delta. A larger m keeps all
-            # this true, so the block takes its largest z; with m >= n, t = inf
-            # and every point is a candidate.
+            a = buf[:len(q)]
+            ext = np.empty((len(q), dim + 2))
+            # Screen. Let u = eps/2, p' and q' the centered points, rounded,
+            # and M = |q'|^2 + max |p'|^2. Centering moves each coordinate
+            # of q - p by at most u(|q'_j| + |p'_j|), so |q' - p'|^2 is
+            # within 4u M of |q - p|^2. The norms carry D-term rounding
+            # (D u M together), and the (D+2)-term product, in any order and
+            # fused or not, is within (D+2)u times its terms' magnitudes,
+            # at most 2M: a is within (3D+4)u M of |q' - p'|^2. The
+            # re-rank's s = fl(sum fl(p-q)^2) is within (D+2)u |q-p|^2 <=
+            # 2(D+2)u M of |q-p|^2. Products that underflow add at most
+            # half the smallest subnormal each, 4D in all. So |a - s| <=
+            # e = (2.5D+6) eps M + 2D tiny, and delta exceeds e by at least
+            # (1.5D+10) eps M, room for second-order terms and for the
+            # 3 eps M below. Norms so large that 4M overflows get
+            # delta = inf, and their rows screen as zeros: every point is a
+            # candidate.
             with np.errstate(over="ignore", invalid="ignore"):
-                a = (-2.0 * q) @ pts_t
-                a += sq_q[:, None]
-                a += sq
+                np.subtract(q, center, out=ext[:, :dim])
+                sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
+                ext[:, :dim] *= -2.0
+                ext[:, dim] = 1.0
+                ext[:, dim + 1] = sq_q
+                np.matmul(ext, screen, out=a)
                 scale = sq_q + max_sq
                 delta = np.where(np.isfinite(4.0 * scale),
                                  4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
-                m = k + int((~(a > delta[:, None])).sum(axis=1).max())
-                t = np.partition(a, m - 1, axis=1)[:, m - 1] if m < n else np.inf
-                cut = t + 2.0 * delta
-                r, c = np.divmod(np.flatnonzero(~(a > cut[:, None])), n)
+            a[np.isinf(delta)] = 0.0
+            # Cut. Both paths keep every point with a <= cut and re-rank them.
+            #
+            # Sampled path: c is the 32nd smallest of every step-th value of
+            # a row, near its 2(k+1)-th smallest, and cut = c + 2 delta. A
+            # row is accepted only if at least k candidates have s > 0 and
+            # a <= c. Their s are at most c + e, so the k-th nonzero s is
+            # too. A true neighbor has s at most that, or up to 2 eps s <=
+            # 4 eps M more when sqrt rounds it into a tie with the k-th
+            # distance, so a <= s + e <= c + 2 delta, with eps M to spare for
+            # rounding the cut. Rows that fail the check take the exact path.
+            #
+            # Exact path: every s == 0 (query, duplicates) has a <= delta; a
+            # row has at most z such points. Among the m = k + z smallest a,
+            # at least k have s > 0 and s <= t + e, t the m-th smallest a, so
+            # the k-th nonzero s is at most t + e, and as above a true
+            # neighbor has a <= t + 2 delta. A larger m keeps all this true,
+            # so the block takes its largest z; with m >= n, t = inf and
+            # every point is a candidate.
+            #
+            # The sampled path replaces a partition of n values by one of
+            # about n / step, which pays where rows are long against the
+            # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
+            if sampled:
+                c = np.partition(a[:, ::step], _SAMPLE_RANK - 1, axis=1)[:, _SAMPLE_RANK - 1]
+                r, col = collect(a, c + 2.0 * delta)
+                d = _distances(pts, q, r, col)
+                sure = np.bincount(r[(d > 0.0) & (a[r, col] <= c[r])], minlength=len(q)) >= k
+                if not sure.all():
+                    redo = np.flatnonzero(~sure)
+                    a_redo = a[redo]
+                    r2, col2 = collect(a_redo, exact_cut(a_redo, delta[redo]))
+                    r2 = redo[r2]
+                    mine = sure[r]
+                    r, col, d = (np.concatenate([r[mine], r2]), np.concatenate([col[mine], col2]),
+                                 np.concatenate([d[mine], _distances(pts, q, r2, col2)]))
+            else:
+                r, col = collect(a, exact_cut(a, delta))
+                d = _distances(pts, q, r, col)
             # Re-rank with the distances and order of _sorted_candidates.
-            diff = pts[c] - q[r]
-            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             keep = d > 0.0
-            r, c, d = r[keep], c[keep], d[keep]
-            order = np.lexsort((d, r))  # stable: ties keep ascending c
+            r, col, d = r[keep], col[keep], d[keep]
+            order = np.lexsort((d, r))  # stable: ties keep a row's ascending col
             counts = np.bincount(r, minlength=len(q))
             short = np.flatnonzero(counts < k)
             if short.size:
                 row = int(short[0])
                 raise InsufficientNeighborsError(k, int(counts[row]), point=lo + row)
             take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-            idx[lo:lo + rows], dist[lo:lo + rows] = c[take], d[take]
+            idx[lo:lo + rows], dist[lo:lo + rows] = col[take], d[take]
         return idx, dist
 
     return search
+
+
+def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The distances of _sorted_candidates from query rows ``q[r]`` to points ``pts[col]``."""
+    diff = pts[col] - q[r]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

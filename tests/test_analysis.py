@@ -58,6 +58,20 @@ class TestHistogram:
         with pytest.raises(ValueError, match="non-finite"):
             histogram([bad, 1.0], bin_width=0.5)
 
+    @pytest.mark.parametrize("values, width, origin", [
+        ([1e300, 1.0], 1e-10, 0.0),
+        ([-1e300, 1.0], 1e-10, 0.0),
+        ([1.0, 2.0], 1e-300, 0.0),
+        ([1e308], 0.5, -1e308),
+    ])
+    def test_bin_index_beyond_int64_rejected(self, values, width, origin):
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            histogram(values, bin_width=width, origin=origin)
+
+    def test_bin_indices_at_the_int64_ends_are_kept(self):
+        h = histogram([-2.0**63, 2.0**62], bin_width=1.0)
+        assert h.counts == {-2**63: 1, 2**62: 1}
+
     def test_mode_tie_resolves_to_lowest_bin(self):
         h = histogram([0.1, 1.1], bin_width=1.0)
         assert h.mode_bin() == 0

@@ -133,6 +133,16 @@ class TestEstimate:
                        "-o", tmp_path / "x.csv") == 1
             assert capsys.readouterr().err == f"usage error: --threads must be >= 1, got {threads}\n"
 
+    @pytest.mark.parametrize("command", [
+        ("estimate", "--k", 10),
+        ("trails", "--k-values", "10,20"),
+        ("histogram", "--column", "abid", "--bin-width", 0.5),
+    ])
+    def test_empty_delimiter_is_a_usage_error_before_loading(self, tmp_path, capsys, command):
+        assert run(*command, "--input", tmp_path / "missing.csv", "--delimiter", "",
+                   "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == "usage error: --delimiter must not be empty\n"
+
     def test_byte_identical_reruns(self, tmp_path, ball_csv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -208,6 +218,9 @@ class TestHistogramCommand:
         ("--bin-width", 0),
         ("--bin-width", 0.5, "--origin", "inf"),
         ("--bin-width", 0.5, "--origin", "nan"),
+        ("--bin-width", 0.5, "--x-min", "nan"),
+        ("--bin-width", 0.5, "--x-max", "nan"),
+        ("--bin-width", 0.5, "--x-min", 3, "--x-max", 2),
     ])
     def test_bad_bins_are_usage_errors_before_loading(self, tmp_path, capsys, args):
         # The input does not exist: a data error would mean it was read first.
@@ -221,6 +234,16 @@ class TestHistogramCommand:
         assert run("histogram", "--input", est, "--column", "abid", "--bin-width", 0.5,
                    "-o", tmp_path / "h.csv") == 2
         assert capsys.readouterr().err == f"error: {est}: line 3: non-finite field 'nan'\n"
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_bin_index_beyond_int64_is_data_error(self, tmp_path, capsys):
+        est = tmp_path / "est.csv"
+        est.write_text("index,abid,flags\n0,1e300,\n1,1.0,\n")
+        assert run("histogram", "--input", est, "--column", "abid", "--bin-width", 1e-10,
+                   "-o", tmp_path / "h.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {est}: bin index of value 1e+300 does not fit in int64 "
+            "(bin_width 1e-10, origin 0.0)\n")
         assert not (tmp_path / "h.csv").exists()
 
     def test_ragged_row_names_both_field_counts(self, tmp_path, capsys):

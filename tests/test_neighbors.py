@@ -192,6 +192,50 @@ def _assert_bitwise(got, want):
     assert got[1].dtype == np.float64 and got[1].tobytes() == want[1].tobytes()
 
 
+def _kernel_case(name):
+    """Points, query rows and k for the kernel's sampled path and its fallbacks.
+
+    The kernel samples a row only when 2(k+1) >= 64 and n >= 16 (k+1) D
+    (``neighbors._knn_kernel``); every case but "rule_below" meets that.
+    """
+    rng = np.random.default_rng(21)
+    if name == "ball":
+        points = synth.sample_ball(20000, 2, seed=21).points
+        return points, points[rng.choice(len(points), 60, replace=False)], 50
+    if name == "duplicates_at_a_query":
+        # Point 0 has 200 copies and 30 points within 1e-9, whose screened
+        # values are rounding noise. Most of its row's sample is copies, so
+        # at most 30 < k nonzero distances screen below the sampled cut and
+        # the row takes the exact cut, in a block with sampled rows.
+        ball = synth.sample_ball(20000, 2, seed=21).points
+        near = ball[0] + 1e-9 * rng.standard_normal((30, 2))
+        points = np.vstack([ball, np.repeat(ball[:1], 200, axis=0), near])
+        return points, points[[5, 0, 7, 20000, 20150, 3, 11, 20210, 20229]], 50
+    if name in ("rule_below", "rule_at"):
+        k, dim = 40, 2
+        n = 16 * (k + 1) * dim - (name == "rule_below")
+        points = synth.sample_ball(n, dim, seed=22).points
+        return points, points[::37], k
+    if name == "lattice_ties":
+        axis = np.arange(150.0)
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        queries = points[[0, 75 * 150 + 75, 149, 150 * 150 - 1, 40 * 150 + 3]]
+        k = 50
+        dists = [_sorted_candidates(DataMatrix(points), q)[1] for q in queries]
+        assert all(d[k] == d[k - 1] for d in dists)  # ties at the k-th distance
+        return points, queries, k
+    base = rng.standard_normal((2000, 3))
+    if name == "scale_1e150":  # delta stays finite
+        return base * 1e150, base[::50] * 1e150, 31
+    if name == "scale_1e160":  # squared norms overflow: delta = inf, NaN screens
+        return base * 1e160, base[::50] * 1e160, 31
+    if name == "scale_1e306":  # the points' mean overflows as well
+        points = np.abs(base) * 1e306
+        return points, points[::50], 31
+    # One query row whose squared norm overflows, among finite ones.
+    return base, np.vstack([base[:3], [1e200, -1e200, 3.0], base[3:7]]), 31
+
+
 SHAPE_SPECS = {
     "ball": synth.GeneratorSpec("ball", n=2000, seed=1, params={"d": 4}),
     "sphere": synth.GeneratorSpec("sphere", n=2000, seed=1, params={"d": 3}),
@@ -250,12 +294,21 @@ class TestKnnMany:
         rng = np.random.default_rng(9)
         base = rng.standard_normal((300, 3))
         # At 1e-162 some squared distances underflow to 0 and count as duplicates.
-        for pts in (base + 1e6, base * 1e-162, base * 1e150):
+        for pts in (base + 1e6, base + 1e8, base + 1e12, base * 1e-162, base * 1e150):
             data = DataMatrix(pts)
             queries = data.points
             k_max = min(_sorted_candidates(data, q)[0].size for q in queries)
             for k in sorted({1, 7, 50, k_max}):
                 _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
+
+    @pytest.mark.parametrize("case", [
+        "ball", "duplicates_at_a_query", "rule_below", "rule_at", "lattice_ties",
+        "scale_1e150", "scale_1e160", "scale_1e306", "far_query",
+    ])
+    def test_sampled_path_and_its_fallback_match_full_sort(self, case):
+        points, queries, k = _kernel_case(case)
+        data = DataMatrix(points)
+        _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         data = synth.sample_ball(500, 3, seed=5)
