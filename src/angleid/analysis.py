@@ -131,10 +131,12 @@ def trails(
     The trail of a point is one pass: its directions are computed once,
     and ABID/RABID read every k off running sums of the squared cosines
     (``angle_id._sq_sums``), O(k_max * D * min(D, k_max)) per point
-    however many k values are asked for. MLE, MoM and GED run on each
-    distance prefix. Every entry is bitwise equal to ``estimate_table``
-    at the same k, and ABID/RABID agree with the explicit pairwise-cosine
-    sums to 1e-13 relative.
+    however many k values are asked for. MLE and MoM read every k off
+    running sums of the weighted distance increments, O(k_max) per point
+    (see ``angle_id._estimates``), and GED reads two distances per k.
+    Every entry is bitwise equal to ``estimate_table`` at the same k;
+    ABID/RABID agree with the explicit pairwise-cosine sums to 1e-13
+    relative, and MLE/MoM with the per-k formulas to 8 k eps.
 
     Points are mapped in blocks by ``angle_id._estimate_many``, the same
     query map as tables. The k values must be distinct integers, at least

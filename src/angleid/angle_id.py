@@ -340,34 +340,47 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     integers in [1, k_max]. Returns ``{tag: (values, flags)}``, both (B,
     len(ks)): float64 estimates and uint8 flag masks (``core.FLAG_BITS``).
 
-    ABID and RABID read every k off one pass of ``_sq_sums``. MLE, MoM and
-    GED work on the distance prefixes ``d[:, :k]``; sums and means along
-    the rows of a C-contiguous block are the per-row 1-d (pairwise)
-    reductions bitwise (a test pins this), so a row's values do not depend
-    on the block it came in, nor on the other k values. A k below
-    an estimator's minimum raises InsufficientNeighborsError, and a GED
-    pair outside [1, k] a ValueError, before anything is computed.
+    ABID and RABID read every k off one pass of ``_sq_sums``. MLE and MoM
+    read every k off running sums of the distance increments, by summation
+    by parts (d_0 <= ... <= d_{k-1} the distances):
+
+        sum_{i<k} log(d_{k-1} / d_i) = sum_{0<j<k} j log(d_j / d_{j-1}),
+        sum_{i<k} (d_{k-1} - d_i)    = sum_{0<j<k} j (d_j - d_{j-1}),
+
+    so MLE(k) = (k - 1) / G(k) and MoM(k) = mean / (d_{k-1} - mean) =
+    S(k) / G'(k), with G, G' and S = sum_{i<k} d_i one ``np.cumsum`` each
+    along the rows, O(k_max) per row however many k are asked for. Every
+    term is non-negative, so nothing cancels; each ratio d_j / d_{j-1}
+    is taken as ``log1p`` of the increment over d_{j-1}, so near-ties lose
+    no digits. A denominator is zero exactly when all k distances are
+    equal, d_0 == d_{k-1}, and that is the degeneracy rule. GED reads two
+    distances per k. The sums run in index order and ``log1p`` is
+    elementwise (a test pins both), so a row's values do not depend on the
+    block it came in, nor on the other k values. A k below an
+    estimator's minimum raises InsufficientNeighborsError, and a GED pair
+    outside [1, k] a ValueError, before anything is computed.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    if d is not None:
-        # Row sums are the 1-d pairwise sums only along contiguous rows.
-        d = np.ascontiguousarray(d)
     _check_ks(tags, ks, ged_pair)
     kf = ks.astype(np.float64)
     if any(t in ANGLE_TAGS for t in tags):
         off = _off_diag(_sq_sums(u, ks), kf)
+    if "mle" in tags or "mom" in tags:
+        d = d[:, :ks[-1]]
+        rise = d[:, 1:] - d[:, :-1]  # column j - 1 holds d_j - d_{j-1} >= 0
+        weights = np.arange(1.0, ks[-1])
+        equal = d[:, :1] == d[:, ks - 1]
     out = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for tag in tags:
             if tag in ANGLE_TAGS:
                 out[tag] = _angle(tag, off, kf)
             elif tag == "mle":
-                log_sums = _per_k(d, ks, lambda p: np.log(p[:, :-1] / p[:, -1:]).sum(axis=1))
-                out[tag] = _degenerate(-(kf - 1.0) / log_sums, log_sums == 0.0, kf)
+                g = np.cumsum(weights * np.log1p(rise / d[:, :-1]), axis=1)[:, ks - 2]
+                out[tag] = _degenerate((kf - 1.0) / g, equal, kf)
             elif tag == "mom":
-                m = _per_k(d, ks, lambda p: p.mean(axis=1))
-                w = d[:, ks - 1]
-                out[tag] = _degenerate(m / (w - m), w == m, kf)
+                g = np.cumsum(rise * weights, axis=1)[:, ks - 2]
+                out[tag] = _degenerate(np.cumsum(d, axis=1)[:, ks - 1] / g, equal, kf)
             else:
                 if ged_pair is None:
                     k1, k2 = (ks + 1) // 2, ks
@@ -400,14 +413,6 @@ def _angle(tag: str, off: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.nd
 def _off_diag(sq_sums: np.ndarray, kf: np.ndarray) -> np.ndarray:
     """S(k) without its k diagonal ones, roundoff clamped into [0, k**2 - k]."""
     return np.minimum(np.maximum(sq_sums - kf, 0.0), kf * kf - kf)
-
-
-def _per_k(d: np.ndarray, ks: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(d[:, :k])`` for every k of ``ks``, as a (B, len(ks)) array."""
-    out = np.empty((len(d), ks.size))
-    for j, k in enumerate(ks.tolist()):
-        out[:, j] = reduce(d[:, :k])
-    return out
 
 
 def _degenerate(value: np.ndarray, zero: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,9 +25,11 @@ def _one(tag: str, nl: NeighborList, pair=None) -> IdEstimate:
 def mle_hill(nl: NeighborList) -> IdEstimate:
     """Hill/MLE estimate from the k-nearest-neighbor distance profile.
 
-    value = -((1/(k-1)) * sum_{i<k} ln(d_i / d_k))**-1. When all distances
-    are equal the log-sum is zero and the infinite estimate is reported as
-    k with a degeneracy flag.
+    value = -((1/(k-1)) * sum_{i<k} ln(d_i / d_k))**-1. The log-sum is
+    computed without cancellation from the increments of the sorted
+    distances (see ``angle_id._estimates``). When all k distances are
+    equal it is zero, and the infinite estimate is reported as k with a
+    degeneracy flag.
     """
     return _one("mle", nl)
 
@@ -37,8 +39,11 @@ def mom(nl: NeighborList) -> IdEstimate:
 
     m is the mean neighbor distance and w = d_k the neighborhood radius.
     For distances following an exact power law d_i = (i/k)**(1/m0) this
-    converges to m0 as k grows. All distances equal means w == m and the
-    infinite estimate is reported as k with a degeneracy flag.
+    converges to m0 as k grows. The denominator w - m is computed as the
+    mean of the non-negative gaps d_k - d_i, from the increments of the
+    sorted distances (see ``angle_id._estimates``), so it is zero exactly
+    when all k distances are equal; the infinite estimate is then
+    reported as k with a degeneracy flag.
     """
     return _one("mom", nl)
 

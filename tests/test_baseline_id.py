@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from angleid.angle_id import estimate_table
 from angleid.baseline_id import ged, mle_hill, mom
-from angleid.core import DEGENERATE_ZERO_DENOMINATOR, InsufficientNeighborsError
+from angleid.core import DEGENERATE_ZERO_DENOMINATOR, FLAG_BITS, DataMatrix, InsufficientNeighborsError
 from angleid.neighbors import NeighborList, knn
 from angleid.synth import sample_ball
 
@@ -55,6 +56,36 @@ class TestMom:
     def test_requires_two(self):
         with pytest.raises(InsufficientNeighborsError):
             mom(_nl([1.0]))
+
+
+class TestAllDistancesEqual:
+    """k equal distances give an infinite estimate: k, flagged, whatever the value.
+
+    The rounded mean of equal non-dyadic distances need not equal them
+    (three times 0.1 averages to 0.10000000000000002), so a w == m test
+    misses them and m / (w - m) is a huge rounding artifact.
+    """
+
+    @pytest.mark.parametrize("value, k", [(0.1, 3), (0.3, 10), (0.7, 7), (1.1, 50), (2.0 / 3.0, 4)])
+    def test_equal_non_dyadic_distances_degenerate(self, value, k):
+        for fn in (mom, mle_hill):
+            est = fn(_nl([value] * k))
+            assert est.flags == {DEGENERATE_ZERO_DENOMINATOR}
+            assert est.value == k
+
+    def test_a_table_of_equidistant_neighborhoods_degenerates(self):
+        # Each query is the center of a cross with its k = 6 neighbors at
+        # one non-dyadic distance along axes 1-3; the crosses lie 10 apart
+        # along axis 0, so every difference and distance is exact.
+        points = []
+        for c, s in enumerate((0.1, 0.3, 0.7, 1.1)):
+            center = np.array([10.0 * c, 0.0, 0.0, 0.0])
+            points += [center] + [center + sign * s * np.eye(4)[i] for i in (1, 2, 3) for sign in (1, -1)]
+        queries = range(0, 28, 7)
+        table = estimate_table(DataMatrix(np.array(points)), 6, ("mle", "mom", "ged"), queries=queries)
+        for tag in ("mle", "mom", "ged"):
+            assert table.values(tag).tolist() == [6.0] * 4, tag
+            assert table.flags(tag).tolist() == [FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]] * 4, tag
 
 
 class TestGed:

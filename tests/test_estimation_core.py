@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angleid import analysis, angle_id, baseline_id, synth
@@ -85,12 +85,24 @@ def _reference(u: np.ndarray, d: np.ndarray, tag: str, pair=None) -> tuple[float
         return (float(k), degenerate) if log_sum == 0.0 else (-(k - 1) / log_sum, frozenset())
     if tag == "mom":
         w, m = float(d[-1]), float(d.mean())
-        return (float(k), degenerate) if w == m else (m / (w - m), frozenset())
+        return (float(k), degenerate) if d[0] == w else (m / (w - m), frozenset())
     k1, k2 = ((k + 1) // 2, k) if pair is None else pair
     d1, d2 = float(d[k1 - 1]), float(d[k2 - 1])
     if d1 == d2:
         return float(k), degenerate
     return float(np.log(k2 / k1) / np.log(d2 / d1)), frozenset()
+
+
+# The core sums MLE's logs and MoM's gaps in another order than the
+# per-k formulas of ``_reference``; bench/reference.py allows the same.
+REFERENCE_RTOL = 1e-12
+
+
+def _agrees(got: tuple[float, frozenset], want: tuple[float, frozenset], tag: str) -> bool:
+    """``got == want``, but for MLE and MoM values only to REFERENCE_RTOL (flags exact)."""
+    if tag in ("mle", "mom"):
+        return got[1] == want[1] and abs(got[0] - want[0]) <= REFERENCE_RTOL * abs(want[0])
+    return got == want
 
 
 def _reference_mean_cosine(u: np.ndarray) -> float:
@@ -124,7 +136,7 @@ def test_tables_and_trails_equal_the_public_functions_for_any_block(monkeypatch,
         assert table.mean_cosines[pos] == stats.mean_cosine == _reference_mean_cosine(u)
         for tag in ESTIMATOR_TAGS:
             want = _public(data, q, nl, tag)
-            assert (want.value, want.flags) == _reference(u, nl.distances, tag), (q, tag)
+            assert _agrees((want.value, want.flags), _reference(u, nl.distances, tag), tag), (q, tag)
             assert table.values(tag)[pos].tobytes() == np.float64(want.value).tobytes(), (q, tag)
             assert _FLAG_SETS[table.flags(tag)[pos]] == want.flags, (q, tag)
             assert table.rows[pos][1][tag] == want
@@ -173,7 +185,8 @@ def test_a_block_of_degenerate_and_regular_rows():
                     else _public(None, None, nl, tag))
             values, flags = out[tag]
             got = (values[r, 0], _FLAG_SETS[flags[r, 0]])
-            assert got == (want.value, want.flags) == _reference(u[r], d[r], tag), (r, tag)
+            assert got == (want.value, want.flags), (r, tag)
+            assert _agrees(got, _reference(u[r], d[r], tag), tag), (r, tag)
     both = FLAG_BITS[CLAMPED_TO_K] | FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
     assert out["rabid"][1][:, 0].tolist() == [0, both, 0, both]
     assert out["rabid"][0][[1, 3], 0].tolist() == [k, k]
@@ -212,24 +225,29 @@ class TestRowReductions:
     """Undocumented numpy behavior that the core relies on, pinned here."""
 
     @pytest.mark.parametrize("rows", [1, 3, 8])
-    def test_sum_and_mean_along_rows_are_the_1d_reductions(self, rows):
+    def test_cumsum_along_rows_is_the_1d_cumsum(self, rows):
+        # MLE/MoM read every k off one row-wise cumsum; a table's row is
+        # a trail's prefix, alone or in a block of any size or layout.
         rng = np.random.default_rng(rows)
         x = rng.uniform(0.1, 10.0, (rows, 513))
-        for k in range(2, 514):
+        full = np.cumsum(x, axis=1)
+        for k in range(1, 514):
             for block in (x[:, :k], np.ascontiguousarray(x[:, :k])):
-                sums, means = block.sum(axis=1), block.mean(axis=1)
+                sums = np.cumsum(block, axis=1)
                 for r in range(rows):
-                    row = np.array(x[r, :k])
-                    assert sums[r].tobytes() == row.sum().tobytes(), (k, r)
-                    assert means[r].tobytes() == row.mean().tobytes(), (k, r)
+                    row = np.cumsum(np.array(x[r, :k]))
+                    assert sums[r].tobytes() == row.tobytes() == full[r, :k].tobytes(), (k, r)
 
-    def test_the_mle_log_sums_are_the_1d_ones(self):
-        d = np.sort(np.random.default_rng(3).uniform(0.1, 1.0, (5, 400)), axis=1)
-        for k in range(2, 401):
-            got = np.log(d[:, :k - 1] / d[:, k - 1:k]).sum(axis=1)
-            for r in range(5):
-                row = d[r, :k]
-                assert got[r] == np.log(row[:-1] / row[-1]).sum(), (k, r)
+    def test_log1p_of_a_block_is_the_1d_log1p(self):
+        # Increments over distances: ties (0), near-ties and far jumps.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, (5, 400)) ** 8 * 10.0 ** rng.integers(-16, 4, (5, 400))
+        x[:, ::7] = 0.0
+        for k in range(1, 401):
+            for block in (x[:, :k], np.ascontiguousarray(x[:, :k])):
+                got = np.log1p(block)
+                for r in range(5):
+                    assert got[r].tobytes() == np.log1p(np.array(x[r, :k])).tobytes(), (k, r)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13])
     def test_direction_sums_are_the_per_neighborhood_ones(self, dim):
@@ -294,3 +312,63 @@ def test_abid_is_at_most_the_rank_and_rabid_at_most_k(seed, dim, intrinsic, k):
             assert value == k
         if flags & degenerate:
             assert flags & clamped
+
+
+# --- MLE and MoM at every k against an extended-precision oracle -------------
+
+_STEPS = st.one_of(
+    st.just(("tie", 0)),
+    st.tuples(st.just("ulp"), st.integers(1, 3)),  # one to three doubles up: a near-tie
+    st.tuples(st.just("jump"), st.floats(1e-9, 1e3)),  # d times (1 + x)
+)
+
+
+@st.composite
+def _distance_rows(draw) -> np.ndarray:
+    """One to four sorted positive rows of one length, between 2**-200 and about 2**790."""
+    k = draw(st.integers(2, 60))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = [draw(st.floats(1.0, 2.0)) * 2.0 ** draw(st.integers(-200, 200))]
+        for kind, x in draw(st.lists(_STEPS, min_size=k - 1, max_size=k - 1)):
+            if kind == "tie":
+                d.append(d[-1])
+            elif kind == "ulp":
+                d.append(d[-1])
+                for _ in range(x):
+                    d[-1] = np.nextafter(d[-1], np.inf)
+            else:
+                d.append(d[-1] * (1.0 + x))
+        rows.append(d)
+    return np.array(rows)
+
+
+def _oracle(row: np.ndarray) -> tuple[float, float]:
+    """MLE and MoM of one row's per-k formulas, in np.longdouble.
+
+    MLE is (k - 1) / sum log(d_{k-1} / d_i), each log taken as log1p of
+    the gap d_{k-1} - d_i over d_i; MoM is m / (w - m) = sum d_i / sum of
+    the gaps. A gap of two doubles is exact or nearly so in np.longdouble,
+    so near-ties keep their digits.
+    """
+    p = row.astype(np.longdouble)
+    gaps = p[-1] - p
+    return (p.size - 1) / np.log1p(gaps / p).sum(), p.sum() / gaps.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=_distance_rows())
+@example(d=np.array([[0.1] * 3, [0.3] * 3]))
+@example(d=np.array([[0.7] * 9 + [0.8], [1.1] + [1.3] * 9]))
+def test_mle_and_mom_at_every_k_match_an_extended_precision_oracle(d):
+    ks = np.arange(2, d.shape[1] + 1)
+    out = angle_id._estimates(None, d, ("mle", "mom"), ks, None)
+    eps, degenerate = np.finfo(np.float64).eps, FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+    for r, row in enumerate(d):
+        for j, k in enumerate(ks.tolist()):
+            equal = row[0] == row[k - 1]
+            want = (k, k) if equal else _oracle(row[:k])
+            for tag, w in zip(("mle", "mom"), want):
+                value, flags = out[tag][0][r, j], out[tag][1][r, j]
+                assert flags == (degenerate if equal else 0), (r, k, tag)
+                assert abs(value - w) <= 8 * k * eps * abs(w), (r, k, tag, value, w)

@@ -310,6 +310,47 @@ class TestKnnMany:
         data = DataMatrix(points)
         _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
 
+    def test_a_screen_error_at_its_bound_keeps_the_sampled_path_exact(self, monkeypatch):
+        # The kernel bounds the screen error |a - s| by e = (2.5D + 6) eps M
+        # + 2D tiny; real products stay far below it, so here the product is
+        # patched to be off by -e for every point but one "victim", off by
+        # +e. Integer coordinates with zero mean make the unpatched product
+        # exact (a == s): at D = 2 with far points at distance 2**26, M =
+        # 2**52, e = 11 and delta = 24. k = 31 and n >= 16(k+1)D take the
+        # sampled path. The query at the origin has 80 copies, so its cut is
+        # c = -e and no nonzero distance screens at or below it: the row must
+        # take the exact cut. Its 31 nearest are 30 copies of (1, 0) and the
+        # victim (5, 2), s = 29, screened at 40, above c + 2 delta = 37. The
+        # decoy (6, 1), s = 37, screens at 26, so a check loosened to
+        # a <= c + 2 delta would accept the row with the decoy in its place.
+        k, far = 31, 2.0**26
+        near = [[0.0, 0.0]] * 80 + [[1.0, 0.0]] * 30 + [[5.0, 2.0], [6.0, 1.0], [-41.0, -3.0]]
+        axes = [[far, 0.0], [-far, 0.0], [0.0, far], [0.0, -far]] * 230
+        points = np.array(near + axes)
+        victim, dim, n = 110, 2, len(points)
+        assert not points.sum(axis=0).any() and n >= 16 * (k + 1) * dim
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+        e = (2.5 * dim + 6) * eps * far**2 + 2 * dim * tiny
+        err = np.full(n, -e)
+        err[victim] = e
+
+        class ScreenOff:
+            """numpy as the kernel sees it, but the screen product is off by ``err``."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, out):
+                np.matmul(a, b, out=out)
+                out += err
+                return out
+
+        data, query = DataMatrix(points), np.zeros((1, dim))
+        want = _full_sort(data, query, k)
+        assert sorted(want[0][0]) == list(range(80, 111))
+        monkeypatch.setattr(neighbors, "np", ScreenOff())
+        _assert_bitwise(knn_many(data, query, k), want)
+
     def test_block_size_does_not_change_results(self, monkeypatch):
         data = synth.sample_ball(500, 3, seed=5)
         queries = data.points[::13]  # 39 rows: 7 blocks of 5 and a remainder of 4
