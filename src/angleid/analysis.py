@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MIN_K, DataMatrix, DegenerateInputError, _write_csv
+from .neighbors import _check_indices
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -99,8 +100,8 @@ class TrailMatrix:
     point_indices: tuple[int, ...]
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_values)
-        if any(b <= a for a, b in zip(ks, ks[1:])):
+        ks = tuple(map(int, self.k_values))
+        if not all(map(operator.lt, ks, ks[1:])):
             raise ValueError("k_values must be strictly increasing")
         est = np.asarray(self.estimates, dtype=np.float64)
         if est.shape != (len(self.point_indices), len(ks)):
@@ -108,7 +109,7 @@ class TrailMatrix:
         est.setflags(write=False)
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "estimates", est)
-        object.__setattr__(self, "point_indices", tuple(int(i) for i in self.point_indices))
+        object.__setattr__(self, "point_indices", tuple(map(int, self.point_indices)))
 
     def column(self, k: int) -> np.ndarray:
         return self.estimates[:, self.k_values.index(k)]
@@ -141,13 +142,15 @@ def trails(
     Points are mapped in blocks by ``angle_id._estimate_many``, the same
     query map as tables. The k values must be distinct integers, at least
     the estimator's minimum (``core.MIN_K``; with ``ged_pair`` also at
-    least its k2), ``point_subset`` must not be empty and ``threads`` must
-    be a positive integer; otherwise a ValueError is raised before any
-    neighbor search.
+    least its k2), ``point_subset`` must be a non-empty collection of
+    integer point indices and ``threads`` a positive integer; otherwise a
+    ValueError is raised before any neighbor search (an index outside
+    [0, n) raises an IndexError).
     """
     (tag,) = angle_id._check_tags([estimator])
     ks = _check_k_values(k_values, tag, ged_pair)
-    points = list(range(data.n)) if point_subset is None else [int(i) for i in point_subset]
+    points = (list(range(data.n)) if point_subset is None
+              else _check_indices("point_subset", point_subset))
     if not points:
         raise ValueError("trails require at least one point; point_subset is empty")
     est, _ = angle_id._estimate_many(data, points, (tag,), ks, ged_pair, threads)
@@ -162,14 +165,14 @@ def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None =
     """
     values = list(k_values)
     try:
-        ks = sorted(operator.index(k) for k in values)
+        ks = sorted(map(operator.index, values))
     except TypeError:
         raise ValueError(f"k values must be integers, got {values!r}") from None
     if not ks:
         raise ValueError("k_values must be non-empty")
     if ks[0] < 1:
         raise ValueError(f"k values must be >= 1, got {ks[0]}")
-    if any(a == b for a, b in zip(ks, ks[1:])):
+    if not all(map(operator.lt, ks, ks[1:])):  # sorted: a step that does not rise repeats
         raise ValueError(f"k values must be distinct, got {ks}")
     need, what = MIN_K[estimator], f"estimator {estimator}"
     if estimator == "ged" and ged_pair is not None:

@@ -47,7 +47,7 @@ from .core import (
     MIN_K,
     _FLAG_SETS,
 )
-from .neighbors import (DirectionBundle, _block_rows, _check_index, _check_positive, _directions,
+from .neighbors import (DirectionBundle, _block_rows, _check_indices, _check_positive, _directions,
                         _knn_kernel, direction_bundle, knn)
 
 __all__ = [
@@ -156,13 +156,14 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     total = None
     for lo in range(0, k_max, step):
         v = u[:, lo:min(lo + step, k_max)]
-        c = v[:, :, a] * v[:, :, b]
+        c = v.take(a, 2)
+        c *= v.take(b, 2)
         if total is not None:
             c[:, 0] += total
         np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
         total = c[:, -1]
         j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
-        sel = c[:, ks[j0:j1] - lo - 1]
+        sel = c.take(ks[j0:j1] - lo - 1, 1)
         out[:, j0:j1] = _row_sums(sel * sel * weight)
     return out
 
@@ -476,13 +477,14 @@ def estimate_table(
     ``queries`` defaults to every point index. Work is an independent map
     over blocks of queries (``_estimate_many``); ``threads`` only sets the
     parallel width and never changes results or row order. A ``k`` or
-    ``threads`` below 1 raises a ValueError before any search. One
-    NeighborhoodSizeWarning is issued per row whose angle-based estimate
-    exceeds k - 2.
+    ``threads`` below 1, or a query that is not an integer (a float, a
+    numpy float or bool), raises a ValueError, and a query outside
+    [0, n) an IndexError, before any search. One NeighborhoodSizeWarning
+    is issued per row whose angle-based estimate exceeds k - 2.
     """
     tags = _check_tags(estimators)
     k = _check_positive("k", k)
-    query_list = [int(q) for q in (range(data.n) if queries is None else queries)]
+    query_list = list(range(data.n)) if queries is None else _check_indices("queries", queries)
     if not query_list:
         raise ValueError("EstimateTable requires at least one row")
     est, mean_cosines = _estimate_many(data, query_list, tags, [k], ged_pair, threads,
@@ -512,8 +514,10 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     a block's first short row and the blocks are collected in order.
     """
     threads = _check_positive("threads", threads)
-    for qi in queries:
-        _check_index(data, qi)
+    at = np.asarray(queries)
+    outside = np.flatnonzero((at < 0) | (at >= data.n))
+    if outside.size:
+        raise IndexError(f"query index {queries[outside[0]]} out of range for n={data.n}")
     ks = np.asarray(ks, dtype=np.int64)
     _check_ks(tags, ks, ged_pair, queries[0])
     k_max = int(ks[-1])

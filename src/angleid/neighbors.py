@@ -12,7 +12,11 @@ reused for the whole search (the expansion |x|^2 - 2 x.y + |y|^2, on
 coordinates centered at the points' mean), keeps every point that a
 rounding bound cannot rule out, and re-ranks those candidates with the
 same difference-based distances and (distance, index) order as a full
-sort of all n distances. Each row's cut comes from one of two paths:
+sort of all n distances. The re-rank puts each row's candidate distances,
+in ascending index order, into one row of a padded (B, widest row) array
+and sorts every row on its own with one stable ``argsort`` along the rows,
+so no row's order depends on the other rows of its block. Each row's cut
+comes from one of two paths:
 
 - sampled, where 2(k+1) >= 64 and n >= 16 (k+1) D: the 32nd smallest of
   every s-th screened value, s = floor(2(k+1) / 32), so about 2(k+1)
@@ -158,6 +162,21 @@ def _check_positive(name: str, value) -> int:
     raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_indices(name: str, values) -> list[int]:
+    """``values`` as a list of ints, or a ValueError naming the first that is not an integer.
+
+    Floats, numpy floats and numpy bools are refused, as ``_check_positive``
+    refuses them; bounds are the caller's to check.
+    """
+    out = []
+    for value in values:
+        try:
+            out.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be integer point indices, got {value!r}") from None
+    return out
+
+
 def _knn_kernel(data: DataMatrix, k: int):
     """The exact-kNN kernel for ``data`` and ``k``; its screen matrix is built once.
 
@@ -196,8 +215,10 @@ def _knn_kernel(data: DataMatrix, k: int):
         spare = None  # the exact cut's partition buffer, made on first use
 
         def collect(a, cut):
-            """Row and column of every screened value at most its row's cut."""
-            return np.divmod(np.flatnonzero(np.less_equal(a, cut[:, None], out=mask[:len(a)])), n)
+            """Flat position, row and column of every screened value at most its row's cut."""
+            flat = np.flatnonzero(np.less_equal(a, cut[:, None], out=mask[:len(a)]))
+            r = flat // n
+            return flat, r, flat - r * n
 
         def exact_cut(a, delta):
             nonlocal spare
@@ -266,31 +287,47 @@ def _knn_kernel(data: DataMatrix, k: int):
             # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
             if sampled:
                 c = np.partition(a[:, ::step], _SAMPLE_RANK - 1, axis=1)[:, _SAMPLE_RANK - 1]
-                r, col = collect(a, c + 2.0 * delta)
+                flat, r, col = collect(a, c + 2.0 * delta)
                 d = _distances(pts, q, r, col)
-                sure = np.bincount(r[(d > 0.0) & (a[r, col] <= c[r])], minlength=len(q)) >= k
+                sure = np.bincount(r[(d > 0.0) & (a.ravel().take(flat) <= c.take(r))],
+                                   minlength=len(q)) >= k
                 if not sure.all():
                     redo = np.flatnonzero(~sure)
                     a_redo = a[redo]
-                    r2, col2 = collect(a_redo, exact_cut(a_redo, delta[redo]))
+                    _, r2, col2 = collect(a_redo, exact_cut(a_redo, delta[redo]))
                     r2 = redo[r2]
                     mine = sure[r]
                     r, col, d = (np.concatenate([r[mine], r2]), np.concatenate([col[mine], col2]),
                                  np.concatenate([d[mine], _distances(pts, q, r2, col2)]))
+                    # Back to ascending rows; each row keeps its ascending columns.
+                    by_row = np.argsort(r, kind="stable")
+                    r, col, d = r[by_row], col[by_row], d[by_row]
             else:
-                r, col = collect(a, exact_cut(a, delta))
+                _, r, col = collect(a, exact_cut(a, delta))
                 d = _distances(pts, q, r, col)
-            # Re-rank with the distances and order of _sorted_candidates.
-            keep = d > 0.0
-            r, col, d = r[keep], col[keep], d[keep]
-            order = np.lexsort((d, r))  # stable: ties keep a row's ascending col
+            # Re-rank with the distances and order of _sorted_candidates. The
+            # candidates come by ascending row, then column, and each row's
+            # fill one row of a padded array in that order, with NaN for
+            # d == 0 (the query and its duplicates) and for the padding. NaN
+            # sorts after every number, inf included (distances overflow at
+            # 1e160 scales), so a stable sort of each row puts its nonzero
+            # distances first, ties in ascending column order: the
+            # (distance, index) order of the full sort.
             counts = np.bincount(r, minlength=len(q))
-            short = np.flatnonzero(counts < k)
+            zero = d == 0.0
+            found = counts - np.bincount(r[zero], minlength=len(q))
+            short = np.flatnonzero(found < k)
             if short.size:
                 row = int(short[0])
-                raise InsufficientNeighborsError(k, int(counts[row]), point=lo + row)
-            take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-            idx[lo:lo + rows], dist[lo:lo + rows] = col[take], d[take]
+                raise InsufficientNeighborsError(k, int(found[row]), point=lo + row)
+            d[zero] = np.nan
+            start = np.cumsum(counts) - counts
+            width = int(counts.max())
+            pad = np.full((len(q), width), np.nan)
+            np.put(pad, np.arange(len(r)) + (width * np.arange(len(q)) - start).take(r), d)
+            take = np.argsort(pad, axis=1, kind="stable")[:, :k]
+            take += start[:, None]
+            idx[lo:lo + rows], dist[lo:lo + rows] = col.take(take), d.take(take)
         return idx, dist
 
     return search
@@ -298,7 +335,8 @@ def _knn_kernel(data: DataMatrix, k: int):
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:
     """The distances of _sorted_candidates from query rows ``q[r]`` to points ``pts[col]``."""
-    diff = pts[col] - q[r]
+    diff = pts.take(col, 0)
+    diff -= q.take(r, 0)
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
@@ -357,4 +395,7 @@ def _directions(points: np.ndarray, q: np.ndarray, indices: np.ndarray,
 
     Also for a block: q (B, D) with (B, k) indices and distances gives (B, k, D).
     """
-    return (points[indices] - q[..., None, :]) / distances[..., None]
+    u = points.take(indices, 0)
+    u -= q[..., None, :]
+    u /= distances[..., None]
+    return u

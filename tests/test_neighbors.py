@@ -360,6 +360,70 @@ class TestKnnMany:
             assert neighbors._block_rows(data.n) == rows
             _assert_bitwise(knn_many(data, queries, 25), want)
 
+    @pytest.mark.parametrize("case", ["copies_and_kth_ties", "inf_at_scale_1e160"])
+    def test_rows_of_very_different_widths_rank_alone(self, monkeypatch, case):
+        # The re-rank sorts each row of a padded array on its own; a row of
+        # the block must come out as it does on its own and as the full sort
+        # has it, however wide its block-mates are. Both cases take the
+        # exact cut (n < 16 (k+1) D).
+        rng = np.random.default_rng(31)
+        if case == "copies_and_kth_ties":
+            # Point 0 has 200 copies (201 zero distances in its row). Point
+            # 500 sits 1e-3 from it, so its k nearest all lie among those 201
+            # coinciding points: a tie at the k-th distance that a cut takes
+            # whole. In one-row blocks the rows of points 0 and 500 hold
+            # over 200 candidates each, the plain rows about k.
+            k = 20
+            ball = synth.sample_ball(300, 2, seed=31).points * 10.0
+            points = np.vstack([ball, np.repeat(ball[:1], 200, axis=0), ball[:1] + [1e-3, 0.0]])
+            rows = [5, 0, 17, 500, 250, 300, 42]
+        else:
+            # A cluster at 1e150 scale among points at 1e160 scale: cluster
+            # rows have finite distances to the cluster and overflowing ones
+            # (inf) to the rest, which tie and break by index; points 0 and
+            # 1 are copies, whose zero distances must still sort last.
+            k = 40
+            far = rng.standard_normal((150, 3)) * 1e160
+            cluster = far[0] + rng.standard_normal((30, 3)) * 1e150
+            points = np.vstack([far[:1], far, cluster])
+            rows = [0, 151, 7, 160, 1, 180, 99]
+        data = DataMatrix(points)
+        queries = data.points[rows]
+        want = _full_sort(data, queries, k)
+        if case == "copies_and_kth_ties":
+            d = _sorted_candidates(data, queries[rows.index(500)])[1]
+            assert d[k] == d[k - 1] == d[0]
+        else:
+            assert np.isinf(want[1]).any() and np.isfinite(want[1]).any()
+        assert data.n < 16 * (k + 1) * data.dim
+        for block in (1, 3, None):
+            if block is not None:
+                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * block)
+            _assert_bitwise(knn_many(data, queries, k), want)
+            for i in range(len(rows)):
+                one = knn_many(data, queries[i:i + 1], k)
+                _assert_bitwise(one, (want[0][i:i + 1], want[1][i:i + 1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_permuting_the_queries_permutes_the_rows(self, draw):
+        dim = draw.draw(st.integers(1, 3), label="dim")
+        n = draw.draw(st.integers(2, 50), label="n")
+        cells = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        grid = np.array(draw.draw(st.lists(cells, min_size=n, max_size=n), label="grid"), float)
+        copies = draw.draw(st.lists(st.integers(0, n - 1), max_size=12), label="duplicates")
+        data = DataMatrix(np.vstack([grid, grid[copies]]))
+        rows = draw.draw(st.lists(st.integers(0, data.n - 1), min_size=2, max_size=12),
+                         label="queries")
+        distinct = min(_sorted_candidates(data, data.points[r])[0].size for r in rows)
+        if distinct == 0:
+            return
+        k = draw.draw(st.integers(1, distinct), label="k")
+        perm = np.array(draw.draw(st.permutations(range(len(rows))), label="permutation"))
+        idx, dist = knn_many(data, data.points[rows], k)
+        pidx, pdist = knn_many(data, data.points[rows][perm], k)
+        assert np.array_equal(pidx, idx[perm]) and pdist.tobytes() == dist[perm].tobytes()
+
     def test_knn_is_one_row_of_knn_many(self):
         data = synth.sample_ball(400, 2, seed=8)
         idx, dist = knn_many(data, data.points[[17]], 30)
@@ -459,3 +523,38 @@ class TestBlockedTables:
             angle_id.estimate_table(data, 5, ("abid",), queries=[3, -1])
         with pytest.raises(IndexError):
             analysis.trails(data, [5], "abid", point_subset=[50])
+        with pytest.raises(IndexError, match="query index -1 out of range for n=50"):
+            angle_id.estimate_table(data, 5, ("abid",), queries=np.array([3, -1, 60]))
+
+    @pytest.mark.parametrize("values, bad", [
+        ([0.9, 2.5], "0.9"),
+        ([1, np.float64(2.0)], "np.float64(2.0)"),
+        (np.array([0.0, 2.0]), "np.float64(0.0)"),
+        (np.array([True, False]), "np.True_"),
+    ])
+    def test_non_integer_query_indices_fail_before_any_search(self, monkeypatch, values, bad):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a neighbor search ran")
+
+        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+        data = synth.sample_ball(50, 2, seed=1)
+        with pytest.raises(ValueError) as exc:
+            angle_id.estimate_table(data, 5, ("abid",), queries=values)
+        assert str(exc.value) == f"queries must be integer point indices, got {bad}"
+        with pytest.raises(ValueError) as exc:
+            analysis.trails(data, [5], "abid", point_subset=values)
+        assert str(exc.value) == f"point_subset must be integer point indices, got {bad}"
+
+    def test_integer_arrays_and_ranges_are_query_indices(self):
+        data = synth.sample_ball(50, 2, seed=1)
+        want = angle_id.estimate_table(data, 5, ("abid",), queries=[3, 1, 2])
+        for queries in (np.array([3, 1, 2]), np.array([3, 1, 2], dtype=np.int32),
+                        [np.int64(3), 1, np.uint8(2)]):
+            table = angle_id.estimate_table(data, 5, ("abid",), queries=queries)
+            assert table.indices == (3, 1, 2) and all(type(i) is int for i in table.indices)
+            assert table.values("abid").tobytes() == want.values("abid").tobytes()
+        assert angle_id.estimate_table(data, 5, ("abid",), queries=range(1, 4)).indices == (1, 2, 3)
+        tm = analysis.trails(data, [5, 8], "abid", point_subset=np.arange(1, 4))
+        want = analysis.trails(data, [5, 8], "abid", point_subset=range(1, 4))
+        assert tm.point_indices == (1, 2, 3)
+        assert tm.estimates.tobytes() == want.estimates.tobytes()
