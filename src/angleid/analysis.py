@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MIN_K, DataMatrix, DegenerateInputError, _write_csv
-from .neighbors import _check_indices
+from .neighbors import _check_indices, _integers
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -150,7 +150,7 @@ def trails(
     (tag,) = angle_id._check_tags([estimator])
     ks = _check_k_values(k_values, tag, ged_pair)
     points = (list(range(data.n)) if point_subset is None
-              else _check_indices("point_subset", point_subset))
+              else _check_indices("point_subset", point_subset, data.n))
     if not points:
         raise ValueError("trails require at least one point; point_subset is empty")
     est, _ = angle_id._estimate_many(data, points, (tag,), ks, ged_pair, threads)
@@ -165,7 +165,7 @@ def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None =
     """
     values = list(k_values)
     try:
-        ks = sorted(map(operator.index, values))
+        ks = sorted(_integers(values))
     except TypeError:
         raise ValueError(f"k values must be integers, got {values!r}") from None
     if not ks:

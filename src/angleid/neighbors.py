@@ -12,22 +12,24 @@ reused for the whole search (the expansion |x|^2 - 2 x.y + |y|^2, on
 coordinates centered at the points' mean), keeps every point that a
 rounding bound cannot rule out, and re-ranks those candidates with the
 same difference-based distances and (distance, index) order as a full
-sort of all n distances. The re-rank puts each row's candidate distances,
-in ascending index order, into one row of a padded (B, widest row) array
-and sorts every row on its own with one stable ``argsort`` along the rows,
-so no row's order depends on the other rows of its block. Each row's cut
-comes from one of two paths:
+sort of all n distances. Each row gets one cut, and a block's candidates
+are collected once, from that per-row cut. The re-rank puts each row's
+candidate distances, in ascending index order, into one row of a padded
+(B, widest row) array and sorts every row on its own with one stable
+``argsort`` along the rows, so no row's order depends on the other rows
+of its block. Each row's cut comes from one of two rules:
 
 - sampled, where 2(k+1) >= 64 and n >= 16 (k+1) D: the 32nd smallest of
   every s-th screened value, s = floor(2(k+1) / 32), so about 2(k+1)
-  candidates per row. A row is kept only if k of its candidates are
-  provably no farther than that cut; any other row takes the exact path.
+  candidates per row. A row keeps this cut only if k of its candidates
+  are provably no farther than it; any other row takes the exact cut,
+  and its block is collected again.
 - exact, for every other (n, k, D): a partition of the whole row, past
   the query's duplicates.
 
 The rule reads only n, k and D. The screen only narrows the candidates,
 so the neighbor lists are bitwise those of the full sort for any block
-size, thread count or path. The full sort itself remains for
+size, thread count or rule. The full sort itself remains for
 ``radius_neighbors``.
 """
 
@@ -108,16 +110,10 @@ class DirectionBundle:
         return DirectionBundle(self.directions[:k], k)
 
 
-def _check_index(data: DataMatrix, idx: int) -> int:
-    if not 0 <= idx < data.n:
-        raise IndexError(f"query index {idx} out of range for n={data.n}")
-    return idx
-
-
 def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
-    """A query is either a point index or an explicit D-vector."""
-    if isinstance(query, (int, np.integer)):
-        idx = _check_index(data, int(query))
+    """A query is either a point index or an explicit D-vector; a bool is neither."""
+    if isinstance(query, (int, np.integer, np.bool_)):
+        (idx,) = _check_indices("query", [query], data.n)
         return data.points[idx], idx
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (data.dim,):
@@ -152,29 +148,45 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
+def _integers(values: list) -> list[int]:
+    """``values`` as ints, or a TypeError unless each is an integer; bools are refused too."""
+    if not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise TypeError("a bool is not an integer")
+    return list(map(operator.index, values))
+
+
 def _check_positive(name: str, value) -> int:
     """``value`` as an int, or a ValueError unless it is an integer of at least 1."""
     try:
-        if operator.index(value) >= 1:
-            return operator.index(value)
+        (out,) = _integers([value])
+    except TypeError:
+        out = 0
+    if out < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return out
+
+
+def _check_indices(name: str, values, n: int) -> list[int]:
+    """``values`` as a list of point indices in [0, n).
+
+    Otherwise the first bad value in order raises: a ValueError if it is
+    not an integer (a float, a numpy float or a bool), an IndexError if it
+    is outside [0, n).
+    """
+    values = list(values)
+    try:
+        out = _integers(values)
+        if not out or (min(out) >= 0 and max(out) < n):
+            return out
     except TypeError:
         pass
-    raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_indices(name: str, values) -> list[int]:
-    """``values`` as a list of ints, or a ValueError naming the first that is not an integer.
-
-    Floats, numpy floats and numpy bools are refused, as ``_check_positive``
-    refuses them; bounds are the caller's to check.
-    """
-    out = []
     for value in values:
         try:
-            out.append(operator.index(value))
+            (idx,) = _integers([value])
         except TypeError:
             raise ValueError(f"{name} must be integer point indices, got {value!r}") from None
-    return out
+        if not 0 <= idx < n:
+            raise IndexError(f"query index {idx} out of range for n={n}")
 
 
 def _knn_kernel(data: DataMatrix, k: int):
@@ -212,26 +224,20 @@ def _knn_kernel(data: DataMatrix, k: int):
         dist = np.empty((len(queries), k))
         buf = np.empty((min(rows, len(queries)), n))
         mask = np.empty(buf.shape, dtype=bool)
-        spare = None  # the exact cut's partition buffer, made on first use
 
-        def collect(a, cut):
-            """Flat position, row and column of every screened value at most its row's cut."""
-            flat = np.flatnonzero(np.less_equal(a, cut[:, None], out=mask[:len(a)]))
+        def collect(q, a, c, delta):
+            """Flat position, row, column and distance of each value of ``a`` at most its cut."""
+            flat = np.flatnonzero(np.less_equal(a, (c + 2.0 * delta)[:, None], out=mask[:len(a)]))
             r = flat // n
-            return flat, r, flat - r * n
+            col = flat - r * n
+            return flat, r, col, _distances(pts, q, r, col)
 
-        def exact_cut(a, delta):
-            nonlocal spare
-            zeros = np.less_equal(a, delta[:, None], out=mask[:len(a)])
-            m = k + int(zeros.sum(axis=1).max())
+        def exact(a, delta):
+            """The exact rule's base cut of each row of ``a``, or inf where it keeps every point."""
+            m = k + int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
             if m >= n:
                 return np.full(len(a), np.inf)
-            if spare is None:
-                spare = np.empty_like(buf)
-            t = spare[:len(a)]
-            np.copyto(t, a)
-            t.partition(m - 1, axis=1)
-            return t[:, m - 1] + 2.0 * delta
+            return np.partition(a, m - 1, axis=1)[:, m - 1]
 
         for lo in range(0, len(queries), rows):
             q = queries[lo:lo + rows]
@@ -263,48 +269,41 @@ def _knn_kernel(data: DataMatrix, k: int):
                 delta = np.where(np.isfinite(4.0 * scale),
                                  4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
             a[np.isinf(delta)] = 0.0
-            # Cut. Both paths keep every point with a <= cut and re-rank them.
+            # Cut. Each row keeps every point with a <= cut = c + 2 delta,
+            # its base cut c set by one of two rules, so the block is
+            # collected, measured and re-ranked once, from one per-row cut.
             #
-            # Sampled path: c is the 32nd smallest of every step-th value of
-            # a row, near its 2(k+1)-th smallest, and cut = c + 2 delta. A
-            # row is accepted only if at least k candidates have s > 0 and
-            # a <= c. Their s are at most c + e, so the k-th nonzero s is
-            # too. A true neighbor has s at most that, or up to 2 eps s <=
-            # 4 eps M more when sqrt rounds it into a tie with the k-th
-            # distance, so a <= s + e <= c + 2 delta, with eps M to spare for
-            # rounding the cut. Rows that fail the check take the exact path.
+            # Sampled rule: c is the 32nd smallest of every step-th value of
+            # a row, near its 2(k+1)-th smallest. A row keeps it only if at
+            # least k candidates have s > 0 and a <= c. Their s are at most
+            # c + e, so the k-th nonzero s is too. A true neighbor has s at
+            # most that, or up to 2 eps s <= 4 eps M more when sqrt rounds it
+            # into a tie with the k-th distance, so a <= s + e <= c + 2 delta,
+            # with eps M to spare for rounding the cut. Rows that fail the
+            # check take the exact rule's c in place, and the block is
+            # collected again.
             #
-            # Exact path: every s == 0 (query, duplicates) has a <= delta; a
+            # Exact rule: every s == 0 (query, duplicates) has a <= delta; a
             # row has at most z such points. Among the m = k + z smallest a,
-            # at least k have s > 0 and s <= t + e, t the m-th smallest a, so
-            # the k-th nonzero s is at most t + e, and as above a true
-            # neighbor has a <= t + 2 delta. A larger m keeps all this true,
-            # so the block takes its largest z; with m >= n, t = inf and
-            # every point is a candidate.
+            # at least k have s > 0 and s <= c + e, c the m-th smallest a, so
+            # the k-th nonzero s is at most c + e, and as above a true
+            # neighbor has a <= c + 2 delta. A larger m keeps all this true,
+            # so the rows cut together take their largest z; with m >= n,
+            # c = inf and every point is a candidate.
             #
-            # The sampled path replaces a partition of n values by one of
+            # The sampled rule replaces a partition of n values by one of
             # about n / step, which pays where rows are long against the
             # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
+            c = (np.partition(a[:, ::step], _SAMPLE_RANK - 1, axis=1)[:, _SAMPLE_RANK - 1]
+                 if sampled else exact(a, delta))
+            flat, r, col, d = collect(q, a, c, delta)
             if sampled:
-                c = np.partition(a[:, ::step], _SAMPLE_RANK - 1, axis=1)[:, _SAMPLE_RANK - 1]
-                flat, r, col = collect(a, c + 2.0 * delta)
-                d = _distances(pts, q, r, col)
                 sure = np.bincount(r[(d > 0.0) & (a.ravel().take(flat) <= c.take(r))],
                                    minlength=len(q)) >= k
                 if not sure.all():
                     redo = np.flatnonzero(~sure)
-                    a_redo = a[redo]
-                    _, r2, col2 = collect(a_redo, exact_cut(a_redo, delta[redo]))
-                    r2 = redo[r2]
-                    mine = sure[r]
-                    r, col, d = (np.concatenate([r[mine], r2]), np.concatenate([col[mine], col2]),
-                                 np.concatenate([d[mine], _distances(pts, q, r2, col2)]))
-                    # Back to ascending rows; each row keeps its ascending columns.
-                    by_row = np.argsort(r, kind="stable")
-                    r, col, d = r[by_row], col[by_row], d[by_row]
-            else:
-                _, r, col = collect(a, exact_cut(a, delta))
-                d = _distances(pts, q, r, col)
+                    c[redo] = exact(a[redo], delta[redo])
+                    _, r, col, d = collect(q, a, c, delta)
             # Re-rank with the distances and order of _sorted_candidates. The
             # candidates come by ascending row, then column, and each row's
             # fill one row of a padded array in that order, with NaN for
@@ -343,11 +342,8 @@ def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -
 def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact k nearest neighbors of every row of ``queries``, a (Q, D) array.
 
-    One call of ``_knn_kernel``'s search: (Q, k) int64 indices and (Q, k)
-    float64 distances, row for row bitwise equal to the first k entries of
-    ``_sorted_candidates``. Raises InsufficientNeighborsError for the
-    first row with fewer than k nonzero distances; its ``point`` is that
-    row's position in ``queries``.
+    One search of ``_knn_kernel``, whose docstring gives the outputs and
+    errors.
     """
     return _knn_kernel(data, k)(queries)
 

@@ -221,6 +221,8 @@ class TestTrailKValues:
         ([10.0, 20], "k values must be integers"),
         (["10"], "k values must be integers"),
         ([], "non-empty"),
+        ([True, 2], "k values must be integers"),
+        ([np.True_, 2], "k values must be integers"),
     ])
     def test_bad_k_lists_fail_before_any_search(self, monkeypatch, k_values, match):
         monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)

@@ -421,6 +421,9 @@ class TestEstimateTable:
         ({"k": 2.5}, "k must be a positive integer, got 2.5"),
         ({"k": 5, "threads": 0}, "threads must be a positive integer, got 0"),
         ({"k": 5, "threads": -4}, "threads must be a positive integer, got -4"),
+        ({"k": True}, "k must be a positive integer, got True"),
+        ({"k": np.True_}, "k must be a positive integer, got np.True_"),
+        ({"k": 5, "threads": True}, "threads must be a positive integer, got True"),
     ])
     def test_bad_k_or_threads_fail_before_any_search(self, monkeypatch, kwargs, match):
         def no_search(*args, **kw):

@@ -102,6 +102,18 @@ class TestKnn:
         with pytest.raises(IndexError):
             knn(data, 2, 1)
 
+    @pytest.mark.parametrize("query", [True, False, np.True_])
+    def test_bool_query_is_not_a_point_index(self, query):
+        data = DataMatrix([[0.0], [1.0], [3.0]])
+        nl = knn(data, 0, 1)
+        match = f"^query must be integer point indices, got {query!r}$"
+        with pytest.raises(ValueError, match=match):
+            knn(data, query, 1)
+        with pytest.raises(ValueError, match=match):
+            angle_id.estimate_point(data, query, 1)
+        with pytest.raises(ValueError, match=match):
+            direction_bundle(data, query, nl)
+
 
 class TestRadiusNeighbors:
     def test_inclusive_radius(self):
@@ -211,6 +223,15 @@ def _kernel_case(name):
         near = ball[0] + 1e-9 * rng.standard_normal((30, 2))
         points = np.vstack([ball, np.repeat(ball[:1], 200, axis=0), near])
         return points, points[[5, 0, 7, 20000, 20150, 3, 11, 20210, 20229]], 50
+    if name == "every_row_in_a_cluster":
+        # Points 0 and 1 have 200 copies each, far more than 2(k+1) = 102.
+        # The copies of a point are consecutive, so every row's sample (one
+        # value in step = 3) holds over 32 zero distances: its sampled cut
+        # is rounding noise, no nonzero distance screens at or below it,
+        # and every row of every block takes the exact cut.
+        ball = synth.sample_ball(20000, 2, seed=21).points
+        points = np.vstack([ball, np.repeat(ball[:2], 200, axis=0)])
+        return points, points[[0, 20000, 20399, 1, 20001, 20200]], 50
     if name in ("rule_below", "rule_at"):
         k, dim = 40, 2
         n = 16 * (k + 1) * dim - (name == "rule_below")
@@ -303,12 +324,18 @@ class TestKnnMany:
 
     @pytest.mark.parametrize("case", [
         "ball", "duplicates_at_a_query", "rule_below", "rule_at", "lattice_ties",
-        "scale_1e150", "scale_1e160", "scale_1e306", "far_query",
+        "scale_1e150", "scale_1e160", "scale_1e306", "far_query", "every_row_in_a_cluster",
     ])
-    def test_sampled_path_and_its_fallback_match_full_sort(self, case):
+    def test_sampled_path_and_its_fallback_match_full_sort(self, monkeypatch, case):
         points, queries, k = _kernel_case(case)
         data = DataMatrix(points)
-        _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
+        want = _full_sort(data, queries, k)
+        for block in (None, 1, 3):
+            if block is not None:
+                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * block)
+            _assert_bitwise(knn_many(data, queries, k), want)
+        for i in range(len(queries)):
+            _assert_bitwise(knn_many(data, queries[i:i + 1], k), (want[0][i:i + 1], want[1][i:i + 1]))
 
     def test_a_screen_error_at_its_bound_keeps_the_sampled_path_exact(self, monkeypatch):
         # The kernel bounds the screen error |a - s| by e = (2.5D + 6) eps M
@@ -525,12 +552,19 @@ class TestBlockedTables:
             analysis.trails(data, [5], "abid", point_subset=[50])
         with pytest.raises(IndexError, match="query index -1 out of range for n=50"):
             angle_id.estimate_table(data, 5, ("abid",), queries=np.array([3, -1, 60]))
+        # The first bad value in order names the error, whatever its kind.
+        with pytest.raises(IndexError, match="query index 60 out of range for n=50"):
+            angle_id.estimate_table(data, 5, ("abid",), queries=[3, 60, 1.5])
+        with pytest.raises(ValueError, match="got 1.5$"):
+            analysis.trails(data, [5], "abid", point_subset=[3, 1.5, 60])
 
     @pytest.mark.parametrize("values, bad", [
         ([0.9, 2.5], "0.9"),
         ([1, np.float64(2.0)], "np.float64(2.0)"),
         (np.array([0.0, 2.0]), "np.float64(0.0)"),
         (np.array([True, False]), "np.True_"),
+        ([True, False], "True"),
+        ([2, False], "False"),
     ])
     def test_non_integer_query_indices_fail_before_any_search(self, monkeypatch, values, bad):
         def no_search(*args, **kwargs):
