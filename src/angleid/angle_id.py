@@ -95,9 +95,11 @@ class CosineSquareStats:
 
 # Elements of the largest temporary array the estimation core builds at
 # once (512 KiB): it sets the query rows of an estimation block
-# (``_estimate_rows``) and, for a neighborhood larger than that on its own,
-# the k chunks of ``_outer_sums``. Larger blocks were no faster on the
-# benchmark's workloads and raise the peak memory.
+# (``_estimate_rows``). Larger blocks were no faster on the benchmark's
+# workloads and raise the peak memory. ``_outer_sums`` walks k in chunks
+# of a quarter of it (128 KiB) or less: allocations that size are reused
+# from the heap, where whole-block temporaries were handed back to the OS
+# when freed and paged in again by the next block.
 _CHUNK = 1 << 16
 
 
@@ -151,7 +153,7 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # off-diagonal entries count twice in the Frobenius norm.
     a, b, weight = _triu(u.shape[2])
     k_max = int(ks[-1])
-    step = max(1, _CHUNK // (len(u) * a.size))
+    step = max(1, _CHUNK // 4 // (len(u) * a.size))
     out = np.empty((len(u), ks.size))
     total = None
     for lo in range(0, k_max, step):
@@ -161,10 +163,12 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
         if total is not None:
             c[:, 0] += total
         np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
-        total = c[:, -1]
+        total = c[:, -1].copy()  # not a view: this chunk is freed before the next is made
         j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
         sel = c.take(ks[j0:j1] - lo - 1, 1)
-        out[:, j0:j1] = _row_sums(sel * sel * weight)
+        sel *= sel
+        sel *= weight
+        out[:, j0:j1] = _row_sums(sel)
     return out
 
 

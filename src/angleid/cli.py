@@ -147,6 +147,11 @@ def _check_threads(args) -> None:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
 
+def _check_seed(flag: str, seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"{flag} must be >= 0, got {seed}")
+
+
 def _check_delimiter(args) -> None:
     if not args.delimiter:
         raise UsageError("--delimiter must not be empty")
@@ -230,6 +235,7 @@ def cmd_estimate(args) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     _check_threads(args)
+    _check_seed("--subsample-seed", args.subsample_seed)
     _check_delimiter(args)
     ged_pair = None
     if args.ged_pair is not None:
@@ -311,6 +317,7 @@ def cmd_trails(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_threads(args)
+    _check_seed("--subsample-seed", args.subsample_seed)
     _check_delimiter(args)
     data = _load_data(args)
     points = _subsample(data.n, args.points, args.subsample_seed)
@@ -325,6 +332,7 @@ def cmd_validate(args) -> int:
         raise UsageError("--d must be >= 2")
     if args.samples < 100 or args.ks_samples < 100:
         raise UsageError("need at least 100 samples")
+    _check_seed("--seed", args.seed)
     print(f"validate: d={args.d} samples={args.samples} "
           f"ks_samples={args.ks_samples} seed={args.seed}", file=sys.stderr)
     checks = run_self_checks(args.d, args.samples, args.ks_samples, args.seed)

@@ -31,11 +31,21 @@ The rule reads only n, k and D. The screen only narrows the candidates,
 so the neighbor lists are bitwise those of the full sort for any block
 size, thread count or rule. The full sort itself remains for
 ``radius_neighbors``.
+
+Each thread keeps one workspace for all its searches (``_workspace``): the
+screen block, its mask and the exact cut's copy buffer, at most about 17
+bytes per entry of the largest (B, n) block it has searched, so 2.1 MiB
+for n <= 131 072 under the 1 MiB block budget. With glibc's malloc,
+arrays of that size made afresh per search went back to the OS when
+freed, and every search paged them in again: with the estimation core's
+temporaries, that was about a third of the time of repeated trails on
+the 6-D lattice.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +158,26 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
+_local = threading.local()
+
+
+def _workspace(name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+    """This thread's buffer ``name``, viewed as an uninitialized ``shape`` array.
+
+    Every search of the thread reuses it; it is replaced only when a larger
+    one is needed, and freed when the thread ends. The exact cut's copy
+    buffer is made on its first use, so sampled searches hold only the
+    block and its mask. Searches write every entry before reading it, so
+    no result depends on what a buffer held before.
+    """
+    size = shape[0] * shape[1]
+    buf = getattr(_local, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_local, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def _integers(values: list) -> list[int]:
     """``values`` as ints, or a TypeError unless each is an integer; bools are refused too."""
     if not {bool, np.bool_}.isdisjoint(map(type, values)):
@@ -195,11 +225,12 @@ def _knn_kernel(data: DataMatrix, k: int):
     Returns ``search(queries)``, which maps a (Q, D) array of query
     vectors to (Q, k) int64 indices and (Q, k) float64 distances, row for
     row bitwise equal to the first k entries of ``_sorted_candidates``.
-    It screens ``_block_rows`` queries at a time into one buffer per call,
-    and no result depends on that block size. ``search`` raises
-    InsufficientNeighborsError for the first row with fewer than k nonzero
-    distances, with that row's position in ``queries`` as ``point``. It
-    reads only shared arrays, so threads may call it at once.
+    It screens ``_block_rows`` queries at a time into the calling thread's
+    workspace (``_workspace``), and no result depends on that block size.
+    ``search`` raises InsufficientNeighborsError for the first row with
+    fewer than k nonzero distances, with that row's position in
+    ``queries`` as ``point``. It reads only shared arrays and writes only
+    its thread's buffers, so threads may call it at once.
     """
     k = _check_positive("k", k)
     pts = data.points
@@ -222,8 +253,8 @@ def _knn_kernel(data: DataMatrix, k: int):
     def search(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.empty((len(queries), k), dtype=np.int64)
         dist = np.empty((len(queries), k))
-        buf = np.empty((min(rows, len(queries)), n))
-        mask = np.empty(buf.shape, dtype=bool)
+        shape = (min(rows, len(queries)), n)
+        buf, mask = _workspace("block", shape), _workspace("mask", shape, bool)
 
         def collect(q, a, c, delta):
             """Flat position, row, column and distance of each value of ``a`` at most its cut."""
@@ -237,7 +268,10 @@ def _knn_kernel(data: DataMatrix, k: int):
             m = k + int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
             if m >= n:
                 return np.full(len(a), np.inf)
-            return np.partition(a, m - 1, axis=1)[:, m - 1]
+            spare = _workspace("spare", a.shape)
+            np.copyto(spare, a)
+            spare.partition(m - 1, axis=1)
+            return spare[:, m - 1]
 
         for lo in range(0, len(queries), rows):
             q = queries[lo:lo + rows]

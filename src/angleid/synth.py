@@ -135,8 +135,8 @@ def jittered_lattice(
         raise ValueError(f"dims must be >= 1, got {dims}")
     if dims > 10:
         raise ValueError(f"dims={dims} would emit {len(levels)}**{dims} points; limit is 10")
-    if jitter_max < 0:
-        raise ValueError("jitter_max must be >= 0")
+    if not 0.0 <= jitter_max < math.inf:
+        raise ValueError(f"jitter_max must be finite and >= 0, got {jitter_max}")
     levels = np.asarray(levels, dtype=np.float64)
     grids = np.meshgrid(*((levels,) * dims), indexing="ij")
     base = np.stack([g.ravel() for g in grids], axis=1)
@@ -187,8 +187,8 @@ def offset_disc(n: int, h: float, seed: int) -> tuple[DataMatrix, np.ndarray]:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if h < 0:
-        raise ValueError(f"offset must be >= 0, got {h}")
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"offset must be finite and >= 0, got {h}")
     disc = sample_ball(n, 2, seed).points
     pts = np.hstack([disc, np.zeros((n, 1))])
     return DataMatrix(pts), np.array([0.0, 0.0, float(h)])
@@ -198,8 +198,10 @@ def noisy_line(n: int, length: float = 1.0, width_ratio: float = 0.04, seed: int
     """n points uniform in a thin axis-aligned rectangle (a noised segment)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if length <= 0 or width_ratio < 0:
-        raise ValueError("need length > 0 and width_ratio >= 0")
+    if not (0.0 < length < math.inf and 0.0 <= width_ratio < math.inf
+            and width_ratio * length < math.inf):
+        raise ValueError(f"need finite length > 0 and width_ratio >= 0 with a finite width, "
+                         f"got length={length}, width_ratio={width_ratio}")
     rng = np.random.default_rng(seed)
     width = width_ratio * length
     x = rng.uniform(0.0, length, n)

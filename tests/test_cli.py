@@ -60,6 +60,14 @@ class TestGenerate:
         ("--shape", "ball", "--d", 2, "--n", 5, "--seed", -1),
         ("--shape", "line", "--n", 5, "--length", -1),
         ("--shape", "koch", "--n", 10, "--depth", 11),
+        ("--shape", "lattice", "--dims", 2, "--jitter-max", "nan"),
+        ("--shape", "lattice", "--dims", 2, "--jitter-max", "inf"),
+        ("--shape", "line", "--n", 5, "--length", "nan"),
+        ("--shape", "line", "--n", 5, "--length", "inf"),
+        ("--shape", "line", "--n", 5, "--width-ratio", "nan"),
+        ("--shape", "line", "--n", 5, "--width-ratio", "inf"),
+        ("--shape", "offset_disc", "--n", 5, "--offset", "nan"),
+        ("--shape", "offset_disc", "--n", 5, "--offset", "inf"),
     ])
     def test_generator_argument_errors_are_usage_errors(self, tmp_path, capsys, args):
         assert run("generate", *args, "-o", tmp_path / "x.csv") == 1
@@ -114,6 +122,7 @@ class TestEstimate:
         ("--estimators", "ged", "--ged-pair", "0,5"),
         ("--estimators", "ged", "--ged-pair", "2,4,6"),
         ("--points", 0),
+        ("--points", 2, "--subsample-seed", -1),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, ball_csv, capsys, args):
         assert run("estimate", "--input", ball_csv, "--k", 10, *args,
@@ -132,6 +141,16 @@ class TestEstimate:
             assert run(*command, "--input", tmp_path / "missing.csv", "--threads", threads,
                        "-o", tmp_path / "x.csv") == 1
             assert capsys.readouterr().err == f"usage error: --threads must be >= 1, got {threads}\n"
+
+    @pytest.mark.parametrize("command", [
+        ("estimate", "--k", 10, "--points", 2),
+        ("trails", "--k-values", "10,20", "--points", 2),
+    ])
+    def test_negative_subsample_seeds_are_usage_errors_before_loading(self, tmp_path, capsys,
+                                                                      command):
+        assert run(*command, "--input", tmp_path / "missing.csv", "--subsample-seed", -1,
+                   "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == "usage error: --subsample-seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", [
         ("estimate", "--k", 10),
@@ -320,6 +339,11 @@ class TestValidate:
         assert all(line.endswith("PASS") for line in lines[1:])
         var_line = next(l for l in lines if l.startswith("moment_variance"))
         assert float(var_line.split(",")[1]) < 0.05
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert run("validate", "--d", 3, "--samples", 1000, "--ks-samples", 1000,
+                   "--seed", -1) == 1
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
 
     def test_failure_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(theory, "KS_CRITICAL_1PCT", 0.0)

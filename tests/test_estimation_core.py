@@ -214,11 +214,25 @@ def test_the_outer_sums_do_not_depend_on_their_k_chunks(monkeypatch):
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     ks = list(range(4, 91))
     want = angle_id._sq_sums(u, ks)
-    for chunk in (10 * 3, 7 * 3 * 10, 33 * 3 * 10):  # k chunks of 1, 7 and 33 rows
+    # _outer_sums takes k chunks of _CHUNK // 4 elements: 3 rows of 10 products per k.
+    for chunk in (4 * 10 * 3, 4 * 7 * 3 * 10, 4 * 33 * 3 * 10):  # k chunks of 1, 7 and 33
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
     for r in range(3):
         assert angle_id._sq_sums(u[r:r + 1], ks).tobytes() == want[r:r + 1].tobytes()
+
+
+def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
+    # The shape of an ABID trails block on the 6-D lattice: 7 rows of 400
+    # directions, 21 products per k, every k from 10 to 400.
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((7, 400, 6))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    ks = np.arange(10, 401)
+    assert angle_id._CHUNK // 4 < 7 * 400 * 21  # so the default takes several chunks
+    chunked = angle_id._sq_sums(u, ks)
+    monkeypatch.setattr(angle_id, "_CHUNK", 4 * 7 * 400 * 21)
+    assert chunked.tobytes() == angle_id._sq_sums(u, ks).tobytes()
 
 
 class TestRowReductions:

@@ -1,11 +1,18 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import angleid
 from angleid import analysis, angle_id, neighbors, synth
 from angleid.core import ESTIMATOR_TAGS, DataMatrix, InsufficientNeighborsError, write_csv
 from angleid.neighbors import (
@@ -592,3 +599,103 @@ class TestBlockedTables:
         want = analysis.trails(data, [5, 8], "abid", point_subset=range(1, 4))
         assert tm.point_indices == (1, 2, 3)
         assert tm.estimates.tobytes() == want.estimates.tobytes()
+
+
+class TestWorkspace:
+    """Each thread's kNN workspace (``neighbors._workspace``), kept between searches."""
+
+    def test_alternating_rules_and_sizes_in_one_thread_match_full_sort(self):
+        ball = synth.sample_ball(6000, 2, seed=3)  # k = 40 takes the sampled rule
+        # n < 16 (k+1) D: the exact rule, and point 0 has 60 copies.
+        copies = DataMatrix(np.vstack([ball.points[:300], np.repeat(ball.points[:1], 60, axis=0)]))
+        larger = synth.sample_ball(20000, 2, seed=4)
+        smaller = synth.sample_ball(500, 3, seed=5)
+        cases = [(ball, ball.points[::97], 40), (copies, copies.points[[0, 5, 300, 359, 17]], 40),
+                 (larger, larger.points[::501], 40), (smaller, smaller.points[::23], 12)]
+        wants = [_full_sort(*case) for case in cases]
+        for _ in range(2):
+            for case, want in zip(cases, wants):
+                _assert_bitwise(knn_many(*case), want)
+
+    def test_two_threads_searching_different_data_at_once_match_full_sort(self):
+        sampled = synth.sample_ball(3000, 2, seed=6)
+        exact = synth.sample_ball(800, 4, seed=7)
+        cases = [(sampled, sampled.points[::59], 31), (exact, exact.points[::41], 31)]
+        wants = [_full_sort(*case) for case in cases]
+        start = threading.Barrier(2, timeout=30)
+
+        def search(i):
+            start.wait()
+            for _ in range(50):
+                _assert_bitwise(knn_many(*cases[i]), wants[i])
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside searches too
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(search, range(2), timeout=120)) == [0, 1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_search_of_the_same_shape_reuses_the_threads_block(self):
+        data = synth.sample_ball(2000, 3, seed=8)  # k = 10 takes the exact rule
+
+        def buffers(rows):
+            knn_many(data, data.points[:rows], 10)
+            return neighbors._local.block, neighbors._local.mask, neighbors._local.spare
+
+        def run():
+            first = buffers(12)
+            assert [b.size for b in first] == [12 * data.n] * 3
+            assert all(b is a for a, b in zip(first, buffers(12)))
+            assert all(b is a for a, b in zip(first, buffers(3)))  # a smaller block: a prefix
+            assert [b.size for b in buffers(40)] == [40 * data.n] * 3
+
+        def sampled():
+            ball = synth.sample_ball(3000, 2, seed=6)
+            knn_many(ball, ball.points[:5], 31)
+            return hasattr(neighbors._local, "spare")
+
+        # A fresh thread starts without a workspace.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(run).result()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert not pool.submit(sampled).result()  # no copy buffer without an exact cut
+
+
+# One warm round of repeated trails on the 6-D lattice: 4 batches of 10
+# points, ABID and MLE at every k from 10 to 400.
+_FAULT_ROUND = """
+import resource
+import numpy as np
+from angleid import analysis, synth
+data = synth.generate(synth.GeneratorSpec("lattice", seed=1, params={"dims": 6})).matrix
+points = np.random.default_rng(1).choice(data.n, 40, replace=False)
+batches = [sorted(int(p) for p in points[i:i + 10]) for i in range(0, 40, 10)]
+
+def round_():
+    for batch in batches:
+        for tag in ("abid", "mle"):
+            analysis.trails(data, range(10, 401), tag, point_subset=batch)
+
+round_()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+round_()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's heap on Linux")
+def test_repeated_trails_do_not_page_their_arrays_in_again():
+    # Arrays made afresh per search or per Gram chunk were handed back to
+    # the OS when freed and paged in again by the next call: about 3 300
+    # minor faults per round. A fresh interpreter runs the round, because
+    # large blocks freed by earlier tests raise glibc's trim threshold and
+    # would hide that churn in this process.
+    src = str(Path(angleid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_ROUND], capture_output=True, text=True,
+                          env=env, check=True)
+    assert int(proc.stdout) < 100

@@ -210,3 +210,20 @@ class TestGeneratorSpec:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError, match="unknown shape"):
             GeneratorSpec("donut", n=10)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: jittered_lattice(2, jitter_max=v),
+    lambda v: noisy_line(5, length=v),
+    lambda v: noisy_line(5, width_ratio=v),
+    lambda v: offset_disc(5, v, seed=0),
+], ids=["lattice_jitter_max", "line_length", "line_width_ratio", "offset_disc_h"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_are_rejected(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
+
+def test_a_line_whose_width_overflows_is_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        noisy_line(5, length=1e308, width_ratio=10.0)
