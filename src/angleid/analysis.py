@@ -140,28 +140,28 @@ def trails(
     relative, and MLE/MoM with the per-k formulas to 8 k eps.
 
     Points are mapped in blocks by ``angle_id._estimate_many``, the same
-    query map as tables. The k values must be distinct integers, at least
-    the estimator's minimum (``core.MIN_K``; with ``ged_pair`` also at
-    least its k2), ``point_subset`` must be a non-empty collection of
+    query map as tables. The k values and ``ged_pair`` must pass
+    ``_check_k_values``, ``point_subset`` must be a non-empty collection of
     integer point indices and ``threads`` a positive integer; otherwise a
     ValueError is raised before any neighbor search (an index outside
     [0, n) raises an IndexError).
     """
-    (tag,) = angle_id._check_tags([estimator])
-    ks = _check_k_values(k_values, tag, ged_pair)
+    tags = angle_id._check_tags([estimator])
+    ks = _check_k_values(k_values, tags, ged_pair)
     points = (list(range(data.n)) if point_subset is None
               else _check_indices("point_subset", point_subset, data.n))
     if not points:
         raise ValueError("trails require at least one point; point_subset is empty")
-    est, _ = angle_id._estimate_many(data, points, (tag,), ks, ged_pair, threads)
-    return TrailMatrix(tuple(ks), est[tag][0], tag, tuple(points))
+    est, _ = angle_id._estimate_many(data, points, tags, ks, ged_pair, threads)
+    return TrailMatrix(tuple(ks), est[estimator][0], estimator, tuple(points))
 
 
-def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None = None) -> list[int]:
-    """The k values of a trail in ascending order, or a ValueError saying what is wrong.
+def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = None) -> list[int]:
+    """The k values in ascending order, or a ValueError saying what is wrong.
 
-    They must be distinct positive integers, and the smallest must reach
-    the estimator's minimum k (for ``ged`` with ``ged_pair``, also its k2).
+    They must be distinct positive integers; a given ``ged_pair`` must lie
+    in [1, k] for the smallest k whatever the estimators, and that k must
+    reach each estimator's minimum (``core.MIN_K``), in the order given.
     """
     values = list(k_values)
     try:
@@ -174,14 +174,10 @@ def _check_k_values(k_values, estimator: str, ged_pair: tuple[int, int] | None =
         raise ValueError(f"k values must be >= 1, got {ks[0]}")
     if not all(map(operator.lt, ks, ks[1:])):  # sorted: a step that does not rise repeats
         raise ValueError(f"k values must be distinct, got {ks}")
-    need, what = MIN_K[estimator], f"estimator {estimator}"
-    if estimator == "ged" and ged_pair is not None:
-        k1, k2 = ged_pair
-        if not 1 <= k1 < k2:
-            raise ValueError(f"ged_pair needs 1 <= k1 < k2, got ({k1}, {k2})")
-        need, what = max(need, k2), f"estimator ged with ged_pair ({k1}, {k2})"
-    if ks[0] < need:
-        raise ValueError(f"{what} needs k >= {need}, got k = {ks[0]}")
+    angle_id._check_ged_pair(ged_pair, ks[0])
+    for tag in estimators:
+        if ks[0] < MIN_K[tag]:
+            raise ValueError(f"estimator {tag} needs k >= {MIN_K[tag]}, got k = {ks[0]}")
     return ks
 
 
@@ -212,6 +208,8 @@ def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least two pairs")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cannot correlate non-finite values")
     return x, y
 
 

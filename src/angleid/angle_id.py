@@ -48,7 +48,7 @@ from .core import (
     _FLAG_SETS,
 )
 from .neighbors import (DirectionBundle, _block_rows, _check_indices, _check_positive, _directions,
-                        _knn_kernel, direction_bundle, knn)
+                        _integers, _knn_kernel, _resolve_query, direction_bundle, knn)
 
 __all__ = [
     "CosineSquareStats",
@@ -106,9 +106,12 @@ _CHUNK = 1 << 16
 def _estimate_rows(k_max: int, dim: int, tags, need_u: bool) -> int:
     """Query rows per call of the estimation core for neighborhoods of up to ``k_max``.
 
-    The largest temporary per row is the (k_max, D(D+1)/2) running sum of
-    outer products for ABID/RABID, else the (k_max, D) directions, else
-    a (k_max,) distance row.
+    The divisor is the largest array per row, the (k_max, D) directions
+    or else a (k_max,) distance row, except with ABID/RABID: there it is
+    the k_max * D(D+1)/2 outer-product sums, which ``_outer_sums`` builds
+    in k chunks. Those smaller blocks let the heap reuse their arrays:
+    sized by the directions, repeated 6-D lattice trails paged in about
+    850 pages per round instead of 1 (the 8-D lattice table ran faster).
     """
     if any(t in ANGLE_TAGS for t in tags):
         width = dim * (dim + 1) // 2
@@ -229,7 +232,7 @@ def _estimate(tag: str, values: np.ndarray, flags: np.ndarray, k: int) -> IdEsti
 def _from_stats(tag: str, stats: CosineSquareStats) -> IdEstimate:
     """An angle-based estimate from the statistics, with the core's arithmetic (``_angle``)."""
     k = stats.k
-    _check_ks((tag,), np.array([k]), None)
+    _check_ks((tag,), [k], None)
     off = np.array([[stats.off_diag_sq_sum]])
     return _estimate(tag, *_angle(tag, off, np.array([float(k)])), k)
 
@@ -361,12 +364,10 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     equal, d_0 == d_{k-1}, and that is the degeneracy rule. GED reads two
     distances per k. The sums run in index order and ``log1p`` is
     elementwise (a test pins both), so a row's values do not depend on the
-    block it came in, nor on the other k values. A k below an
-    estimator's minimum raises InsufficientNeighborsError, and a GED pair
-    outside [1, k] a ValueError, before anything is computed.
+    block it came in, nor on the other k values. The callers check ``ks``
+    and ``ged_pair`` (``_check_ks``).
     """
     ks = np.asarray(ks, dtype=np.int64)
-    _check_ks(tags, ks, ged_pair)
     kf = ks.astype(np.float64)
     if any(t in ANGLE_TAGS for t in tags):
         off = _off_diag(_sq_sums(u, ks), kf)
@@ -396,13 +397,26 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     return out
 
 
-def _check_ks(tags, ks: np.ndarray, ged_pair, point=None) -> None:
-    """Errors for a k below an estimator's minimum (for ``point``) or a GED pair outside [1, k]."""
+def _check_ks(tags, ks, ged_pair, point=None) -> None:
+    """Errors for a GED pair or an estimator's minimum (for ``point``) at the smallest of ``ks``."""
+    _check_ged_pair(ged_pair, ks[0])
     for tag in tags:
         if ks[0] < MIN_K[tag]:
             raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]), point)
-        if tag == "ged" and ged_pair is not None and not 1 <= ged_pair[0] < ged_pair[1] <= ks[0]:
-            raise ValueError(f"need 1 <= k1 < k2 <= {ks[0]}, got ({ged_pair[0]}, {ged_pair[1]})")
+
+
+def _check_ged_pair(pair, k: int) -> None:
+    """A ValueError unless ``pair`` is None or two integers 1 <= k1 < k2 <= k."""
+    if pair is None:
+        return
+    try:
+        k1, k2 = _integers(list(pair))
+    except (TypeError, ValueError):  # not integers, not iterable, or not two
+        raise ValueError(f"ged_pair must be two integers, got {pair!r}") from None
+    if not 1 <= k1 < k2:
+        raise ValueError(f"ged_pair needs 1 <= k1 < k2, got ({k1}, {k2})")
+    if k2 > k:
+        raise ValueError(f"ged_pair ({k1}, {k2}) needs k >= {k2}, got k = {k}")
 
 
 def _angle(tag: str, off: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,9 +470,12 @@ def estimate_point(
 
     All estimators see the identical NeighborList, so mixed angle/distance
     comparisons are apples to apples. ``query`` is a point index or an
-    explicit coordinate vector.
+    explicit coordinate vector. The arguments are checked before the
+    search, as by ``estimate_table``; an error names the query index.
     """
     tags = _check_tags(estimators)
+    k = _check_positive("k", k)
+    _check_ks(tags, [k], ged_pair, _resolve_query(data, query)[1])
     nl = knn(data, query, k)
     angle = any(t in ANGLE_TAGS for t in tags)
     u = direction_bundle(data, query, nl).directions[None] if angle else None
@@ -481,10 +498,12 @@ def estimate_table(
     ``queries`` defaults to every point index. Work is an independent map
     over blocks of queries (``_estimate_many``); ``threads`` only sets the
     parallel width and never changes results or row order. A ``k`` or
-    ``threads`` below 1, or a query that is not an integer (a float, a
-    numpy float or bool), raises a ValueError, and a query outside
-    [0, n) an IndexError, before any search. One NeighborhoodSizeWarning
-    is issued per row whose angle-based estimate exceeds k - 2.
+    ``threads`` below 1, a query that is not an integer (a float, a
+    numpy float or bool) or a ``ged_pair`` outside [1, k] raises a
+    ValueError, a query outside [0, n) an IndexError, and a k below an
+    estimator's minimum InsufficientNeighborsError for the first query,
+    before any search. One NeighborhoodSizeWarning is issued per row
+    whose angle-based estimate exceeds k - 2.
     """
     tags = _check_tags(estimators)
     k = _check_positive("k", k)
@@ -492,6 +511,7 @@ def estimate_table(
                   else _check_indices("queries", queries, data.n))
     if not query_list:
         raise ValueError("EstimateTable requires at least one row")
+    _check_ks(tags, [k], ged_pair, query_list[0])
     est, mean_cosines = _estimate_many(data, query_list, tags, [k], ged_pair, threads,
                                        with_diagnostics)
     values = {t: v[:, 0] for t, (v, _) in est.items()}
@@ -505,9 +525,9 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     """Every estimator of ``tags`` at every k of ``ks`` for each query index.
 
     The one query map behind tables and trails; the callers check the
-    indices (``neighbors._check_indices``). Returns ``{tag: (values,
-    flags)}`` with (Q, len(ks)) arrays, as ``_estimates`` does, and the
-    (Q,) mean cosines at the largest k (None without ``with_diagnostics``).
+    queries, ``ks`` and ``ged_pair``. Returns ``{tag: (values, flags)}``
+    with (Q, len(ks)) arrays, as ``_estimates`` does, and the (Q,) mean
+    cosines at the largest k (None without ``with_diagnostics``).
 
     The queries are cut into blocks of ``_estimate_rows`` rows, rounded
     down to whole kernel blocks (``neighbors._block_rows``) where that
@@ -517,14 +537,12 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     17 % slower at threads=2 on a 2-core host (3-row blocks, 2 + 1 kernel rows).
     Each block is one kernel search, then ``_directions`` and
     ``_estimates``; with ``threads > 1`` the blocks run in a thread pool.
-    No result depends on the block size. Errors come in query order: a k
-    below an estimator's minimum names the first query before any search;
-    a neighbor shortage names the first short query, as the kernel reports
-    a block's first short row and the blocks are collected in order.
+    No result depends on the block size. A neighbor shortage names the
+    first short query, as the kernel reports a block's first short row
+    and the blocks are collected in order.
     """
     threads = _check_positive("threads", threads)
     ks = np.asarray(ks, dtype=np.int64)
-    _check_ks(tags, ks, ged_pair, queries[0])
     k_max = int(ks[-1])
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
     search = _knn_kernel(data, k_max)

@@ -10,7 +10,7 @@ under rescaling of the data.
 from __future__ import annotations
 
 from .core import IdEstimate
-from .angle_id import _estimate, _estimates
+from .angle_id import _check_ks, _estimate, _estimates
 from .neighbors import NeighborList
 
 __all__ = ["mle_hill", "mom", "ged"]
@@ -18,6 +18,7 @@ __all__ = ["mle_hill", "mom", "ged"]
 
 def _one(tag: str, nl: NeighborList, pair=None) -> IdEstimate:
     """One estimate on one neighbor list, through the estimation core with B = 1."""
+    _check_ks((tag,), [nl.k], pair, nl.query_index)
     est = _estimates(None, nl.distances[None], (tag,), [nl.k], pair)[tag]
     return _estimate(tag, *est, nl.k)
 

@@ -68,18 +68,20 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--shape", required=True, choices=synth.SHAPES)
     gen.add_argument("--n", type=int, help="point count (shapes with a free size)")
     gen.add_argument("--d", type=int, help="dimension for ball/sphere/gaussian")
-    gen.add_argument("--depth", type=int, default=6, help="koch recursion depth")
-    gen.add_argument("--dims", type=int, default=8, help="lattice dimensions")
-    gen.add_argument("--jitter-max", type=float, default=synth.LATTICE_JITTER_MAX)
-    gen.add_argument("--levels", type=str, default=None,
-                     help="comma-separated lattice levels (default 0,1/3,2/3,1)")
-    gen.add_argument("--max-dim", type=int, default=5, help="largest nested cube")
-    gen.add_argument("--n-per-cube", type=int, default=5000)
-    gen.add_argument("--rotate", action="store_true",
+    # Shape parameters, under synth's names: an option not given is left
+    # to synth's default, and one the shape does not take is ignored.
+    gen.add_argument("--depth", type=int, help="koch recursion depth (default 6)")
+    gen.add_argument("--dims", type=int, help="lattice dimensions (default 8)")
+    gen.add_argument("--jitter-max", type=float, help="lattice jitter (default 1/3)")
+    gen.add_argument("--levels", help="comma-separated lattice levels (default 0,1/3,2/3,1)")
+    gen.add_argument("--max-dim", type=int, help="largest nested cube (default 5)")
+    gen.add_argument("--n-per-cube", type=int, help="points per nested cube (default 5000)")
+    gen.add_argument("--rotate", action="store_true", default=None,
                      help="apply one random global rotation (nested_cubes)")
-    gen.add_argument("--offset", type=float, default=0.0, help="query offset h (offset_disc)")
-    gen.add_argument("--length", type=float, default=1.0, help="segment length (line)")
-    gen.add_argument("--width-ratio", type=float, default=0.04, help="line width / length")
+    gen.add_argument("--offset", type=float, dest="h",
+                     help="query offset h (offset_disc, default 0)")
+    gen.add_argument("--length", type=float, help="segment length (line, default 1)")
+    gen.add_argument("--width-ratio", type=float, help="line width / length (default 0.04)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
@@ -178,8 +180,8 @@ def _subsample(n: int, count: int | None, seed: int) -> list[int] | None:
 
 
 def cmd_generate(args) -> int:
-    spec = _spec_from_args(args)
     try:
+        spec = _spec_from_args(args)
         out = synth.generate(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -197,43 +199,15 @@ def cmd_generate(args) -> int:
 
 
 def _spec_from_args(args) -> synth.GeneratorSpec:
-    shape = args.shape
-    params: dict = {}
-    needs_n = shape in ("ball", "sphere", "gaussian", "koch", "offset_disc", "line")
-    if needs_n and (args.n is None or args.n < 1):
-        raise UsageError(f"shape {shape!r} requires --n >= 1")
-    if shape in ("ball", "sphere", "gaussian"):
-        if args.d is None or args.d < 1:
-            raise UsageError(f"shape {shape!r} requires --d >= 1")
-        params["d"] = args.d
-    elif shape == "koch":
-        if args.depth < 0:
-            raise UsageError("--depth must be >= 0")
-        params["depth"] = args.depth
-    elif shape == "lattice":
-        if args.levels is not None:
-            params["levels"] = _parse_floats(args.levels, "--levels")
-        params["dims"] = args.dims
-        params["jitter_max"] = args.jitter_max
-    elif shape == "nested_cubes":
-        params.update(max_dim=args.max_dim, n_per_cube=args.n_per_cube, rotate=args.rotate)
-    elif shape == "offset_disc":
-        params["h"] = args.offset
-    elif shape == "line":
-        params.update(length=args.length, width_ratio=args.width_ratio)
-    try:
-        return synth.GeneratorSpec(shape=shape, n=args.n, seed=args.seed, params=params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """The spec of the given shape options; ``synth.generate`` checks them."""
+    params = {name: value for name, value in vars(args).items() if value is not None
+              and name not in ("command", "func", "shape", "n", "seed", "output")}
+    if "levels" in params:
+        params["levels"] = _parse_floats(params["levels"], "--levels")
+    return synth.GeneratorSpec(shape=args.shape, n=args.n, seed=args.seed, params=params)
 
 
 def cmd_estimate(args) -> int:
-    try:
-        tags = angle_id._check_tags(t.strip() for t in args.estimators.split(",") if t.strip())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     _check_threads(args)
     _check_seed("--subsample-seed", args.subsample_seed)
     _check_delimiter(args)
@@ -243,13 +217,11 @@ def cmd_estimate(args) -> int:
         if len(pair) != 2 or not all(v.is_integer() for v in pair):
             raise UsageError(f"--ged-pair expects two integers k1,k2, got {args.ged_pair!r}")
         ged_pair = (int(pair[0]), int(pair[1]))
-        if not 1 <= ged_pair[0] < ged_pair[1] <= args.k:
-            raise UsageError(f"--ged-pair needs 1 <= k1 < k2 <= k={args.k}, got {args.ged_pair!r}")
-    for tag in tags:
-        try:
-            analysis._check_k_values([args.k], tag, ged_pair)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    try:
+        tags = angle_id._check_tags(t.strip() for t in args.estimators.split(",") if t.strip())
+        analysis._check_k_values([args.k], tags, ged_pair)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     data = _load_data(args)
     queries = _subsample(data.n, args.points, args.subsample_seed)
     table = angle_id.estimate_table(
@@ -309,11 +281,11 @@ def cmd_trails(args) -> int:
     else:
         if None in (args.k_min, args.k_max, args.k_step):
             raise UsageError("need --k-values or all of --k-min/--k-max/--k-step")
-        if args.k_step < 1 or args.k_min < 1 or args.k_max < args.k_min:
-            raise UsageError("invalid k range")
+        if args.k_step < 1:
+            raise UsageError(f"--k-step must be >= 1, got {args.k_step}")
         ks = list(range(args.k_min, args.k_max + 1, args.k_step))
     try:
-        ks = analysis._check_k_values(ks, args.estimator)
+        ks = analysis._check_k_values(ks, [args.estimator])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_threads(args)

@@ -290,6 +290,8 @@ def _write_csv(path, rows: np.ndarray, delimiter: str, header=None) -> None:
     as integers. The str cells of an object array are written as they are.
     Lines end in LF. Each chunk of rows is formatted by one %-format.
     """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header is not None:
             fh.write(delimiter.join(header) + "\n")
@@ -312,6 +314,8 @@ def _read_csv(path, delimiter: str, skip_header: bool = False, column: str | Non
     1-based line of a ragged row or of a non-numeric or non-finite field,
     and for a file without data lines.
     """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
     blocks, width, start, step, lineno = [], None, 0, 1, 1
     with open(path, encoding="utf-8") as fh:
         if skip_header or column is not None:

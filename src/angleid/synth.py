@@ -233,15 +233,20 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> Generated:
-    """Materialize a GeneratorSpec; identical specs give bit-identical data."""
+    """Materialize a GeneratorSpec; identical specs give bit-identical data.
+
+    A missing n or d, or a value out of range, raises a ValueError;
+    parameters the shape does not take are ignored.
+    """
     p = spec.params
     shape, n, seed = spec.shape, spec.n, spec.seed
-    if shape == "ball":
-        return Generated(sample_ball(n, p["d"], seed))
-    if shape == "sphere":
-        return Generated(sample_sphere(n, p["d"], seed))
-    if shape == "gaussian":
-        return Generated(sample_gaussian(n, p["d"], seed))
+    if n is None and shape not in ("lattice", "nested_cubes"):
+        raise ValueError(f"shape {shape!r} needs n")
+    clouds = {"ball": sample_ball, "sphere": sample_sphere, "gaussian": sample_gaussian}
+    if shape in clouds:
+        if "d" not in p:
+            raise ValueError(f"shape {shape!r} needs d")
+        return Generated(clouds[shape](n, p["d"], seed))
     if shape == "koch":
         return Generated(koch_snowflake(p.get("depth", 6), n, seed))
     if shape == "lattice":

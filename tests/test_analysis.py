@@ -244,6 +244,16 @@ class TestTrailKValues:
         with pytest.raises(ValueError, match="ged_pair needs 1 <= k1 < k2"):
             trails(data, [10, 30], "ged", ged_pair=(20, 5))
 
+    @pytest.mark.parametrize("tag", ["abid", "mle"])
+    def test_a_bad_ged_pair_fails_before_any_search_whatever_the_estimator(self, monkeypatch,
+                                                                          tag):
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+        data = sample_ball(300, 3, seed=1)
+        with pytest.raises(ValueError, match=r"^ged_pair needs 1 <= k1 < k2, got \(5, 3\)$"):
+            trails(data, [10, 30], tag, ged_pair=(5, 3))
+        with pytest.raises(ValueError, match=r"^ged_pair \(5, 20\) needs k >= 20, got k = 10$"):
+            trails(data, [10, 30], tag, ged_pair=(5, 20))
+
     def test_empty_point_subset_or_bad_threads_fail_before_any_search(self, monkeypatch):
         monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         data = sample_ball(300, 3, seed=1)
@@ -289,6 +299,14 @@ class TestCorrelations:
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateInputError):
             spearman([1.0, 2.0], [5.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [pearson, spearman])
+    def test_non_finite_values_are_rejected(self, fn, bad):
+        good = [1.0, 2.0, 4.0]
+        for a, b in (([1.0, bad, 3.0], good), (good, [1.0, bad, 3.0])):
+            with pytest.raises(ValueError, match="^cannot correlate non-finite values$"):
+                fn(a, b)
 
     def test_length_checks(self):
         with pytest.raises(ValueError):

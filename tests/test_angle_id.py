@@ -399,6 +399,43 @@ class TestEstimatePoint:
         with pytest.warns(NeighborhoodSizeWarning):
             estimate_point(data, 0, 4)
 
+    @pytest.mark.parametrize("query, point", [(7, 7), (np.int64(7), 7), ([0.1, 0.2], None)])
+    @pytest.mark.parametrize("tags, k, need", [
+        (("abid", "rabid"), 1, 2),
+        (("mle",), 1, 2),
+        (("abid", "ged"), 3, 4),
+    ])
+    def test_k_below_an_estimator_minimum_fails_before_the_search(
+            self, monkeypatch, query, point, tags, k, need):
+        monkeypatch.setattr(angle_id, "knn", _no_search)
+        with pytest.raises(InsufficientNeighborsError) as exc:
+            estimate_point(sample_ball(50, 2, seed=1), query, k, estimators=tags)
+        assert (exc.value.required, exc.value.available, exc.value.point) == (need, k, point)
+        if point is not None:
+            assert f"for point {point}," in str(exc.value)
+
+    @pytest.mark.parametrize("tags", [("ged",), ("abid",), ("rabid", "mle", "mom")])
+    @pytest.mark.parametrize("pair, match", [
+        ((5, 3), r"^ged_pair needs 1 <= k1 < k2, got \(5, 3\)$"),
+        ((0, 3), r"^ged_pair needs 1 <= k1 < k2, got \(0, 3\)$"),
+        ((2, 11), r"^ged_pair \(2, 11\) needs k >= 11, got k = 10$"),
+    ])
+    def test_a_bad_ged_pair_fails_before_the_search_whatever_the_estimators(
+            self, monkeypatch, tags, pair, match):
+        monkeypatch.setattr(angle_id, "knn", _no_search)
+        with pytest.raises(ValueError, match=match):
+            estimate_point(sample_ball(50, 2, seed=1), 7, 10, estimators=tags, ged_pair=pair)
+
+    def test_bad_k_fails_before_the_search(self, monkeypatch):
+        monkeypatch.setattr(angle_id, "knn", _no_search)
+        for k in (0, 2.5, True):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                estimate_point(sample_ball(50, 2, seed=1), 7, k)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a neighbor search ran")
+
 
 class TestEstimateTable:
     def test_shape_and_determinism_across_threads(self):
@@ -424,6 +461,12 @@ class TestEstimateTable:
         ({"k": True}, "k must be a positive integer, got True"),
         ({"k": np.True_}, "k must be a positive integer, got np.True_"),
         ({"k": 5, "threads": True}, "threads must be a positive integer, got True"),
+        ({"k": 5, "ged_pair": (5, 3)}, r"ged_pair needs 1 <= k1 < k2, got \(5, 3\)"),
+        ({"k": 5, "ged_pair": (2, 8)}, r"ged_pair \(2, 8\) needs k >= 8, got k = 5"),
+        ({"k": 5, "ged_pair": (2.5, 4)}, r"ged_pair must be two integers, got \(2.5, 4\)"),
+        ({"k": 5, "ged_pair": (True, 4)}, r"ged_pair must be two integers, got \(True, 4\)"),
+        ({"k": 5, "ged_pair": (1, 2, 3)}, r"ged_pair must be two integers, got \(1, 2, 3\)"),
+        ({"k": 5, "ged_pair": 4}, "ged_pair must be two integers, got 4"),
     ])
     def test_bad_k_or_threads_fail_before_any_search(self, monkeypatch, kwargs, match):
         def no_search(*args, **kw):

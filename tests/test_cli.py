@@ -75,6 +75,22 @@ class TestGenerate:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    def test_shape_options_left_out_take_the_generator_defaults(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("generate", "--shape", "koch", "--n", 10, "-o", a) == 0
+        assert run("generate", "--shape", "koch", "--n", 10, "--depth", 6, "-o", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (("--shape", "ball", "--n", 10), "shape 'ball' needs d"),
+        (("--shape", "gaussian", "--d", 2), "shape 'gaussian' needs n"),
+        (("--shape", "koch", "--depth", 3), "shape 'koch' needs n"),
+    ])
+    def test_a_missing_size_is_a_usage_error(self, tmp_path, capsys, args, message):
+        assert run("generate", *args, "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_shape_is_usage_error(self, tmp_path):
         assert run("generate", "--shape", "donut", "--n", 10, "-o", tmp_path / "x.csv") == 1
 
@@ -123,6 +139,8 @@ class TestEstimate:
         ("--estimators", "ged", "--ged-pair", "2,4,6"),
         ("--points", 0),
         ("--points", 2, "--subsample-seed", -1),
+        ("--estimators", "abid", "--ged-pair", "5,3"),
+        ("--estimators", "abid,mle", "--ged-pair", "2,11"),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, ball_csv, capsys, args):
         assert run("estimate", "--input", ball_csv, "--k", 10, *args,
@@ -311,6 +329,10 @@ class TestTrailsCommand:
         ("--k-values", "10.5,20"),
         ("--k-values", "3,8", "--estimator", "ged"),
         ("--k-min", 1, "--k-max", 5, "--k-step", 1, "--estimator", "rabid"),
+        ("--k-min", 5, "--k-max", 10, "--k-step", 0),
+        ("--k-min", 5, "--k-max", 10, "--k-step", -1),
+        ("--k-min", 10, "--k-max", 5, "--k-step", 1),
+        ("--k-min", 0, "--k-max", 5, "--k-step", 1),
     ])
     def test_bad_k_values_are_usage_errors(self, tmp_path, ball_csv, capsys, args):
         assert run("trails", "--input", ball_csv, *args, "-o", tmp_path / "t.csv") == 1

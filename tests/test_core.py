@@ -91,6 +91,11 @@ class TestLoadCsv:
         m = load_csv(_write(tmp_path, "a,b\n1,2\n"), skip_header=True)
         assert (m.n, m.dim) == (1, 2)
 
+    def test_an_empty_delimiter_is_rejected_before_the_file_is_opened(self, tmp_path):
+        # The file does not exist: an OSError would mean it was opened first.
+        with pytest.raises(ValueError, match="^delimiter must not be empty$"):
+            load_csv(tmp_path / "missing.csv", delimiter="")
+
     def test_custom_delimiter(self, tmp_path):
         m = load_csv(_write(tmp_path, "1;2\n3;4\n"), delimiter=";")
         assert m.points[1, 1] == 4.0
@@ -162,6 +167,17 @@ class TestWriteCsv:
     def test_unsupported_type(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv([1, 2, 3], tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("write, obj", [
+        (write_csv, DataMatrix([[1.0, 2.0]])),
+        (write_histogram_csv, Histogram(0.5, 0.0, {0: 2, 3: 1}, 3)),
+        (write_trails_csv, TrailMatrix((2, 3), [[1.5, 1.25]], "abid", (0,))),
+    ])
+    def test_an_empty_delimiter_is_rejected_before_the_file_is_opened(self, tmp_path, write, obj):
+        p = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="^delimiter must not be empty$"):
+            write(obj, p, delimiter="")
+        assert not p.exists()
 
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError) as exc:
