@@ -48,7 +48,8 @@ from .core import (
     _FLAG_SETS,
 )
 from .neighbors import (DirectionBundle, _block_rows, _check_indices, _check_positive, _directions,
-                        _integers, _knn_kernel, _resolve_query, direction_bundle, knn)
+                        _gather, _integers, _knn_kernel, _resolve_query, _workspace,
+                        direction_bundle, knn)
 
 __all__ = [
     "CosineSquareStats",
@@ -93,31 +94,23 @@ class CosineSquareStats:
         return self.off_diag_sq_sum / (self.k * self.k - self.k)
 
 
-# Elements of the largest temporary array the estimation core builds at
-# once (512 KiB): it sets the query rows of an estimation block
-# (``_estimate_rows``). Larger blocks were no faster on the benchmark's
-# workloads and raise the peak memory. ``_outer_sums`` walks k in chunks
-# of a quarter of it (128 KiB) or less: allocations that size are reused
-# from the heap, where whole-block temporaries were handed back to the OS
-# when freed and paged in again by the next block.
+# Elements of the largest array the estimation core builds per block
+# (512 KiB): the query rows of an estimation block (``_estimate_rows``) are
+# sized by it. Larger blocks were no faster on the benchmark's workloads
+# and raise the peak memory. ``_outer_sums`` walks k in chunks of a quarter
+# of it (128 KiB) or less. The per-block arrays of that size live in the
+# thread's workspace (``neighbors._workspace``), so no block pages them in
+# again.
 _CHUNK = 1 << 16
 
 
-def _estimate_rows(k_max: int, dim: int, tags, need_u: bool) -> int:
+def _estimate_rows(k_max: int, dim: int, need_u: bool) -> int:
     """Query rows per call of the estimation core for neighborhoods of up to ``k_max``.
 
-    The divisor is the largest array per row, the (k_max, D) directions
-    or else a (k_max,) distance row, except with ABID/RABID: there it is
-    the k_max * D(D+1)/2 outer-product sums, which ``_outer_sums`` builds
-    in k chunks. Those smaller blocks let the heap reuse their arrays:
-    sized by the directions, repeated 6-D lattice trails paged in about
-    850 pages per round instead of 1 (the 8-D lattice table ran faster).
+    The divisor is the largest array per row: the (k_max, D) directions,
+    or without them a (k_max,) distance row.
     """
-    if any(t in ANGLE_TAGS for t in tags):
-        width = dim * (dim + 1) // 2
-    else:
-        width = dim if need_u else 1
-    return max(1, _CHUNK // (k_max * width))
+    return max(1, _CHUNK // (k_max * (dim if need_u else 1)))
 
 
 def _sq_sums(u: np.ndarray, ks) -> np.ndarray:
@@ -147,8 +140,8 @@ def _sq_sums(u: np.ndarray, ks) -> np.ndarray:
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, added in index order whatever the shape."""
-    return np.cumsum(x, axis=-1)[..., -1]
+    """Sums along the last axis, added in index order whatever the shape; ``x`` is overwritten."""
+    return np.cumsum(x, axis=-1, out=x)[..., -1]
 
 
 def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -161,14 +154,14 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     total = None
     for lo in range(0, k_max, step):
         v = u[:, lo:min(lo + step, k_max)]
-        c = v.take(a, 2)
-        c *= v.take(b, 2)
+        c = _gather(v, a, 2, "products")
+        c *= _gather(v, b, 2, "products_b")
         if total is not None:
             c[:, 0] += total
         np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
-        total = c[:, -1].copy()  # not a view: this chunk is freed before the next is made
+        total = c[:, -1].copy()  # not a view: the next chunk overwrites this buffer
         j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
-        sel = c.take(ks[j0:j1] - lo - 1, 1)
+        sel = _gather(c, ks[j0:j1] - lo - 1, 1, "selected")
         sel *= sel
         sel *= weight
         out[:, j0:j1] = _row_sums(sel)
@@ -373,7 +366,10 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
         off = _off_diag(_sq_sums(u, ks), kf)
     if "mle" in tags or "mom" in tags:
         d = d[:, :ks[-1]]
-        rise = d[:, 1:] - d[:, :-1]  # column j - 1 holds d_j - d_{j-1} >= 0
+        # Column j - 1 holds d_j - d_{j-1} >= 0. The (B, k_max) arrays live
+        # in the thread's workspace: with distance estimators alone they
+        # are the block's largest.
+        rise = np.subtract(d[:, 1:], d[:, :-1], out=_workspace("rise", (len(d), ks[-1] - 1)))
         weights = np.arange(1.0, ks[-1])
         equal = d[:, :1] == d[:, ks - 1]
     out = {}
@@ -382,11 +378,16 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
             if tag in ANGLE_TAGS:
                 out[tag] = _angle(tag, off, kf)
             elif tag == "mle":
-                g = np.cumsum(weights * np.log1p(rise / d[:, :-1]), axis=1)[:, ks - 2]
-                out[tag] = _degenerate((kf - 1.0) / g, equal, kf)
+                terms = _workspace("terms", rise.shape)
+                np.log1p(np.divide(rise, d[:, :-1], out=terms), out=terms)
+                terms *= weights
+                g = np.cumsum(terms, axis=1, out=terms)[:, ks - 2]
+                out[tag] = _degenerate(np.divide(kf - 1.0, g, out=g), equal, kf)
             elif tag == "mom":
-                g = np.cumsum(rise * weights, axis=1)[:, ks - 2]
-                out[tag] = _degenerate(np.cumsum(d, axis=1)[:, ks - 1] / g, equal, kf)
+                total = np.cumsum(d, axis=1, out=_workspace("terms", d.shape))[:, ks - 1]
+                terms = _workspace("terms", rise.shape)
+                g = np.cumsum(np.multiply(rise, weights, out=terms), axis=1, out=terms)[:, ks - 2]
+                out[tag] = _degenerate(np.divide(total, g, out=total), equal, kf)
             else:
                 if ged_pair is None:
                     k1, k2 = (ks + 1) // 2, ks
@@ -430,16 +431,19 @@ def _angle(tag: str, off: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _off_diag(sq_sums: np.ndarray, kf: np.ndarray) -> np.ndarray:
-    """S(k) without its k diagonal ones, roundoff clamped into [0, k**2 - k]."""
-    return np.minimum(np.maximum(sq_sums - kf, 0.0), kf * kf - kf)
+    """S(k) without its k diagonal ones, roundoff clamped into [0, k**2 - k], in place of ``sq_sums``."""
+    off = np.subtract(sq_sums, kf, out=sq_sums)
+    return np.minimum(np.maximum(off, 0.0, out=off), kf * kf - kf, out=off)
 
 
 def _degenerate(value: np.ndarray, zero: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and flags of a distance estimator: k and the degeneracy flag where ``zero``.
 
-    ``zero`` marks a zero denominator, an infinite estimate.
+    ``zero`` marks a zero denominator, an infinite estimate. ``value`` is
+    overwritten.
     """
-    return np.where(zero, kf, value), zero * _DEGENERATE
+    np.copyto(value, kf, where=zero)
+    return value, zero * _DEGENERATE
 
 
 def _warn_small(values: dict[str, np.ndarray], k: int) -> None:
@@ -536,7 +540,9 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     whole one: without the rounding, the 8-D lattice table at k = 500 ran
     17 % slower at threads=2 on a 2-core host (3-row blocks, 2 + 1 kernel rows).
     Each block is one kernel search, then ``_directions`` and
-    ``_estimates``; with ``threads > 1`` the blocks run in a thread pool.
+    ``_estimates``, whose per-block arrays are the calling thread's
+    workspace buffers (``neighbors._workspace``); only the results are
+    made afresh. With ``threads > 1`` the blocks run in a thread pool.
     No result depends on the block size. A neighbor shortage names the
     first short query, as the kernel reports a block's first short row
     and the blocks are collected in order.
@@ -546,7 +552,7 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     k_max = int(ks[-1])
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
     search = _knn_kernel(data, k_max)
-    rows, knn_rows = _estimate_rows(k_max, data.dim, tags, need_u), _block_rows(data.n)
+    rows, knn_rows = _estimate_rows(k_max, data.dim, need_u), _block_rows(data.n)
     if rows > knn_rows:
         rows -= rows % knn_rows
     rows = min(rows, -(-len(queries) // threads))
@@ -554,11 +560,12 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
 
     def work(block: list[int]):
         q = points[block]
+        shape = (len(block), k_max)
         try:
-            idx, dist = search(q)
+            idx, dist = search(q, (_workspace("idx", shape, np.int64), _workspace("dist", shape)))
         except InsufficientNeighborsError as exc:
             raise InsufficientNeighborsError(k_max, exc.available, point=block[exc.point]) from None
-        u = _directions(points, q, idx, dist) if need_u else None
+        u = _directions(points, q, idx, dist, reuse=True) if need_u else None
         return _estimates(u, dist, tags, ks, ged_pair), (_mean_cosines(u) if with_diagnostics else None)
 
     blocks = [queries[lo:lo + rows] for lo in range(0, len(queries), rows)]

@@ -90,9 +90,16 @@ class DataMatrix:
     """n points in D-dimensional real space, immutable after construction.
 
     Row order defines the point index; all reported results key on it.
+
+    The first neighbor search on a matrix builds its kNN screen (see
+    ``neighbors._screen``): a read-only (D+2, n) float64 array, (D+2)/D
+    times the size of the points, with its center and largest squared
+    norm. The matrix keeps it for its lifetime, so every later search
+    reuses it; ``dataclasses.replace`` gives a matrix without one.
     """
 
     points: np.ndarray
+    _screen: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64, copy=True)

@@ -7,17 +7,20 @@ by ascending point index, so knn(k) is a prefix of knn(k+1).
 Every k-nearest-neighbor search goes through one blocked kernel,
 ``_knn_kernel``: ``knn`` and ``knn_many`` call it, and so does the query
 map behind tables and trails (``angle_id._estimate_many``). It screens a
-block of queries against all points with one matrix product into a buffer
-reused for the whole search (the expansion |x|^2 - 2 x.y + |y|^2, on
-coordinates centered at the points' mean), keeps every point that a
-rounding bound cannot rule out, and re-ranks those candidates with the
-same difference-based distances and (distance, index) order as a full
-sort of all n distances. Each row gets one cut, and a block's candidates
-are collected once, from that per-row cut. The re-rank puts each row's
-candidate distances, in ascending index order, into one row of a padded
-(B, widest row) array and sorts every row on its own with one stable
-``argsort`` along the rows, so no row's order depends on the other rows
-of its block. Each row's cut comes from one of two rules:
+block of queries against all points with one matrix product (the
+expansion |x|^2 - 2 x.y + |y|^2, on coordinates centered at the points'
+mean), keeps every point that a rounding bound cannot rule out, and
+re-ranks those candidates with the same difference-based distances and
+(distance, index) order as a full sort of all n distances. The (D+2, n)
+screen matrix, its center and largest squared norm are built by the first
+search of a DataMatrix and kept in it (``_screen``), so ``knn`` per point,
+``estimate_point``, tables and trails never build them again. Each row
+gets one cut, and a block's candidates are collected once, from that
+per-row cut. The re-rank puts each row's candidate distances, in
+ascending index order, into one row of a padded (B, widest row) array and
+sorts every row on its own with one stable ``argsort`` along the rows, so
+no row's order depends on the other rows of its block. Each row's cut
+comes from one of two rules:
 
 - sampled, where 2(k+1) >= 64 and n >= 16 (k+1) D: the 32nd smallest of
   every s-th screened value, s = floor(2(k+1) / 32), so about 2(k+1)
@@ -32,18 +35,20 @@ so the neighbor lists are bitwise those of the full sort for any block
 size, thread count or rule. The full sort itself remains for
 ``radius_neighbors``.
 
-Each thread keeps one workspace for all its searches (``_workspace``): the
-screen block, its mask and the exact cut's copy buffer, at most about 17
-bytes per entry of the largest (B, n) block it has searched, so 2.1 MiB
-for n <= 131 072 under the 1 MiB block budget. With glibc's malloc,
-arrays of that size made afresh per search went back to the OS when
-freed, and every search paged them in again: with the estimation core's
-temporaries, that was about a third of the time of repeated trails on
-the 6-D lattice.
+Each thread keeps one workspace (``_workspace``) for the per-block arrays
+of all its searches and estimation blocks: the screen block and its
+copies, the re-rank's gathers and padded rows, and the estimation core's
+neighbor lists, directions, Gram chunks and distance increments. With
+glibc's malloc, arrays of 128 KiB or more made afresh per block can go
+back to the OS when freed, and the next block pages them in again; how
+often depends on thresholds that glibc adjusts as the process runs. For
+repeated trails on the 6-D lattice that churn, with a screen matrix built
+per call, cost about a third of the time.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -159,23 +164,45 @@ def _block_rows(n: int) -> int:
 
 
 _local = threading.local()
+_screen_lock = threading.Lock()
 
 
-def _workspace(name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """This thread's buffer ``name``, viewed as an uninitialized ``shape`` array.
 
-    Every search of the thread reuses it; it is replaced only when a larger
-    one is needed, and freed when the thread ends. The exact cut's copy
-    buffer is made on its first use, so sampled searches hold only the
-    block and its mask. Searches write every entry before reading it, so
-    no result depends on what a buffer held before.
+    Every later call of the thread reuses it, a smaller shape as a prefix;
+    it is replaced only when a larger one is needed, and freed when the
+    thread ends. The callers write every entry of a view before reading
+    it, so no result depends on what a buffer held before. The buffers:
+
+    - the kernel's "block" and "mask" of the (B, n) screened values, the
+      exact cut's copy "spare" and the sampled cut's copy "sample" (made
+      on first use): at most 21 bytes per entry of the largest block, 2.6
+      MiB for n <= 131 072 under the 1 MiB block budget;
+    - the re-rank's gathers "diff" and "query_rows" (16 D bytes per
+      candidate) and its padded rows "pad" (8 bytes per slot);
+    - the estimation core's neighbor lists "idx" and "dist", directions
+      "directions" and distance increments "rise" and "terms" (at most
+      512 KiB each, ``angle_id._CHUNK``), and its Gram chunks "products",
+      "products_b" and "selected" (at most 128 KiB each); these budgets
+      hold wherever one query row fits them.
     """
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     buf = getattr(_local, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype)
         setattr(_local, name, buf)
     return buf[:size].reshape(shape)
+
+
+def _gather(a: np.ndarray, indices: np.ndarray, axis: int, name: str) -> np.ndarray:
+    """``a.take(indices, axis)`` into this thread's buffer ``name`` (``_workspace``).
+
+    The indices must be in range: ``mode="raise"`` would gather into a
+    temporary array first and copy that into the buffer.
+    """
+    shape = a.shape[:axis] + indices.shape + a.shape[axis + 1:]
+    return a.take(indices, axis, out=_workspace(name, shape, a.dtype), mode="clip")
 
 
 def _integers(values: list) -> list[int]:
@@ -219,49 +246,77 @@ def _check_indices(name: str, values, n: int) -> list[int]:
             raise IndexError(f"query index {idx} out of range for n={n}")
 
 
-def _knn_kernel(data: DataMatrix, k: int):
-    """The exact-kNN kernel for ``data`` and ``k``; its screen matrix is built once.
+def _screen(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """``data``'s kNN screen (``_build_screen``), built by its first search and kept.
 
-    Returns ``search(queries)``, which maps a (Q, D) array of query
-    vectors to (Q, k) int64 indices and (Q, k) float64 distances, row for
-    row bitwise equal to the first k entries of ``_sorted_candidates``.
-    It screens ``_block_rows`` queries at a time into the calling thread's
-    workspace (``_workspace``), and no result depends on that block size.
-    ``search`` raises InsufficientNeighborsError for the first row with
-    fewer than k nonzero distances, with that row's position in
-    ``queries`` as ``point``. It reads only shared arrays and writes only
-    its thread's buffers, so threads may call it at once.
+    It lives in ``data._screen`` for the matrix's lifetime, so every later
+    search of ``data`` reuses it. The lock makes threads that search a
+    fresh matrix at once build it only once.
     """
-    k = _check_positive("k", k)
-    pts = data.points
-    n, dim = pts.shape
-    # Rows 0..D-1 hold the centered points, row D their squared norms and
-    # row D+1 ones, so one product with the centered query rows
-    # (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2 into a buffer.
-    screen = np.empty((dim + 2, n))
+    if data._screen is None:
+        with _screen_lock:
+            if data._screen is None:
+                object.__setattr__(data, "_screen", _build_screen(data.points))
+    return data._screen
+
+
+def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """The (D+2, n) screen matrix of ``pts``, its center and its largest squared norm.
+
+    Rows 0..D-1 hold the points centered at their mean, row D their
+    squared norms and row D+1 ones, so one product with the centered query
+    rows (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2. Both arrays are
+    read-only.
+    """
+    dim = pts.shape[1]
+    screen = np.empty((dim + 2, len(pts)))
     screen[:dim] = pts.T
     with np.errstate(over="ignore", invalid="ignore"):
         center = screen[:dim].mean(axis=1)  # along rows: far faster than pts.mean(0)
         screen[:dim] -= center[:, None]
         np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim])
     screen[dim + 1] = 1.0
-    max_sq = screen[dim].max()
+    screen.setflags(write=False)
+    center.setflags(write=False)
+    return screen, center, screen[dim].max()
+
+
+def _knn_kernel(data: DataMatrix, k: int):
+    """The exact-kNN kernel for ``data`` and ``k``, on the matrix's cached screen (``_screen``).
+
+    Returns ``search(queries, out=None)``, which maps a (Q, D) array of
+    query vectors to (Q, k) int64 indices and (Q, k) float64 distances,
+    row for row bitwise equal to the first k entries of
+    ``_sorted_candidates``. It writes them to ``out``, a pair of such
+    arrays, if given, else to new ones. It screens ``_block_rows`` queries
+    at a time into the calling thread's workspace (``_workspace``), and no
+    result depends on that block size. ``search`` raises
+    InsufficientNeighborsError for the first row with fewer than k nonzero
+    distances, with that row's position in ``queries`` as ``point``. It
+    reads only shared arrays and writes only its thread's buffers and
+    ``out``, so threads may call it at once.
+    """
+    k = _check_positive("k", k)
+    pts = data.points
+    n, dim = pts.shape
+    screen, center, max_sq = _screen(data)
     rows = _block_rows(n)
     step = 2 * (k + 1) // _SAMPLE_RANK
     sampled = step >= 2 and n >= 16 * (k + 1) * dim
 
-    def search(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.empty((len(queries), k), dtype=np.int64)
-        dist = np.empty((len(queries), k))
+    def search(queries: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        if out is None:
+            out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
+        idx, dist = out
         shape = (min(rows, len(queries)), n)
         buf, mask = _workspace("block", shape), _workspace("mask", shape, bool)
 
         def collect(q, a, c, delta):
-            """Flat position, row, column and distance of each value of ``a`` at most its cut."""
-            flat = np.flatnonzero(np.less_equal(a, (c + 2.0 * delta)[:, None], out=mask[:len(a)]))
-            r = flat // n
-            col = flat - r * n
-            return flat, r, col, _distances(pts, q, r, col)
+            """Row, column and distance of each value of ``a`` at most its cut."""
+            col = np.flatnonzero(np.less_equal(a, (c + 2.0 * delta)[:, None], out=mask[:len(a)]))
+            r = col // n
+            col -= r * n  # flat positions to columns, in place
+            return r, col, _distances(pts, q, r, col)
 
         def exact(a, delta):
             """The exact rule's base cut of each row of ``a``, or inf where it keeps every point."""
@@ -272,6 +327,13 @@ def _knn_kernel(data: DataMatrix, k: int):
             np.copyto(spare, a)
             spare.partition(m - 1, axis=1)
             return spare[:, m - 1]
+
+        def sample(a):
+            """The sampled rule's base cut of each row of ``a``."""
+            part = _workspace("sample", (len(a), -(-n // step)))
+            np.copyto(part, a[:, ::step])
+            part.partition(_SAMPLE_RANK - 1, axis=1)
+            return part[:, _SAMPLE_RANK - 1]
 
         for lo in range(0, len(queries), rows):
             q = queries[lo:lo + rows]
@@ -328,19 +390,19 @@ def _knn_kernel(data: DataMatrix, k: int):
             # The sampled rule replaces a partition of n values by one of
             # about n / step, which pays where rows are long against the
             # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
-            c = (np.partition(a[:, ::step], _SAMPLE_RANK - 1, axis=1)[:, _SAMPLE_RANK - 1]
-                 if sampled else exact(a, delta))
-            flat, r, col, d = collect(q, a, c, delta)
+            c = sample(a) if sampled else exact(a, delta)
+            r, col, d = collect(q, a, c, delta)
             if sampled:
-                sure = np.bincount(r[(d > 0.0) & (a.ravel().take(flat) <= c.take(r))],
+                sure = np.bincount(r[(d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))],
                                    minlength=len(q)) >= k
                 if not sure.all():
                     redo = np.flatnonzero(~sure)
                     c[redo] = exact(a[redo], delta[redo])
-                    _, r, col, d = collect(q, a, c, delta)
+                    r, col, d = collect(q, a, c, delta)
             # Re-rank with the distances and order of _sorted_candidates. The
             # candidates come by ascending row, then column, and each row's
-            # fill one row of a padded array in that order, with NaN for
+            # fill the first places of one row of a padded array in that
+            # order (a boolean mask assigns in row-major order), with NaN for
             # d == 0 (the query and its duplicates) and for the padding. NaN
             # sorts after every number, inf included (distances overflow at
             # 1e160 scales), so a stable sort of each row puts its nonzero
@@ -354,13 +416,15 @@ def _knn_kernel(data: DataMatrix, k: int):
                 row = int(short[0])
                 raise InsufficientNeighborsError(k, int(found[row]), point=lo + row)
             d[zero] = np.nan
-            start = np.cumsum(counts) - counts
             width = int(counts.max())
-            pad = np.full((len(q), width), np.nan)
-            np.put(pad, np.arange(len(r)) + (width * np.arange(len(q)) - start).take(r), d)
+            pad = _workspace("pad", (len(q), width))
+            pad.fill(np.nan)
+            pad[np.arange(width) < counts[:, None]] = d
             take = np.argsort(pad, axis=1, kind="stable")[:, :k]
-            take += start[:, None]
-            idx[lo:lo + rows], dist[lo:lo + rows] = col.take(take), d.take(take)
+            take += (np.cumsum(counts) - counts)[:, None]  # each row's first candidate
+            # In range, so "clip" clips nothing; "raise" would copy via a temporary.
+            col.take(take, out=idx[lo:lo + rows], mode="clip")
+            d.take(take, out=dist[lo:lo + rows], mode="clip")
         return idx, dist
 
     return search
@@ -368,9 +432,10 @@ def _knn_kernel(data: DataMatrix, k: int):
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:
     """The distances of _sorted_candidates from query rows ``q[r]`` to points ``pts[col]``."""
-    diff = pts.take(col, 0)
-    diff -= q.take(r, 0)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    diff = _gather(pts, col, 0, "diff")
+    diff -= _gather(q, r, 0, "query_rows")
+    d = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(d, out=d)
 
 
 def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,12 +485,14 @@ def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBund
 
 
 def _directions(points: np.ndarray, q: np.ndarray, indices: np.ndarray,
-                distances: np.ndarray) -> np.ndarray:
+                distances: np.ndarray, reuse: bool = False) -> np.ndarray:
     """Rows (points[indices[j]] - q) / distances[j], unchecked: the unit directions.
 
     Also for a block: q (B, D) with (B, k) indices and distances gives (B, k, D).
+    With ``reuse`` the result is this thread's workspace buffer "directions"
+    (``_gather``), valid until the thread's next such call.
     """
-    u = points.take(indices, 0)
+    u = _gather(points, indices, 0, "directions") if reuse else points.take(indices, 0)
     u -= q[..., None, :]
     u /= distances[..., None]
     return u

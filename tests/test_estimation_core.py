@@ -52,8 +52,8 @@ QUERIES = list(range(0, 69, 3))  # 23 queries: blocks of 7 leave a remainder of 
 
 def _use_block_rows(monkeypatch, rows: int, k: int, dim: int) -> None:
     """Make the estimation core take ``rows`` queries per block at this k and D."""
-    monkeypatch.setattr(angle_id, "_CHUNK", rows * k * (dim * (dim + 1) // 2))
-    assert angle_id._estimate_rows(k, dim, ESTIMATOR_TAGS, True) == rows
+    monkeypatch.setattr(angle_id, "_CHUNK", rows * k * dim)
+    assert angle_id._estimate_rows(k, dim, True) == rows
 
 
 def _reference(u: np.ndarray, d: np.ndarray, tag: str, pair=None) -> tuple[float, frozenset]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import platform
@@ -664,6 +665,159 @@ class TestWorkspace:
             assert not pool.submit(sampled).result()  # no copy buffer without an exact cut
 
 
+
+class TestScreenCache:
+    """The kNN screen each DataMatrix builds on its first search (``neighbors._screen``)."""
+
+    def test_every_later_search_reuses_the_read_only_screen(self, monkeypatch):
+        data = synth.sample_ball(3000, 3, seed=9)
+        builds = []
+        build = neighbors._build_screen
+        monkeypatch.setattr(neighbors, "_build_screen", lambda pts: builds.append(1) or build(pts))
+        assert data._screen is None
+        knn_many(data, data.points[:4], 10)
+        screen = data._screen
+        assert builds == [1] and len(screen) == 3
+        assert not screen[0].flags.writeable and not screen[1].flags.writeable
+        knn(data, 7, 12)
+        angle_id.estimate_point(data, 3, 20)
+        angle_id.estimate_table(data, 15, ESTIMATOR_TAGS, queries=range(0, 3000, 97))
+        analysis.trails(data, range(5, 40), "abid", point_subset=[1, 2, 3], threads=2)
+        assert builds == [1]
+        assert all(a is b for a, b in zip(data._screen, screen))
+        want = build(data.points)
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(screen, want))
+
+    def test_matrices_of_equal_shape_never_share_a_screen(self):
+        a = synth.sample_ball(2000, 2, seed=10)
+        b = DataMatrix(a.points[::-1] * 2.0 + 1.0)
+        for _ in range(2):
+            for data in (a, b, a):
+                _assert_bitwise(knn_many(data, data.points[::101], 40),
+                                _full_sort(data, data.points[::101], 40))
+        assert not any(np.shares_memory(x, y) for x, y in zip(a._screen[:2], b._screen[:2]))
+
+    def test_replace_gives_a_fresh_matrix_without_a_screen(self):
+        data = synth.sample_ball(1500, 3, seed=11)
+        knn(data, 0, 5)
+        same = dataclasses.replace(data)
+        moved = dataclasses.replace(data, points=data.points + 5.0)
+        assert data._screen is not None and same._screen is None and moved._screen is None
+        for fresh in (same, moved):
+            queries = fresh.points[::61]
+            _assert_bitwise(knn_many(fresh, queries, 12), _full_sort(fresh, queries, 12))
+        assert moved._screen[1].tobytes() != data._screen[1].tobytes()  # its own center
+
+    def test_two_threads_making_a_fresh_matrixs_first_search_at_once_match_full_sort(
+            self, monkeypatch):
+        base = synth.sample_ball(3000, 2, seed=12)
+        queries = base.points[::59]
+        want = _full_sort(base, queries, 31)
+        start = threading.Barrier(2, timeout=30)
+        builds = []
+        build = neighbors._build_screen
+        monkeypatch.setattr(neighbors, "_build_screen", lambda pts: builds.append(1) or build(pts))
+
+        def search(data):
+            start.wait()
+            got = knn_many(data, queries, 31)
+            return got, data._screen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the build too
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for _ in range(20):
+                    data = DataMatrix(base.points)
+                    results = list(pool.map(search, [data, data], timeout=120))
+                    for got, _ in results:
+                        _assert_bitwise(got, want)
+                    assert all(x is y for x, y in zip(results[0][1], results[1][1]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 20  # one per matrix
+
+
+def _spy_workspace(monkeypatch) -> list:
+    """Record (thread, name, address, shape, buffer) of every view ``_workspace`` hands out.
+
+    The record holds each whole buffer, so no buffer's memory is freed and
+    handed to another thread while the test runs.
+    """
+    seen = []
+    workspace = neighbors._workspace
+
+    def spy(name, shape, dtype=np.float64):
+        buf = workspace(name, shape, dtype)
+        seen.append((threading.get_ident(), name, buf.__array_interface__["data"][0], buf.shape,
+                     buf.base))
+        return buf
+
+    monkeypatch.setattr(neighbors, "_workspace", spy)
+    monkeypatch.setattr(angle_id, "_workspace", spy)
+    return seen
+
+
+class TestWorkspaceBuffers:
+    """The per-block arrays of searches and estimation in the thread's workspace."""
+
+    # The exact rule (k = 10) and the sampled one (k = 31 on 3 000 2-D points).
+    CASES = [(lambda: synth.sample_ball(2000, 3, seed=8), 10),
+             (lambda: synth.sample_ball(3000, 2, seed=6), 31)]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_a_block_of_the_same_shape_reuses_the_buffers_and_a_smaller_one_a_prefix(
+            self, monkeypatch, case):
+        make, k = self.CASES[case]
+        data = make()
+        seen = _spy_workspace(monkeypatch)
+
+        def run(rows):
+            seen.clear()
+            angle_id.estimate_table(data, k, ESTIMATOR_TAGS, queries=range(rows),
+                                    with_diagnostics=True)
+            return {name: (addr, shape) for _, name, addr, shape, _ in seen}
+
+        def buffers(rows):
+            first = run(rows)
+            names = {"block", "mask", "diff", "query_rows", "idx", "dist", "directions",
+                     "products", "products_b", "selected", "rise", "terms", "pad"}
+            assert names <= set(first)
+            held = {name: getattr(neighbors._local, name) for name in first}
+            assert run(rows) == first  # the same addresses and shapes
+            smaller = run(rows // 4)
+            for name, (addr, shape) in smaller.items():
+                assert addr == first[name][0] and math.prod(shape) <= math.prod(first[name][1])
+                assert getattr(neighbors._local, name) is held[name]
+            return first
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, a fresh workspace
+            first = pool.submit(buffers, 24).result()
+        assert first["directions"][1] == (24, k, data.dim)
+        assert first["idx"][1] == first["dist"][1] == (24, k)
+
+    def test_each_pool_thread_gets_its_own_buffers(self, monkeypatch):
+        data = synth.sample_ball(2000, 3, seed=8)
+        queries = list(range(0, 2000, 7))
+        want = angle_id.estimate_table(data, 10, ESTIMATOR_TAGS, queries=queries)
+        monkeypatch.setattr(angle_id, "_CHUNK", 10 * 3 * 8)  # 8-row blocks: many per thread
+        seen = _spy_workspace(monkeypatch)
+        start = threading.Barrier(2, timeout=30)
+
+        def table(_):
+            start.wait()  # both threads at once
+            got = angle_id.estimate_table(data, 10, ESTIMATOR_TAGS, queries=queries, threads=2)
+            return {t: got.values(t).tobytes() for t in ESTIMATOR_TAGS}
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for got in pool.map(table, range(2), timeout=120):
+                assert got == {t: want.values(t).tobytes() for t in ESTIMATOR_TAGS}
+        owners = {}
+        for thread, _, addr, _, _ in seen:
+            owners.setdefault(addr, set()).add(thread)
+        assert len({thread for thread, *_ in seen}) >= 2
+        assert all(len(threads) == 1 for threads in owners.values())
+
 # One warm round of repeated trails on the 6-D lattice: 4 batches of 10
 # points, ABID and MLE at every k from 10 to 400.
 _FAULT_ROUND = """
@@ -686,16 +840,38 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="counts the page faults of glibc's heap on Linux")
+def _fault_round(**malloc_env) -> subprocess.CompletedProcess:
+    """``_FAULT_ROUND`` in a fresh interpreter, with ``malloc_env`` added to its environment."""
+    src = str(Path(angleid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **malloc_env)
+    return subprocess.run([sys.executable, "-c", _FAULT_ROUND], capture_output=True, text=True,
+                          env=env, check=True)
+
+
+_ON_GLIBC = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                               reason="counts the page faults of glibc's heap on Linux")
+
+
+@_ON_GLIBC
 def test_repeated_trails_do_not_page_their_arrays_in_again():
     # Arrays made afresh per search or per Gram chunk were handed back to
     # the OS when freed and paged in again by the next call: about 3 300
     # minor faults per round. A fresh interpreter runs the round, because
     # large blocks freed by earlier tests raise glibc's trim threshold and
     # would hide that churn in this process.
-    src = str(Path(angleid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _FAULT_ROUND], capture_output=True, text=True,
-                          env=env, check=True)
+    proc = _fault_round()
+    assert int(proc.stdout) < 100
+
+
+@_ON_GLIBC
+def test_repeated_trails_page_nothing_in_at_glibcs_smallest_thresholds():
+    # glibc raises its mmap and trim thresholds when it frees a large
+    # mapped block, so a process that has done so keeps more of its heap.
+    # Pinned at their 128 KiB defaults, every array of that size is mapped
+    # afresh and the heap top is trimmed as soon as 128 KiB of it are
+    # free: only arrays kept between calls stay paged in (about 2 200
+    # faults per round when the screen and the per-block arrays were
+    # made per call).
+    proc = _fault_round(MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="131072")
     assert int(proc.stdout) < 100
