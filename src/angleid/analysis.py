@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MIN_K, DataMatrix, DegenerateInputError, _write_csv
-from .neighbors import _check_indices, _integers
+from .neighbors import _integers
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -148,12 +148,9 @@ def trails(
     """
     tags = angle_id._check_tags([estimator])
     ks = _check_k_values(k_values, tags, ged_pair)
-    points = (list(range(data.n)) if point_subset is None
-              else _check_indices("point_subset", point_subset, data.n))
-    if not points:
-        raise ValueError("trails require at least one point; point_subset is empty")
-    est, _ = angle_id._estimate_many(data, points, tags, ks, ged_pair, threads)
-    return TrailMatrix(tuple(ks), est[estimator][0], estimator, tuple(points))
+    rows, names = angle_id._query_rows(data, point_subset, "point_subset")
+    est, _ = angle_id._estimate_many(data, rows, names, tags, ks, ged_pair, threads)
+    return TrailMatrix(tuple(ks), est[estimator][0], estimator, tuple(names))
 
 
 def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = None) -> list[int]:

@@ -19,8 +19,8 @@ pairwise loop. One function, ``_sq_sums``, computes it for a block of
 queries at every requested k in one pass. ``_estimates``, the one
 estimation core of this package, turns it (and, for the distance-based
 estimators of ``baseline_id``, the sorted neighbor distances) into value
-and flag arrays; tables, trails and the public estimator functions all
-call it.
+and flag arrays; the public estimator functions call it, and so does
+``_estimate_many``, the one query map behind points, tables and trails.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from .core import (
     _FLAG_SETS,
 )
 from .neighbors import (DirectionBundle, _block_rows, _check_indices, _check_positive, _directions,
-                        _gather, _integers, _knn_kernel, _resolve_query, _workspace,
-                        direction_bundle, knn)
+                        _gather, _integers, _knn_kernel, _resolve_query, _workspace)
+# Not called here: the benchmark tracer (bench/spans.py) patches these names.
+from .neighbors import direction_bundle, knn  # noqa: F401
 
 __all__ = [
     "CosineSquareStats",
@@ -472,18 +473,16 @@ def estimate_point(
 ) -> dict[str, IdEstimate]:
     """Run the requested estimators on one query's k-nearest neighborhood.
 
-    All estimators see the identical NeighborList, so mixed angle/distance
-    comparisons are apples to apples. ``query`` is a point index or an
-    explicit coordinate vector. The arguments are checked before the
-    search, as by ``estimate_table``; an error names the query index.
+    All estimators see the identical neighbor list, so mixed angle/distance
+    comparisons are apples to apples. ``query``, a point index or a vector,
+    is the one row of ``_estimate_many``, checked before the search as by
+    ``estimate_table``; an error names the query index (None for a vector).
     """
     tags = _check_tags(estimators)
     k = _check_positive("k", k)
-    _check_ks(tags, [k], ged_pair, _resolve_query(data, query)[1])
-    nl = knn(data, query, k)
-    angle = any(t in ANGLE_TAGS for t in tags)
-    u = direction_bundle(data, query, nl).directions[None] if angle else None
-    est = _estimates(u, nl.distances[None], tags, [k], ged_pair)
+    q, qidx = _resolve_query(data, query)
+    _check_ks(tags, [k], ged_pair, qidx)
+    est, _ = _estimate_many(data, q[None], [qidx], tags, [k], ged_pair, threads=1)
     _warn_small({t: values[:, 0] for t, (values, _) in est.items()}, k)
     return {t: _estimate(t, values, flags, k) for t, (values, flags) in est.items()}
 
@@ -511,25 +510,33 @@ def estimate_table(
     """
     tags = _check_tags(estimators)
     k = _check_positive("k", k)
-    query_list = (list(range(data.n)) if queries is None
-                  else _check_indices("queries", queries, data.n))
-    if not query_list:
-        raise ValueError("EstimateTable requires at least one row")
-    _check_ks(tags, [k], ged_pair, query_list[0])
-    est, mean_cosines = _estimate_many(data, query_list, tags, [k], ged_pair, threads,
+    rows, names = _query_rows(data, queries, "queries")
+    _check_ks(tags, [k], ged_pair, names[0])
+    est, mean_cosines = _estimate_many(data, rows, names, tags, [k], ged_pair, threads,
                                        with_diagnostics)
     values = {t: v[:, 0] for t, (v, _) in est.items()}
     flags = {t: f[:, 0] for t, (_, f) in est.items()}
     _warn_small(values, k)
-    return EstimateTable(query_list, mean_cosines, k=k, values=values, flags=flags)
+    return EstimateTable(names, mean_cosines, k=k, values=values, flags=flags)
 
 
-def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, threads: int,
-                   with_diagnostics: bool = False):
-    """Every estimator of ``tags`` at every k of ``ks`` for each query index.
+def _query_rows(data: DataMatrix, subset, name: str):
+    """The query rows and their point indices: every point if ``subset`` is None; never empty."""
+    if subset is None:
+        return data.points, range(data.n)
+    names = _check_indices(name, subset, data.n)
+    if not names:
+        raise ValueError(f"at least one query point is required; {name} is empty")
+    return data.points[names], names
 
-    The one query map behind tables and trails; the callers check the
-    queries, ``ks`` and ``ged_pair``. Returns ``{tag: (values, flags)}``
+
+def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_pair,
+                   threads: int, with_diagnostics: bool = False):
+    """Every estimator of ``tags`` at every k of ``ks`` for each row of ``queries``.
+
+    The one query map behind ``estimate_point`` (one row), tables and
+    trails; the callers check the (Q, D) ``queries``, their Q ``names``
+    for errors, ``ks`` and ``ged_pair``. Returns ``{tag: (values, flags)}``
     with (Q, len(ks)) arrays, as ``_estimates`` does, and the (Q,) mean
     cosines at the largest k (None without ``with_diagnostics``).
 
@@ -545,7 +552,7 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     made afresh. With ``threads > 1`` the blocks run in a thread pool.
     No result depends on the block size. A neighbor shortage names the
     first short query, as the kernel reports a block's first short row
-    and the blocks are collected in order.
+    by its name and the blocks are collected in order.
     """
     threads = _check_positive("threads", threads)
     ks = np.asarray(ks, dtype=np.int64)
@@ -556,19 +563,16 @@ def _estimate_many(data: DataMatrix, queries: list[int], tags, ks, ged_pair, thr
     if rows > knn_rows:
         rows -= rows % knn_rows
     rows = min(rows, -(-len(queries) // threads))
-    points = data.points
 
-    def work(block: list[int]):
-        q = points[block]
+    def work(block: range):
+        q = queries[block.start:block.stop]
         shape = (len(block), k_max)
-        try:
-            idx, dist = search(q, (_workspace("idx", shape, np.int64), _workspace("dist", shape)))
-        except InsufficientNeighborsError as exc:
-            raise InsufficientNeighborsError(k_max, exc.available, point=block[exc.point]) from None
-        u = _directions(points, q, idx, dist, reuse=True) if need_u else None
+        idx, dist = search(q, names[block.start:block.stop],
+                           (_workspace("idx", shape, np.int64), _workspace("dist", shape)))
+        u = _directions(data.points, q, idx, dist, reuse=True) if need_u else None
         return _estimates(u, dist, tags, ks, ged_pair), (_mean_cosines(u) if with_diagnostics else None)
 
-    blocks = [queries[lo:lo + rows] for lo in range(0, len(queries), rows)]
+    blocks = [range(len(queries))[lo:lo + rows] for lo in range(0, len(queries), rows)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, blocks))

@@ -5,8 +5,9 @@ Distances are Euclidean; the query point and its exact duplicates
 by ascending point index, so knn(k) is a prefix of knn(k+1).
 
 Every k-nearest-neighbor search goes through one blocked kernel,
-``_knn_kernel``: ``knn`` and ``knn_many`` call it, and so does the query
-map behind tables and trails (``angle_id._estimate_many``). It screens a
+``_knn_kernel``: ``knn``, ``knn_many`` and the query map behind
+``estimate_point``, tables and trails (``angle_id._estimate_many``) call
+it, each naming its query rows for the kernel's errors. It screens a
 block of queries against all points with one matrix product (the
 expansion |x|^2 - 2 x.y + |y|^2, on coordinates centered at the points'
 mean), keeps every point that a rounding bound cannot rule out, and
@@ -284,16 +285,16 @@ def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
 def _knn_kernel(data: DataMatrix, k: int):
     """The exact-kNN kernel for ``data`` and ``k``, on the matrix's cached screen (``_screen``).
 
-    Returns ``search(queries, out=None)``, which maps a (Q, D) array of
-    query vectors to (Q, k) int64 indices and (Q, k) float64 distances,
-    row for row bitwise equal to the first k entries of
+    Returns ``search(queries, names, out=None)``, which maps a (Q, D)
+    array of query vectors to (Q, k) int64 indices and (Q, k) float64
+    distances, row for row bitwise equal to the first k entries of
     ``_sorted_candidates``. It writes them to ``out``, a pair of such
     arrays, if given, else to new ones. It screens ``_block_rows`` queries
     at a time into the calling thread's workspace (``_workspace``), and no
     result depends on that block size. ``search`` raises
     InsufficientNeighborsError for the first row with fewer than k nonzero
-    distances, with that row's position in ``queries`` as ``point``. It
-    reads only shared arrays and writes only its thread's buffers and
+    distances, with that row's entry of ``names`` (Q labels) as ``point``.
+    It reads only shared arrays and writes only its thread's buffers and
     ``out``, so threads may call it at once.
     """
     k = _check_positive("k", k)
@@ -304,7 +305,7 @@ def _knn_kernel(data: DataMatrix, k: int):
     step = 2 * (k + 1) // _SAMPLE_RANK
     sampled = step >= 2 and n >= 16 * (k + 1) * dim
 
-    def search(queries: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def search(queries: np.ndarray, names, out=None) -> tuple[np.ndarray, np.ndarray]:
         if out is None:
             out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
         idx, dist = out
@@ -414,7 +415,7 @@ def _knn_kernel(data: DataMatrix, k: int):
             short = np.flatnonzero(found < k)
             if short.size:
                 row = int(short[0])
-                raise InsufficientNeighborsError(k, int(found[row]), point=lo + row)
+                raise InsufficientNeighborsError(k, int(found[row]), point=names[lo + row])
             d[zero] = np.nan
             width = int(counts.max())
             pad = _workspace("pad", (len(q), width))
@@ -442,9 +443,9 @@ def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     """The exact k nearest neighbors of every row of ``queries``, a (Q, D) array.
 
     One search of ``_knn_kernel``, whose docstring gives the outputs and
-    errors.
+    errors; a short row is named by its position in ``queries``.
     """
-    return _knn_kernel(data, k)(queries)
+    return _knn_kernel(data, k)(queries, range(len(queries)))
 
 
 def knn(data: DataMatrix, query, k: int) -> NeighborList:
@@ -455,10 +456,7 @@ def knn(data: DataMatrix, query, k: int) -> NeighborList:
     knn(data, q, k) a prefix of knn(data, q, k+1).
     """
     q, qidx = _resolve_query(data, query)
-    try:
-        idx, dist = knn_many(data, q[None, :], k)
-    except InsufficientNeighborsError as exc:
-        raise InsufficientNeighborsError(k, exc.available, point=qidx) from None
+    idx, dist = _knn_kernel(data, k)(q[None, :], [qidx])
     return NeighborList(qidx, idx[0], dist[0])
 
 

@@ -129,7 +129,8 @@ def jittered_lattice(
 
     With the default 4 levels this emits 4**dims points (65536 at dims=8),
     each displaced by a uniform draw from [0, jitter_max]**dims. Guarded at
-    dims > 10 because the point count explodes as levels**dims.
+    dims > 10 and at more than 4**10 points (the default levels at dims=10)
+    because the point count explodes as levels**dims.
     """
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
@@ -138,6 +139,9 @@ def jittered_lattice(
     if not 0.0 <= jitter_max < math.inf:
         raise ValueError(f"jitter_max must be finite and >= 0, got {jitter_max}")
     levels = np.asarray(levels, dtype=np.float64)
+    if levels.size ** int(dims) > 4 ** 10:  # int: a numpy dims would overflow
+        raise ValueError(f"{levels.size} levels at dims={dims} would emit {levels.size}**{dims} "
+                         "points; limit is 4**10")
     grids = np.meshgrid(*((levels,) * dims), indexing="ij")
     base = np.stack([g.ravel() for g in grids], axis=1)
     rng = np.random.default_rng(seed)

@@ -129,6 +129,11 @@ class TestTrails:
         with pytest.raises(ValueError):
             TrailMatrix((10, 10), np.zeros((1, 2)), "abid", (0,))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (2,)])
+    def test_estimates_must_be_points_by_k_values(self, shape):
+        with pytest.raises(ValueError, match=r"^estimates must be \(n_points, n_k\)$"):
+            TrailMatrix((5, 9), np.zeros(shape), "abid", (3,))
+
     def test_csv_output(self, tmp_path):
         tm = TrailMatrix((5, 9), np.array([[1.5, 2.5]]), "abid", (3,))
         p = tmp_path / "t.csv"

@@ -228,6 +228,17 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             abid_via_fixed_point(CosineSquareStats(3, 0.0, 0.0))
 
+    def test_one_neighbor_is_too_few(self):
+        with pytest.raises(InsufficientNeighborsError) as exc:
+            abid_via_fixed_point(CosineSquareStats(1, 0.0, 0.0))
+        assert (exc.value.required, exc.value.available, exc.value.point) == (2, 1, None)
+
+    def test_exhausted_iterations_raise(self):
+        # The hand example converges, but not within three steps.
+        s = CosineSquareStats(3, 2.0, 1 / 3)
+        with pytest.raises(FixedPointDivergenceError, match="^no convergence after 3 iterations$"):
+            abid_via_fixed_point(s, max_iter=3)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_abid_on_random_bundles(self, seed):
         rng = np.random.default_rng(seed)
@@ -407,7 +418,7 @@ class TestEstimatePoint:
     ])
     def test_k_below_an_estimator_minimum_fails_before_the_search(
             self, monkeypatch, query, point, tags, k, need):
-        monkeypatch.setattr(angle_id, "knn", _no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         with pytest.raises(InsufficientNeighborsError) as exc:
             estimate_point(sample_ball(50, 2, seed=1), query, k, estimators=tags)
         assert (exc.value.required, exc.value.available, exc.value.point) == (need, k, point)
@@ -422,12 +433,12 @@ class TestEstimatePoint:
     ])
     def test_a_bad_ged_pair_fails_before_the_search_whatever_the_estimators(
             self, monkeypatch, tags, pair, match):
-        monkeypatch.setattr(angle_id, "knn", _no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         with pytest.raises(ValueError, match=match):
             estimate_point(sample_ball(50, 2, seed=1), 7, 10, estimators=tags, ged_pair=pair)
 
     def test_bad_k_fails_before_the_search(self, monkeypatch):
-        monkeypatch.setattr(angle_id, "knn", _no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         for k in (0, 2.5, True):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 estimate_point(sample_ball(50, 2, seed=1), 7, k)
@@ -475,6 +486,21 @@ class TestEstimateTable:
         monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
         with pytest.raises(ValueError, match=f"^{match}$"):
             estimate_table(sample_ball(50, 2, seed=1), estimators=("abid", "mle"), **kwargs)
+
+    @pytest.mark.parametrize("queries", [[], (), np.array([], dtype=np.int64)])
+    def test_empty_queries_fail_before_any_search(self, monkeypatch, queries):
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+        with pytest.raises(ValueError,
+                           match="^at least one query point is required; queries is empty$"):
+            estimate_table(sample_ball(50, 2, seed=1), 5, queries=queries)
+
+    def test_no_estimators_fail_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+        data = sample_ball(50, 2, seed=1)
+        with pytest.raises(ValueError, match="^at least one estimator tag is required$"):
+            estimate_table(data, 5, estimators=())
+        with pytest.raises(ValueError, match="^at least one estimator tag is required$"):
+            estimate_point(data, 0, 5, estimators=())
 
     def test_query_subset_and_diagnostics(self):
         data = sample_ball(60, 2, seed=3)

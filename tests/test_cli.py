@@ -94,6 +94,29 @@ class TestGenerate:
     def test_unknown_shape_is_usage_error(self, tmp_path):
         assert run("generate", "--shape", "donut", "--n", 10, "-o", tmp_path / "x.csv") == 1
 
+    def test_lattice_levels(self, tmp_path):
+        out = tmp_path / "l.csv"
+        assert run("generate", "--shape", "lattice", "--dims", 2, "--levels", "0,0.5,1",
+                   "-o", out) == 0
+        m = load_csv(out)
+        assert (m.n, m.dim) == (9, 2)
+
+    @pytest.mark.parametrize("levels, message", [
+        ("0,x", "--levels expects comma-separated numbers, got '0,x'"),
+        ("0,1,2,3,4,5", "6 levels at dims=10 would emit 6**10 points; limit is 4**10"),
+    ])
+    def test_bad_lattice_levels_are_usage_errors(self, tmp_path, capsys, monkeypatch, levels,
+                                                 message):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("meshgrid ran")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        out = tmp_path / "x.csv"
+        assert run("generate", "--shape", "lattice", "--dims", 10, "--levels", levels,
+                   "-o", out) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
 
 @pytest.fixture()
 def ball_csv(tmp_path):
@@ -221,6 +244,21 @@ class TestEstimate:
         assert run("estimate", "--input", tmp_path / "nope.csv", "--k", 5,
                    "-o", tmp_path / "x.csv") == 2
 
+    def test_non_numeric_ged_pair_is_usage_error(self, tmp_path, ball_csv, capsys):
+        assert run("estimate", "--input", ball_csv, "--k", 10, "--estimators", "ged",
+                   "--ged-pair", "a,b", "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == (
+            "usage error: --ged-pair expects comma-separated numbers, got 'a,b'\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_label_column_needs_two_columns(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("0.5\n1.5\n2.0\n4.0\n")
+        assert run("estimate", "--input", data, "--k", 2, "--label-column",
+                   "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == "usage error: --label-column needs at least 2 input columns\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestHistogramCommand:
     def test_counts_sum_to_n(self, tmp_path, ball_csv):
@@ -290,6 +328,14 @@ class TestHistogramCommand:
                    "-o", tmp_path / "h.csv") == 2
         assert capsys.readouterr().err == (
             f"error: {est}: line 3: expected 3 fields, found 2\n")
+
+    def test_nothing_left_after_clipping_is_data_error(self, tmp_path, capsys):
+        est = tmp_path / "est.csv"
+        est.write_text("index,abid,flags\n0,2.5,\n1,3.5,\n")
+        assert run("histogram", "--input", est, "--column", "abid", "--bin-width", 0.5,
+                   "--x-min", 4, "-o", tmp_path / "h.csv") == 2
+        assert capsys.readouterr().err == f"error: {est}: no values left to histogram\n"
+        assert not (tmp_path / "h.csv").exists()
 
     def test_only_the_named_column_is_parsed(self, tmp_path):
         est = tmp_path / "est.csv"
@@ -366,6 +412,16 @@ class TestValidate:
         assert run("validate", "--d", 3, "--samples", 1000, "--ks-samples", 1000,
                    "--seed", -1) == 1
         assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("--d", 1), "--d must be >= 2"),
+        (("--samples", 99), "need at least 100 samples"),
+        (("--ks-samples", 99), "need at least 100 samples"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, capsys, args, message):
+        assert run("validate", *args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n" and captured.out == ""
 
     def test_failure_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(theory, "KS_CRITICAL_1PCT", 0.0)

@@ -134,8 +134,14 @@ def test_tables_and_trails_equal_the_public_functions_for_any_block(monkeypatch,
         u = direction_bundle(data, q, nl).directions
         stats = angle_id.cosine_square_stats(direction_bundle(data, q, nl))
         assert table.mean_cosines[pos] == stats.mean_cosine == _reference_mean_cosine(u)
+        # A vector equal to point q excludes that point, as the index query does.
+        points = [angle_id.estimate_point(data, query, k, ESTIMATOR_TAGS)
+                  for query in (q, data.points[q])]
         for tag in ESTIMATOR_TAGS:
             want = _public(data, q, nl, tag)
+            for point in points:
+                assert point[tag] == want, (q, tag)
+                assert np.float64(point[tag].value).tobytes() == np.float64(want.value).tobytes()
             assert _agrees((want.value, want.flags), _reference(u, nl.distances, tag), tag), (q, tag)
             assert table.values(tag)[pos].tobytes() == np.float64(want.value).tobytes(), (q, tag)
             assert _FLAG_SETS[table.flags(tag)[pos]] == want.flags, (q, tag)

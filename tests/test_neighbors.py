@@ -122,8 +122,30 @@ class TestKnn:
         with pytest.raises(ValueError, match=match):
             direction_bundle(data, query, nl)
 
+    @pytest.mark.parametrize("query, match", [
+        ([0.0, 1.0], r"^query vector must have shape \(1,\), got \(2,\)$"),
+        ([[0.0]], r"^query vector must have shape \(1,\), got \(1, 1\)$"),
+        ([np.nan], "^query vector must be finite$"),
+        ([-np.inf], "^query vector must be finite$"),
+    ])
+    def test_bad_query_vector_fails_before_the_search(self, monkeypatch, query, match):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a neighbor search ran")
+
+        monkeypatch.setattr(neighbors, "_knn_kernel", no_search)
+        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+        data = DataMatrix([[0.0], [1.0], [3.0]])
+        for search in (knn, angle_id.estimate_point):
+            with pytest.raises(ValueError, match=match):
+                search(data, query, 1)
+
 
 class TestRadiusNeighbors:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="^radius must be positive, got "):
+            radius_neighbors(DataMatrix([[0.0], [1.0]]), 0, radius)
+
     def test_inclusive_radius(self):
         data = DataMatrix([[0.0], [1.0], [2.0], [3.0]])
         nl = radius_neighbors(data, 0, 2.0)
@@ -175,6 +197,23 @@ class TestDirectionBundle:
         with pytest.raises(ValueError, match="unit"):
             DirectionBundle(np.array([[2.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize("directions, source_k", [
+        (np.eye(2), 3),
+        (np.eye(2), 1),
+        (np.array([1.0, 0.0]), 2),
+    ])
+    def test_shape_must_match_source_k(self, directions, source_k):
+        with pytest.raises(ValueError, match=r"^directions must be a \(k, D\) array matching source_k$"):
+            DirectionBundle(directions, source_k)
+
+    def test_prefix(self):
+        bundle = DirectionBundle(np.eye(3), 3)
+        head = bundle.prefix(2)
+        assert head.source_k == 2 and np.array_equal(head.directions, np.eye(3)[:2])
+        with pytest.raises(InsufficientNeighborsError) as exc:
+            bundle.prefix(4)
+        assert (exc.value.required, exc.value.available, exc.value.point) == (4, 3, None)
+
 
 class TestNeighborListValidation:
     def test_rejects_zero_distance(self):
@@ -188,6 +227,18 @@ class TestNeighborListValidation:
     def test_rejects_query_in_indices(self):
         with pytest.raises(ValueError):
             NeighborList(1, np.array([1]), np.array([1.0]))
+
+    @pytest.mark.parametrize("indices, distances", [
+        ([1, 2], [1.0]),
+        ([[1, 2]], [[1.0, 2.0]]),
+    ])
+    def test_rejects_mismatched_shapes(self, indices, distances):
+        with pytest.raises(ValueError, match="^indices and distances must be matching 1-d arrays$"):
+            NeighborList(None, np.array(indices), np.array(distances))
+
+    def test_rejects_repeated_index(self):
+        with pytest.raises(ValueError, match="^neighbor indices must be distinct$"):
+            NeighborList(None, np.array([3, 5, 3]), np.array([1.0, 2.0, 2.0]))
 
     def test_prefix(self):
         nl = NeighborList(None, np.array([4, 2, 9]), np.array([1.0, 2.0, 3.0]))

@@ -7,6 +7,7 @@ from angleid import theory
 from angleid.angle_id import cosine_square_stats, estimate_point
 from angleid.neighbors import direction_bundle, knn
 from angleid.synth import (
+    LATTICE_LEVELS,
     Generated,
     GeneratorSpec,
     generate,
@@ -130,6 +131,27 @@ class TestLattice:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="limit"):
             jittered_lattice(dims=11)
+
+    @pytest.mark.parametrize("dims, levels, allowed", [
+        (10, LATTICE_LEVELS, True),
+        (8, range(5), True),
+        (10, range(6), False),
+        (9, range(5), False),
+        (np.int64(10), range(100), False),
+    ])
+    def test_point_guard_fires_before_the_grid_is_built(self, monkeypatch, dims, levels, allowed):
+        # No grid is ever built: an allowed lattice stops at meshgrid.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("meshgrid ran")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        n = len(levels)
+        if allowed:
+            with pytest.raises(AssertionError, match="meshgrid ran"):
+                jittered_lattice(dims=dims, levels=levels)
+        else:
+            with pytest.raises(ValueError, match=rf"would emit {n}\*\*{dims} points; limit is 4\*\*10$"):
+                jittered_lattice(dims=dims, levels=levels)
 
 
 class TestNestedHypercubes:

@@ -2,8 +2,9 @@
 
 The tracer looks each target up as ``obj.__dict__[attr]``, so a renamed or
 deleted function breaks ``bench/run.py --trace 1`` with a KeyError. Names
-such as ``analysis.knn`` and ``analysis.direction_bundle`` are kept only
-for it, so nothing else would notice their removal.
+such as ``analysis.knn``, ``analysis.direction_bundle``, ``angle_id.knn``
+and ``angle_id.direction_bundle`` are kept only for it, so nothing else
+would notice their removal.
 """
 
 import importlib.util
