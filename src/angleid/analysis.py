@@ -179,10 +179,18 @@ def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = Non
 
 
 def pearson(a, b) -> float:
-    """Product-moment correlation; undefined for constant inputs."""
+    """Product-moment correlation; undefined for constant inputs.
+
+    Each input is divided by its largest magnitude before centering, so
+    finite data at any scale neither underflows nor overflows.
+    """
     x, y = _paired(a, b)
-    dx = x - x.mean()
-    dy = y - y.mean()
+    sx, sy = np.abs(x).max(), np.abs(y).max()
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateInputError("correlation is undefined for constant input")
+    dx, dy = x / sx, y / sy
+    dx -= dx.mean()
+    dy -= dy.mean()
     sx2 = float((dx * dx).sum())
     sy2 = float((dy * dy).sum())
     if sx2 == 0.0 or sy2 == 0.0:

@@ -300,8 +300,7 @@ def required_k(d: int, c: float) -> int:
 
     Returns ceil(d**2/c + (1 - 1/c)*d). With c = 1 this is d**2.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _check_positive("d", d)
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     value = d * d / c + (1.0 - 1.0 / c) * d

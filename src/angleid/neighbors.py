@@ -176,10 +176,11 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     thread ends. The callers write every entry of a view before reading
     it, so no result depends on what a buffer held before. The buffers:
 
-    - the kernel's "block" and "mask" of the (B, n) screened values, the
-      exact cut's copy "spare" and the sampled cut's copy "sample" (made
-      on first use): at most 21 bytes per entry of the largest block, 2.6
-      MiB for n <= 131 072 under the 1 MiB block budget;
+    - the kernel's "block" and "mask" of the (B, n) screened values and
+      the cuts' copy "part" (B rows of n values for the exact cut, of
+      ceil(n / step) for the sampled one): at most 17 bytes per entry of
+      the largest block, 2.1 MiB for n <= 131 072 under the 1 MiB block
+      budget;
     - the re-rank's gathers "diff" and "query_rows" (16 D bytes per
       candidate) and its padded rows "pad" (8 bytes per slot);
     - the estimation core's neighbor lists "idx" and "dist", directions
@@ -319,22 +320,21 @@ def _knn_kernel(data: DataMatrix, k: int):
             col -= r * n  # flat positions to columns, in place
             return r, col, _distances(pts, q, r, col)
 
-        def exact(a, delta):
-            """The exact rule's base cut of each row of ``a``, or inf where it keeps every point."""
-            m = k + int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
-            if m >= n:
+        def cut(a, stride, rank):
+            """Each row's rank-th smallest of every stride-th value of ``a``, as a copy (a
+            redo reuses "part"), or inf, keeping every point, where rank reaches their count."""
+            width = -(-n // stride)
+            if rank >= width:
                 return np.full(len(a), np.inf)
-            spare = _workspace("spare", a.shape)
-            np.copyto(spare, a)
-            spare.partition(m - 1, axis=1)
-            return spare[:, m - 1]
+            part = _workspace("part", (len(a), width))
+            np.copyto(part, a[:, ::stride])
+            part.partition(rank - 1, axis=1)
+            return part[:, rank - 1].copy()
 
-        def sample(a):
-            """The sampled rule's base cut of each row of ``a``."""
-            part = _workspace("sample", (len(a), -(-n // step)))
-            np.copyto(part, a[:, ::step])
-            part.partition(_SAMPLE_RANK - 1, axis=1)
-            return part[:, _SAMPLE_RANK - 1]
+        def exact(a, delta):
+            """The exact rule's cut: rank k + z of each whole row, z its block's most zeros."""
+            z = int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
+            return cut(a, 1, k + z)
 
         for lo in range(0, len(queries), rows):
             q = queries[lo:lo + rows]
@@ -391,7 +391,7 @@ def _knn_kernel(data: DataMatrix, k: int):
             # The sampled rule replaces a partition of n values by one of
             # about n / step, which pays where rows are long against the
             # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
-            c = sample(a) if sampled else exact(a, delta)
+            c = cut(a, step, _SAMPLE_RANK) if sampled else exact(a, delta)
             r, col, d = collect(q, a, c, delta)
             if sampled:
                 sure = np.bincount(r[(d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))],

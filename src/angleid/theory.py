@@ -17,8 +17,10 @@ the estimators invert.
 
 Special functions are evaluated in-package: log-gamma via the standard
 library (a Lanczos-class implementation, cross-checked here through the
-Legendre duplication identity) and the regularized incomplete beta via a
-continued fraction with the usual symmetry split.
+Legendre duplication identity) and the symmetric regularized incomplete
+beta I_x(a, a), the only one the cosine law needs, via its continued
+fraction (modified Lentz method), split at x = 1/2 by I_x(a, a) =
+1 - I_{1-x}(a, a).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ KS_CRITICAL_1PCT = 1.63
 
 
 def _check_dim(d: int, minimum: int) -> int:
-    if not isinstance(d, (int, np.integer)):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise TypeError(f"dimension must be an integer, got {type(d).__name__}")
     if d < minimum:
         raise ValueError(f"dimension must be >= {minimum}, got {d}")
@@ -58,7 +60,7 @@ def angle_pdf(theta, d: int):
     """
     d = _check_dim(d, 2)
     t = np.asarray(theta, dtype=np.float64)
-    if np.any((t < 0.0) | (t > math.pi)):
+    if not np.all((t >= 0.0) & (t <= math.pi)):
         raise ValueError("theta must lie in [0, pi]")
     coef = math.exp(math.lgamma(d / 2) - math.lgamma(0.5) - math.lgamma((d - 1) / 2))
     out = coef * np.sin(t) ** (d - 2)
@@ -74,10 +76,10 @@ def cosine_pdf(c, d: int):
     """
     d = _check_dim(d, 2)
     cc = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    if np.any((cc < -1.0) | (cc > 1.0)):
+    if not np.all((cc >= -1.0) & (cc <= 1.0)):
         raise ValueError("cosine values must lie in [-1, 1]")
     a = (d - 1) / 2
-    log_norm = -_log_beta(a, a) - math.log(2.0)
+    log_norm = -_log_beta(a) - math.log(2.0)
     # Evaluate through |c| so the symmetry pdf(c) == pdf(-c) holds bitwise.
     x = (1.0 - np.abs(cc)) / 2.0
     out = np.empty_like(x)
@@ -102,11 +104,11 @@ def cosine_cdf(c, d: int):
     """
     d = _check_dim(d, 2)
     cc = np.asarray(c, dtype=np.float64)
-    if np.any((cc < -1.0) | (cc > 1.0)):
+    if not np.all((cc >= -1.0) & (cc <= 1.0)):
         raise ValueError("cosine values must lie in [-1, 1]")
     a = (d - 1) / 2
     flat = np.ravel(cc)
-    out = np.array([_reg_inc_beta(a, a, (1.0 + v) / 2.0) for v in flat])
+    out = np.array([_reg_inc_beta(a, (1.0 + v) / 2.0) for v in flat])
     out = out.reshape(cc.shape)
     return float(out) if np.ndim(c) == 0 else out
 
@@ -151,13 +153,15 @@ def sample_cosines(d: int, n: int, seed: int) -> np.ndarray:
 def ks_statistic(values, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic of ``values`` against ``cdf``.
 
-    ``cdf`` must accept a sorted numpy array. The 1% critical band is
-    KS_CRITICAL_1PCT / sqrt(n).
+    ``values`` must be finite and ``cdf`` must accept a sorted numpy
+    array. The 1% critical band is KS_CRITICAL_1PCT / sqrt(n).
     """
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.size
     if n < 1:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("values must be finite")
     f = np.asarray(cdf(x), dtype=np.float64)
     grid = np.arange(n + 1) / n
     d_plus = float(np.max(grid[1:] - f))
@@ -165,59 +169,50 @@ def ks_statistic(values, cdf) -> float:
     return max(d_plus, d_minus)
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+def _log_beta(a: float) -> float:
+    """log B(a, a); doubling is exact, so this is lgamma(a) + lgamma(a) - lgamma(2a)."""
+    return 2.0 * math.lgamma(a) - math.lgamma(a + a)
 
 
-def _beta_cont_frac(a: float, b: float, x: float, eps: float = 1e-14, max_iter: int = 500) -> float:
-    """Continued fraction of the incomplete beta (modified Lentz method)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+# Numerical Recipes (2nd ed., section 6.4): the continued fraction's
+# tolerance and iteration limit, and Lentz's stand-in for a zero divisor.
+_CF_EPS, _CF_MAX_ITER, _CF_TINY = 1e-14, 500, 1e-300
+
+
+def _nonzero(v: float) -> float:
+    """``v``, or _CF_TINY where it is too near zero to divide by; a NaN stays NaN."""
+    return _CF_TINY if abs(v) < _CF_TINY else v
+
+
+def _beta_cont_frac(a: float, x: float) -> float:
+    """Continued fraction of I_x(a, a): one modified-Lentz update per partial numerator."""
+    c, d = 1.0, 1.0 / _nonzero(1.0 - (a + a) * x / (a + 1.0))
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        for aa in (m * (a - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                   -(a + m) * (a + a + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
+    raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, x={x}")
 
 
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) with the standard symmetry split."""
+def _reg_inc_beta(a: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, a).
+
+    The fraction converges fast below (a+1)/(2a+2) = 1/2; above it, I_x = 1 - I_{1-x}.
+    """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    if a == b and x == 0.5:
+    if x == 0.5:
         return 0.5
-    log_front = (
-        -_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _beta_cont_frac(a, b, x) / a
-    return 1.0 - math.exp(log_front) * _beta_cont_frac(b, a, 1.0 - x) / b
+    front = math.exp(-_log_beta(a) + a * math.log(x) + a * math.log1p(-x))
+    if x < 0.5:
+        return front * _beta_cont_frac(a, x) / a
+    return 1.0 - front * _beta_cont_frac(a, 1.0 - x) / a

@@ -305,6 +305,23 @@ class TestCorrelations:
         with pytest.raises(DegenerateInputError):
             spearman([1.0, 2.0], [5.0, 5.0])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_finite_scales(self, scale):
+        a = np.array([1.0, 2.0, 3.0])
+        want = pearson(a, [1.0, 2.0, 4.0])
+        assert pearson(a * scale, [1.0, 2.0, 4.0]) == pytest.approx(want, abs=1e-12)
+        assert pearson([1.0, 2.0, 4.0], a * scale) == pytest.approx(want, abs=1e-12)
+        assert pearson(a * scale, a * scale) == 1.0
+        assert pearson(a * scale, -a * scale) == -1.0
+        with pytest.raises(DegenerateInputError):
+            pearson([scale] * 3, a)
+
+    def test_all_zero_input_undefined(self):
+        with pytest.raises(DegenerateInputError):
+            pearson([0.0, 0.0, -0.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateInputError):
+            pearson([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fn", [pearson, spearman])
     def test_non_finite_values_are_rejected(self, fn, bad):

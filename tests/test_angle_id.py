@@ -274,6 +274,14 @@ class TestRequiredK:
         with pytest.raises(ValueError):
             required_k(3, 0.0)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, np.bool_(True), np.float64(3.0), "3"])
+    def test_d_must_be_an_integer_and_not_a_bool(self, d):
+        with pytest.raises(ValueError, match="^d must be a positive integer, got "):
+            required_k(d, 1.0)
+
+    def test_a_numpy_integer_d_is_an_integer(self):
+        assert required_k(np.int64(5), 1.0) == 25
+
 
 def _subspace_instances(count, seed):
     """k unit vectors spanning an exact d-dimensional subspace of R^D."""

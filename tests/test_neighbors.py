@@ -695,7 +695,7 @@ class TestWorkspace:
 
         def buffers(rows):
             knn_many(data, data.points[:rows], 10)
-            return neighbors._local.block, neighbors._local.mask, neighbors._local.spare
+            return neighbors._local.block, neighbors._local.mask, neighbors._local.part
 
         def run():
             first = buffers(12)
@@ -705,15 +705,16 @@ class TestWorkspace:
             assert [b.size for b in buffers(40)] == [40 * data.n] * 3
 
         def sampled():
-            ball = synth.sample_ball(3000, 2, seed=6)
+            ball = synth.sample_ball(3000, 2, seed=6)  # k = 31 takes the sampled rule, step 2
             knn_many(ball, ball.points[:5], 31)
-            return hasattr(neighbors._local, "spare")
+            return neighbors._local.part.size
 
         # A fresh thread starts without a workspace.
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(run).result()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            assert not pool.submit(sampled).result()  # no copy buffer without an exact cut
+            # The copy holds ceil(n / step) values per row, never n: no row took the exact cut.
+            assert pool.submit(sampled).result() == 5 * 1500
 
 
 

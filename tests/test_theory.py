@@ -39,6 +39,8 @@ class TestAnglePdf:
             theory.angle_pdf(-0.1, 3)
         with pytest.raises(ValueError):
             theory.angle_pdf(math.pi + 0.1, 3)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            theory.angle_pdf([1.0, math.nan], 3)
         with pytest.raises(ValueError):
             theory.angle_pdf(1.0, 1)
 
@@ -77,6 +79,8 @@ class TestCosinePdf:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             theory.cosine_pdf(1.5, 3)
+        with pytest.raises(ValueError, match=r"cosine values must lie in \[-1, 1\]"):
+            theory.cosine_pdf([0.0, math.nan], 3)
 
 
 class TestCosineCdf:
@@ -88,6 +92,12 @@ class TestCosineCdf:
         for d in (2, 3, 9):
             assert theory.cosine_cdf(-1.0, d) == 0.0
             assert theory.cosine_cdf(1.0, d) == 1.0
+
+    @pytest.mark.parametrize("c", [1.5, -1.0 - 1e-15, math.nan, [0.0, math.nan], math.inf])
+    def test_domain_error_before_any_iteration(self, monkeypatch, c):
+        monkeypatch.setattr(theory, "_beta_cont_frac", lambda a, x: pytest.fail("iterated"))
+        with pytest.raises(ValueError, match=r"cosine values must lie in \[-1, 1\]"):
+            theory.cosine_cdf(c, 3)
 
     def test_d3_uniform(self):
         assert theory.cosine_cdf(0.5, 3) == pytest.approx(0.75, abs=1e-12)
@@ -120,6 +130,13 @@ class TestCosineMoments:
 
     def test_d5(self):
         assert theory.cosine_moments(5) == (0.0, 0.2)
+
+    @pytest.mark.parametrize("d", [True, np.bool_(True), 2.0, "3"])
+    def test_dimension_must_be_an_integer_and_not_a_bool(self, d):
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            theory.cosine_moments(d)
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            theory.cosine_cdf(0.0, d)
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_monte_carlo_ball_pairs(self, d):
@@ -182,6 +199,11 @@ class TestKsStatistic:
     def test_small_case_by_hand(self):
         stat = theory.ks_statistic([0.25, 0.75], lambda x: np.asarray(x))
         assert stat == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            theory.ks_statistic([0.1, bad], lambda x: np.clip(x, 0.0, 1.0))
 
     def test_detects_wrong_cdf(self):
         c = theory.sample_cosines(2, 2000, seed=3)
