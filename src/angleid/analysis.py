@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_K, DataMatrix, DegenerateInputError, _write_csv
-from .neighbors import _integers
+from .core import MIN_K, DataMatrix, DegenerateInputError, _integers, _write_csv
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.

@@ -46,9 +46,12 @@ from .core import (
     InsufficientNeighborsError,
     MIN_K,
     _FLAG_SETS,
+    _check_indices,
+    _check_positive,
+    _integers,
 )
-from .neighbors import (DirectionBundle, _block_rows, _check_indices, _check_positive, _directions,
-                        _gather, _integers, _knn_kernel, _resolve_query, _workspace)
+from .neighbors import (DirectionBundle, _block_rows, _directions, _gather, _knn_kernel,
+                        _resolve_query, _workspace)
 # Not called here: the benchmark tracer (bench/spans.py) patches these names.
 from .neighbors import direction_bundle, knn  # noqa: F401
 

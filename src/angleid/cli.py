@@ -86,23 +86,26 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
-    est = sub.add_parser("estimate", help="per-point ID estimates as CSV")
-    est.add_argument("--input", required=True)
+    # The options estimate and trails share, declared once.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True)
+    shared.add_argument("--delimiter", default=",")
+    shared.add_argument("--header", action="store_true", help="input has a header row to skip")
+    shared.add_argument("--label-column", action="store_true",
+                        help="treat the trailing input column as a label, not a coordinate")
+    shared.add_argument("--points", type=int, default=None,
+                        help="estimate only this many query points (seeded subsample)")
+    shared.add_argument("--subsample-seed", type=int, default=0)
+    shared.add_argument("--threads", type=int, default=1)
+    shared.add_argument("-o", "--output", required=True)
+
+    est = sub.add_parser("estimate", parents=[shared], help="per-point ID estimates as CSV")
     est.add_argument("--k", type=int, required=True)
     est.add_argument("--estimators", default="abid,rabid",
                      help=f"comma-separated tags from {','.join(ESTIMATOR_TAGS)}")
-    est.add_argument("--delimiter", default=",")
-    est.add_argument("--header", action="store_true", help="input has a header row to skip")
-    est.add_argument("--label-column", action="store_true",
-                     help="treat the trailing input column as a label, not a coordinate")
-    est.add_argument("--points", type=int, default=None,
-                     help="estimate only this many query points (seeded subsample)")
-    est.add_argument("--subsample-seed", type=int, default=0)
     est.add_argument("--ged-pair", default=None, help="explicit k1,k2 for the ged estimator")
     est.add_argument("--with-diagnostics", action="store_true",
                      help="append mean_cosine and flags columns")
-    est.add_argument("--threads", type=int, default=1)
-    est.add_argument("-o", "--output", required=True)
     est.set_defaults(func=cmd_estimate)
 
     hist = sub.add_parser("histogram", help="histogram one estimate column")
@@ -118,20 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     hist.add_argument("-o", "--output", required=True)
     hist.set_defaults(func=cmd_histogram)
 
-    tr = sub.add_parser("trails", help="per-point estimates across k values")
-    tr.add_argument("--input", required=True)
+    tr = sub.add_parser("trails", parents=[shared], help="per-point estimates across k values")
     tr.add_argument("--estimator", default="abid", choices=ESTIMATOR_TAGS)
     tr.add_argument("--k-min", type=int)
     tr.add_argument("--k-max", type=int)
     tr.add_argument("--k-step", type=int)
     tr.add_argument("--k-values", default=None, help="explicit comma-separated k list")
-    tr.add_argument("--delimiter", default=",")
-    tr.add_argument("--header", action="store_true")
-    tr.add_argument("--label-column", action="store_true")
-    tr.add_argument("--points", type=int, default=None)
-    tr.add_argument("--subsample-seed", type=int, default=0)
-    tr.add_argument("--threads", type=int, default=1)
-    tr.add_argument("-o", "--output", required=True)
     tr.set_defaults(func=cmd_trails)
 
     val = sub.add_parser("validate", help="run the statistical self-checks")
@@ -144,11 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
-
-
 def _check_seed(flag: str, seed: int) -> None:
     if seed < 0:
         raise UsageError(f"{flag} must be >= 0, got {seed}")
@@ -159,24 +149,25 @@ def _check_delimiter(args) -> None:
         raise UsageError("--delimiter must not be empty")
 
 
-def _load_data(args) -> DataMatrix:
+def _load_queries(args) -> tuple[DataMatrix, list[int] | None]:
+    """Check every shared flag, then read the input: (data, query subsample or None for all)."""
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    _check_seed("--subsample-seed", args.subsample_seed)
+    _check_delimiter(args)
+    if args.points is not None and args.points < 1:
+        raise UsageError("--points must be >= 1")
     data = load_csv(args.input, delimiter=args.delimiter, skip_header=args.header)
-    if getattr(args, "label_column", False):
+    if args.label_column:
         if data.dim < 2:
             raise UsageError("--label-column needs at least 2 input columns")
         data = DataMatrix(data.points[:, :-1])
-    return data
-
-
-def _subsample(n: int, count: int | None, seed: int) -> list[int] | None:
-    if count is not None and count < 1:
-        raise UsageError("--points must be >= 1")
+    count, n, seed = args.points, data.n, args.subsample_seed
     if count is None or count >= n:
-        return None
-    rng = np.random.default_rng(seed)
-    picked = np.sort(rng.choice(n, size=count, replace=False))
+        return data, None
+    picked = np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
     print(f"subsample: {count} of {n} query points (seed={seed})", file=sys.stderr)
-    return [int(i) for i in picked]
+    return data, picked.tolist()
 
 
 def cmd_generate(args) -> int:
@@ -208,9 +199,6 @@ def _spec_from_args(args) -> synth.GeneratorSpec:
 
 
 def cmd_estimate(args) -> int:
-    _check_threads(args)
-    _check_seed("--subsample-seed", args.subsample_seed)
-    _check_delimiter(args)
     ged_pair = None
     if args.ged_pair is not None:
         pair = _parse_floats(args.ged_pair, "--ged-pair")
@@ -222,8 +210,7 @@ def cmd_estimate(args) -> int:
         analysis._check_k_values([args.k], tags, ged_pair)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    data = _load_data(args)
-    queries = _subsample(data.n, args.points, args.subsample_seed)
+    data, queries = _load_queries(args)
     table = angle_id.estimate_table(
         data,
         args.k,
@@ -288,11 +275,7 @@ def cmd_trails(args) -> int:
         ks = analysis._check_k_values(ks, [args.estimator])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _check_threads(args)
-    _check_seed("--subsample-seed", args.subsample_seed)
-    _check_delimiter(args)
-    data = _load_data(args)
-    points = _subsample(data.n, args.points, args.subsample_seed)
+    data, points = _load_queries(args)
     tm = analysis.trails(data, ks, args.estimator, point_subset=points, threads=args.threads)
     analysis.write_trails_csv(tm, args.output, delimiter=args.delimiter)
     print(f"trails for {len(tm.point_indices)} points at k={ks}", file=sys.stderr)

@@ -8,6 +8,7 @@ accumulation visibly biases results.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
@@ -83,6 +84,47 @@ class DegenerateInputError(AngleIdError):
 
 class FixedPointDivergenceError(AngleIdError):
     """Fixed-point iteration failed to converge; diagnostic only."""
+
+
+def _integers(values: list) -> list[int]:
+    """``values`` as ints, or a TypeError unless each is an integer; bools are refused too."""
+    if not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise TypeError("a bool is not an integer")
+    return list(map(operator.index, values))
+
+
+def _check_positive(name: str, value) -> int:
+    """``value`` as an int, or a ValueError unless it is an integer of at least 1."""
+    try:
+        (out,) = _integers([value])
+    except TypeError:
+        out = 0
+    if out < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return out
+
+
+def _check_indices(name: str, values, n: int) -> list[int]:
+    """``values`` as a list of point indices in [0, n).
+
+    Otherwise the first bad value in order raises: a ValueError if it is
+    not an integer (a float, a numpy float or a bool), an IndexError if it
+    is outside [0, n).
+    """
+    values = list(values)
+    try:
+        out = _integers(values)
+        if not out or (min(out) >= 0 and max(out) < n):
+            return out
+    except TypeError:
+        pass
+    for value in values:
+        try:
+            (idx,) = _integers([value])
+        except TypeError:
+            raise ValueError(f"{name} must be integer point indices, got {value!r}") from None
+        if not 0 <= idx < n:
+            raise IndexError(f"query index {idx} out of range for n={n}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,13 +50,12 @@ per call, cost about a third of the time.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, InsufficientNeighborsError
+from .core import DataMatrix, InsufficientNeighborsError, _check_indices, _check_positive
 
 __all__ = ["NeighborList", "DirectionBundle", "knn", "radius_neighbors", "direction_bundle"]
 
@@ -205,47 +204,6 @@ def _gather(a: np.ndarray, indices: np.ndarray, axis: int, name: str) -> np.ndar
     """
     shape = a.shape[:axis] + indices.shape + a.shape[axis + 1:]
     return a.take(indices, axis, out=_workspace(name, shape, a.dtype), mode="clip")
-
-
-def _integers(values: list) -> list[int]:
-    """``values`` as ints, or a TypeError unless each is an integer; bools are refused too."""
-    if not {bool, np.bool_}.isdisjoint(map(type, values)):
-        raise TypeError("a bool is not an integer")
-    return list(map(operator.index, values))
-
-
-def _check_positive(name: str, value) -> int:
-    """``value`` as an int, or a ValueError unless it is an integer of at least 1."""
-    try:
-        (out,) = _integers([value])
-    except TypeError:
-        out = 0
-    if out < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return out
-
-
-def _check_indices(name: str, values, n: int) -> list[int]:
-    """``values`` as a list of point indices in [0, n).
-
-    Otherwise the first bad value in order raises: a ValueError if it is
-    not an integer (a float, a numpy float or a bool), an IndexError if it
-    is outside [0, n).
-    """
-    values = list(values)
-    try:
-        out = _integers(values)
-        if not out or (min(out) >= 0 and max(out) < n):
-            return out
-    except TypeError:
-        pass
-    for value in values:
-        try:
-            (idx,) = _integers([value])
-        except TypeError:
-            raise ValueError(f"{name} must be integer point indices, got {value!r}") from None
-        if not 0 <= idx < n:
-            raise IndexError(f"query index {idx} out of range for n={n}")
 
 
 def _screen(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.float64]:

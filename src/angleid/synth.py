@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix
+from .core import DataMatrix, _check_positive
 
 __all__ = [
     "GeneratorSpec",
@@ -44,7 +44,7 @@ def sample_ball(n: int, d: int, seed: int) -> DataMatrix:
     Gaussian direction times a U**(1/d) radius, the standard volume-exact
     construction.
     """
-    _check_nd(n, d)
+    n, d = _check_positive("n", n), _check_positive("d", d)
     rng = np.random.default_rng(seed)
     dirs = _unit_rows(rng.standard_normal((n, d)))
     radii = rng.random(n) ** (1.0 / d)
@@ -53,14 +53,14 @@ def sample_ball(n: int, d: int, seed: int) -> DataMatrix:
 
 def sample_sphere(n: int, d: int, seed: int) -> DataMatrix:
     """n points i.i.d. uniform on the unit sphere in d-space."""
-    _check_nd(n, d)
+    n, d = _check_positive("n", n), _check_positive("d", d)
     rng = np.random.default_rng(seed)
     return DataMatrix(_unit_rows(rng.standard_normal((n, d))))
 
 
 def sample_gaussian(n: int, d: int, seed: int) -> DataMatrix:
     """n points from the standard spherical Gaussian in d-space."""
-    _check_nd(n, d)
+    n, d = _check_positive("n", n), _check_positive("d", d)
     rng = np.random.default_rng(seed)
     return DataMatrix(rng.standard_normal((n, d)))
 
@@ -108,8 +108,7 @@ def koch_snowflake(depth: int, n: int, seed: int) -> DataMatrix:
     uniform arc-length sampling is a uniform segment choice plus a uniform
     position along it.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_positive("n", n)
     v = koch_polyline(depth)
     segments = len(v) - 1
     rng = np.random.default_rng(seed)
@@ -132,14 +131,13 @@ def jittered_lattice(
     dims > 10 and at more than 4**10 points (the default levels at dims=10)
     because the point count explodes as levels**dims.
     """
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
+    dims = _check_positive("dims", dims)
     if dims > 10:
         raise ValueError(f"dims={dims} would emit {len(levels)}**{dims} points; limit is 10")
     if not 0.0 <= jitter_max < math.inf:
         raise ValueError(f"jitter_max must be finite and >= 0, got {jitter_max}")
     levels = np.asarray(levels, dtype=np.float64)
-    if levels.size ** int(dims) > 4 ** 10:  # int: a numpy dims would overflow
+    if levels.size ** dims > 4 ** 10:
         raise ValueError(f"{levels.size} levels at dims={dims} would emit {levels.size}**{dims} "
                          "points; limit is 4**10")
     grids = np.meshgrid(*((levels,) * dims), indexing="ij")
@@ -163,10 +161,10 @@ def nested_hypercubes(
     leaves all angle statistics unchanged. Returns (matrix, labels) where
     labels[i] is the source-cube dimension of row i.
     """
-    if not 1 <= max_dim <= 8:
+    max_dim = _check_positive("max_dim", max_dim)
+    n_per_cube = _check_positive("n_per_cube", n_per_cube)
+    if max_dim > 8:
         raise ValueError(f"max_dim must be in 1..8, got {max_dim}")
-    if n_per_cube < 1:
-        raise ValueError(f"n_per_cube must be >= 1, got {n_per_cube}")
     rng = np.random.default_rng(seed)
     blocks = []
     labels = []
@@ -189,6 +187,7 @@ def offset_disc(n: int, h: float, seed: int) -> tuple[DataMatrix, np.ndarray]:
     and angle-based estimates tend to 1 while distance-based estimates
     blow up (all neighbor distances become nearly equal).
     """
+    n = _check_positive("n", n)
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 0.0 <= h < math.inf:
@@ -200,8 +199,7 @@ def offset_disc(n: int, h: float, seed: int) -> tuple[DataMatrix, np.ndarray]:
 
 def noisy_line(n: int, length: float = 1.0, width_ratio: float = 0.04, seed: int = 0) -> DataMatrix:
     """n points uniform in a thin axis-aligned rectangle (a noised segment)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_positive("n", n)
     if not (0.0 < length < math.inf and 0.0 <= width_ratio < math.inf
             and width_ratio * length < math.inf):
         raise ValueError(f"need finite length > 0 and width_ratio >= 0 with a finite width, "
@@ -271,11 +269,6 @@ def generate(spec: GeneratorSpec) -> Generated:
         return Generated(matrix, query=query)
     matrix = noisy_line(n, p.get("length", 1.0), p.get("width_ratio", 0.04), seed)
     return Generated(matrix)
-
-
-def _check_nd(n: int, d: int) -> None:
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
 
 
 def _unit_rows(pts: np.ndarray) -> np.ndarray:

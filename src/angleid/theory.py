@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .core import _check_positive
+
 __all__ = [
     "angle_pdf",
     "cosine_pdf",
@@ -82,18 +84,11 @@ def cosine_pdf(c, d: int):
     log_norm = -_log_beta(a) - math.log(2.0)
     # Evaluate through |c| so the symmetry pdf(c) == pdf(-c) holds bitwise.
     x = (1.0 - np.abs(cc)) / 2.0
-    out = np.empty_like(x)
-    edge = x == 0.0
-    xi = x[~edge]
-    out[~edge] = np.exp((a - 1.0) * (np.log(xi) + np.log1p(-xi)) + log_norm)
-    if np.any(edge):
-        if a < 1.0:
-            edge_value = math.inf
-        elif a == 1.0:
-            edge_value = math.exp(log_norm)
-        else:
-            edge_value = 0.0
-        out[edge] = edge_value
+    if a == 1.0:  # d == 3: uniform, and 0 * log(0) below would be NaN at the edges
+        out = np.full_like(x, math.exp(log_norm))
+    else:  # at an edge log(0) = -inf gives +inf for a < 1 and 0 for a > 1
+        with np.errstate(divide="ignore"):
+            out = np.exp((a - 1.0) * (np.log(x) + np.log1p(-x)) + log_norm)
     return float(out[0]) if np.ndim(c) == 0 else out
 
 
@@ -127,6 +122,8 @@ def legendre_identity_residual(x: float) -> float:
     """
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
+    if x == math.inf:  # math.gamma(inf) is inf, not a range error
+        raise OverflowError("math range error")
     lhs = math.gamma(x) * math.gamma(x + 0.5)
     rhs = 2.0 ** (1.0 - 2.0 * x) * math.gamma(0.5) * math.gamma(2.0 * x)
     return abs(lhs - rhs) / abs(rhs)
@@ -139,8 +136,7 @@ def sample_cosines(d: int, n: int, seed: int) -> np.ndarray:
     mapped to [-1, 1]; d == 1 degenerates to a fair coin on {-1, +1}.
     """
     d = _check_dim(d, 1)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_positive("n", n)
     rng = np.random.default_rng(seed)
     if d == 1:
         return rng.integers(0, 2, size=n) * 2.0 - 1.0

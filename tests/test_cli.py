@@ -203,6 +203,23 @@ class TestEstimate:
                    "-o", tmp_path / "x.csv") == 1
         assert capsys.readouterr().err == "usage error: --delimiter must not be empty\n"
 
+    @pytest.mark.parametrize("command", [
+        ("estimate", "--k", 10),
+        ("trails", "--k-values", "10,20"),
+    ])
+    def test_zero_points_is_a_usage_error_before_loading(self, tmp_path, capsys, command):
+        assert run(*command, "--input", tmp_path / "missing.csv", "--points", 0,
+                   "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == "usage error: --points must be >= 1\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "trails"])
+    def test_help_lists_the_shared_options(self, capsys, command):
+        assert run(command, "--help") == 0
+        text = capsys.readouterr().out
+        for flag in ("--input", "--delimiter", "--header", "--label-column", "--points",
+                     "--subsample-seed", "--threads", "-o OUTPUT, --output OUTPUT"):
+            assert flag in text
+
     def test_byte_identical_reruns(self, tmp_path, ball_csv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

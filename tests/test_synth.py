@@ -249,3 +249,24 @@ def test_non_finite_parameters_are_rejected(make, value):
 def test_a_line_whose_width_overflows_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         noisy_line(5, length=1e308, width_ratio=10.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: sample_ball(v, 3, 0),
+    lambda v: sample_ball(5, v, 0),
+    lambda v: sample_sphere(v, 3, 0),
+    lambda v: sample_sphere(5, v, 0),
+    lambda v: sample_gaussian(v, 3, 0),
+    lambda v: sample_gaussian(5, v, 0),
+    lambda v: koch_snowflake(2, v, 0),
+    lambda v: jittered_lattice(v),
+    lambda v: nested_hypercubes(v, 5),
+    lambda v: nested_hypercubes(2, v),
+    lambda v: offset_disc(v, 1.0, 0),
+    lambda v: noisy_line(v),
+], ids=["ball_n", "ball_d", "sphere_n", "sphere_d", "gaussian_n", "gaussian_d", "koch_n",
+        "lattice_dims", "cubes_max_dim", "cubes_n_per_cube", "offset_disc_n", "line_n"])
+@pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0], ids=repr)
+def test_counts_must_be_positive_integers(make, value):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        make(value)

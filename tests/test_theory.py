@@ -163,6 +163,8 @@ class TestLegendreIdentity:
     def test_gamma_range_error(self):
         with pytest.raises(OverflowError):
             theory.legendre_identity_residual(200.0)
+        with pytest.raises(OverflowError):
+            theory.legendre_identity_residual(math.inf)
 
 
 class TestSampleCosines:
@@ -187,6 +189,11 @@ class TestSampleCosines:
         assert np.array_equal(
             theory.sample_cosines(4, 1000, seed=9), theory.sample_cosines(4, 1000, seed=9)
         )
+
+    @pytest.mark.parametrize("n", [2.5, True, np.bool_(True), 0], ids=repr)
+    def test_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            theory.sample_cosines(3, n, seed=0)
 
     def test_sphere_pairs_pass_ks(self):
         """Dot products of uniform sphere pairs follow the closed-form cdf."""
