@@ -50,8 +50,9 @@ from .core import (
     _check_positive,
     _integers,
 )
-from .neighbors import (DirectionBundle, _block_rows, _directions, _gather, _knn_kernel,
-                        _resolve_query, _workspace)
+from . import neighbors
+from .neighbors import (DirectionBundle, _block_rows, _directions, _gather, _resolve_query,
+                        _workspace)
 # Not called here: the benchmark tracer (bench/spans.py) patches these names.
 from .neighbors import direction_bundle, knn  # noqa: F401
 
@@ -560,7 +561,6 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     ks = np.asarray(ks, dtype=np.int64)
     k_max = int(ks[-1])
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
-    search = _knn_kernel(data, k_max)
     rows, knn_rows = _estimate_rows(k_max, data.dim, need_u), _block_rows(data.n)
     if rows > knn_rows:
         rows -= rows % knn_rows
@@ -569,9 +569,10 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     def work(block: range):
         q = queries[block.start:block.stop]
         shape = (len(block), k_max)
-        idx, dist = search(q, names[block.start:block.stop],
-                           (_workspace("idx", shape, np.int64), _workspace("dist", shape)))
-        u = _directions(data.points, q, idx, dist, reuse=True) if need_u else None
+        out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
+        # Looked up per call, so one patch of neighbors._knn_kernel reaches every search.
+        idx, dist = neighbors._knn_kernel(data, k_max, q, names[block.start:block.stop], out)
+        u = _directions(data.points, q, idx, dist) if need_u else None
         return _estimates(u, dist, tags, ks, ged_pair), (_mean_cosines(u) if with_diagnostics else None)
 
     blocks = [range(len(queries))[lo:lo + rows] for lo in range(0, len(queries), rows)]

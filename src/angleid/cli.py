@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -211,15 +212,27 @@ def cmd_estimate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     data, queries = _load_queries(args)
-    table = angle_id.estimate_table(
-        data,
-        args.k,
-        estimators=tags,
-        queries=queries,
-        ged_pair=ged_pair,
-        with_diagnostics=args.with_diagnostics,
-        threads=args.threads,
-    )
+    # The library warns once per row; the CLI prints one line with the count.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", angle_id.NeighborhoodSizeWarning)
+        table = angle_id.estimate_table(
+            data,
+            args.k,
+            estimators=tags,
+            queries=queries,
+            ged_pair=ged_pair,
+            with_diagnostics=args.with_diagnostics,
+            threads=args.threads,
+        )
+    small = []
+    for w in caught:
+        if issubclass(w.category, angle_id.NeighborhoodSizeWarning):
+            small.append(w)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    if small:
+        print(f"warning: {small[0].message} on {len(small)} of {len(table)} query points",
+              file=sys.stderr)
     write_csv(table, args.output, delimiter=args.delimiter)
     print(f"estimated {len(table)} points at k={args.k}: {','.join(tags)}", file=sys.stderr)
     return EXIT_OK

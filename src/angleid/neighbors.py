@@ -241,20 +241,20 @@ def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
     return screen, center, screen[dim].max()
 
 
-def _knn_kernel(data: DataMatrix, k: int):
-    """The exact-kNN kernel for ``data`` and ``k``, on the matrix's cached screen (``_screen``).
+def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
+                out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The exact k nearest neighbors in ``data`` of each row of ``queries``: the one search.
 
-    Returns ``search(queries, names, out=None)``, which maps a (Q, D)
-    array of query vectors to (Q, k) int64 indices and (Q, k) float64
-    distances, row for row bitwise equal to the first k entries of
+    Maps a (Q, D) array of query vectors to (Q, k) int64 indices and (Q, k)
+    float64 distances, row for row bitwise equal to the first k entries of
     ``_sorted_candidates``. It writes them to ``out``, a pair of such
     arrays, if given, else to new ones. It screens ``_block_rows`` queries
-    at a time into the calling thread's workspace (``_workspace``), and no
-    result depends on that block size. ``search`` raises
-    InsufficientNeighborsError for the first row with fewer than k nonzero
-    distances, with that row's entry of ``names`` (Q labels) as ``point``.
-    It reads only shared arrays and writes only its thread's buffers and
-    ``out``, so threads may call it at once.
+    at a time against the matrix's cached screen (``_screen``) into the
+    calling thread's workspace (``_workspace``), and no result depends on
+    that block size. It raises InsufficientNeighborsError for the first row
+    with fewer than k nonzero distances, with that row's entry of ``names``
+    (Q labels) as ``point``. It reads only shared arrays and writes only
+    its thread's buffers and ``out``, so threads may call it at once.
     """
     k = _check_positive("k", k)
     pts = data.points
@@ -263,130 +263,126 @@ def _knn_kernel(data: DataMatrix, k: int):
     rows = _block_rows(n)
     step = 2 * (k + 1) // _SAMPLE_RANK
     sampled = step >= 2 and n >= 16 * (k + 1) * dim
+    if out is None:
+        out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
+    idx, dist = out
+    shape = (min(rows, len(queries)), n)
+    buf, mask = _workspace("block", shape), _workspace("mask", shape, bool)
 
-    def search(queries: np.ndarray, names, out=None) -> tuple[np.ndarray, np.ndarray]:
-        if out is None:
-            out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
-        idx, dist = out
-        shape = (min(rows, len(queries)), n)
-        buf, mask = _workspace("block", shape), _workspace("mask", shape, bool)
+    def collect(q, a, c, delta):
+        """Row, column and distance of each value of ``a`` at most its cut."""
+        col = np.flatnonzero(np.less_equal(a, (c + 2.0 * delta)[:, None], out=mask[:len(a)]))
+        r = col // n
+        col -= r * n  # flat positions to columns, in place
+        return r, col, _distances(pts, q, r, col)
 
-        def collect(q, a, c, delta):
-            """Row, column and distance of each value of ``a`` at most its cut."""
-            col = np.flatnonzero(np.less_equal(a, (c + 2.0 * delta)[:, None], out=mask[:len(a)]))
-            r = col // n
-            col -= r * n  # flat positions to columns, in place
-            return r, col, _distances(pts, q, r, col)
+    def cut(a, stride, rank):
+        """Each row's rank-th smallest of every stride-th value of ``a``, as a copy (a
+        redo reuses "part"), or inf, keeping every point, where rank reaches their count."""
+        width = -(-n // stride)
+        if rank >= width:
+            return np.full(len(a), np.inf)
+        part = _workspace("part", (len(a), width))
+        np.copyto(part, a[:, ::stride])
+        part.partition(rank - 1, axis=1)
+        return part[:, rank - 1].copy()
 
-        def cut(a, stride, rank):
-            """Each row's rank-th smallest of every stride-th value of ``a``, as a copy (a
-            redo reuses "part"), or inf, keeping every point, where rank reaches their count."""
-            width = -(-n // stride)
-            if rank >= width:
-                return np.full(len(a), np.inf)
-            part = _workspace("part", (len(a), width))
-            np.copyto(part, a[:, ::stride])
-            part.partition(rank - 1, axis=1)
-            return part[:, rank - 1].copy()
+    def exact(a, delta):
+        """The exact rule's cut: rank k + z of each whole row, z its block's most zeros."""
+        z = int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
+        return cut(a, 1, k + z)
 
-        def exact(a, delta):
-            """The exact rule's cut: rank k + z of each whole row, z its block's most zeros."""
-            z = int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
-            return cut(a, 1, k + z)
-
-        for lo in range(0, len(queries), rows):
-            q = queries[lo:lo + rows]
-            a = buf[:len(q)]
-            ext = np.empty((len(q), dim + 2))
-            # Screen. Let u = eps/2, p' and q' the centered points, rounded,
-            # and M = |q'|^2 + max |p'|^2. Centering moves each coordinate
-            # of q - p by at most u(|q'_j| + |p'_j|), so |q' - p'|^2 is
-            # within 4u M of |q - p|^2. The norms carry D-term rounding
-            # (D u M together), and the (D+2)-term product, in any order and
-            # fused or not, is within (D+2)u times its terms' magnitudes,
-            # at most 2M: a is within (3D+4)u M of |q' - p'|^2. The
-            # re-rank's s = fl(sum fl(p-q)^2) is within (D+2)u |q-p|^2 <=
-            # 2(D+2)u M of |q-p|^2. Products that underflow add at most
-            # half the smallest subnormal each, 4D in all. So |a - s| <=
-            # e = (2.5D+6) eps M + 2D tiny, and delta exceeds e by at least
-            # (1.5D+10) eps M, room for second-order terms and for the
-            # 3 eps M below. Norms so large that 4M overflows get
-            # delta = inf, and their rows screen as zeros: every point is a
-            # candidate.
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(q, center, out=ext[:, :dim])
-                sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
-                ext[:, :dim] *= -2.0
-                ext[:, dim] = 1.0
-                ext[:, dim + 1] = sq_q
-                np.matmul(ext, screen, out=a)
-                scale = sq_q + max_sq
-                delta = np.where(np.isfinite(4.0 * scale),
-                                 4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
-            a[np.isinf(delta)] = 0.0
-            # Cut. Each row keeps every point with a <= cut = c + 2 delta,
-            # its base cut c set by one of two rules, so the block is
-            # collected, measured and re-ranked once, from one per-row cut.
-            #
-            # Sampled rule: c is the 32nd smallest of every step-th value of
-            # a row, near its 2(k+1)-th smallest. A row keeps it only if at
-            # least k candidates have s > 0 and a <= c. Their s are at most
-            # c + e, so the k-th nonzero s is too. A true neighbor has s at
-            # most that, or up to 2 eps s <= 4 eps M more when sqrt rounds it
-            # into a tie with the k-th distance, so a <= s + e <= c + 2 delta,
-            # with eps M to spare for rounding the cut. Rows that fail the
-            # check take the exact rule's c in place, and the block is
-            # collected again.
-            #
-            # Exact rule: every s == 0 (query, duplicates) has a <= delta; a
-            # row has at most z such points. Among the m = k + z smallest a,
-            # at least k have s > 0 and s <= c + e, c the m-th smallest a, so
-            # the k-th nonzero s is at most c + e, and as above a true
-            # neighbor has a <= c + 2 delta. A larger m keeps all this true,
-            # so the rows cut together take their largest z; with m >= n,
-            # c = inf and every point is a candidate.
-            #
-            # The sampled rule replaces a partition of n values by one of
-            # about n / step, which pays where rows are long against the
-            # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
-            c = cut(a, step, _SAMPLE_RANK) if sampled else exact(a, delta)
-            r, col, d = collect(q, a, c, delta)
-            if sampled:
-                sure = np.bincount(r[(d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))],
-                                   minlength=len(q)) >= k
-                if not sure.all():
-                    redo = np.flatnonzero(~sure)
-                    c[redo] = exact(a[redo], delta[redo])
-                    r, col, d = collect(q, a, c, delta)
-            # Re-rank with the distances and order of _sorted_candidates. The
-            # candidates come by ascending row, then column, and each row's
-            # fill the first places of one row of a padded array in that
-            # order (a boolean mask assigns in row-major order), with NaN for
-            # d == 0 (the query and its duplicates) and for the padding. NaN
-            # sorts after every number, inf included (distances overflow at
-            # 1e160 scales), so a stable sort of each row puts its nonzero
-            # distances first, ties in ascending column order: the
-            # (distance, index) order of the full sort.
-            counts = np.bincount(r, minlength=len(q))
-            zero = d == 0.0
-            found = counts - np.bincount(r[zero], minlength=len(q))
-            short = np.flatnonzero(found < k)
-            if short.size:
-                row = int(short[0])
-                raise InsufficientNeighborsError(k, int(found[row]), point=names[lo + row])
-            d[zero] = np.nan
-            width = int(counts.max())
-            pad = _workspace("pad", (len(q), width))
-            pad.fill(np.nan)
-            pad[np.arange(width) < counts[:, None]] = d
-            take = np.argsort(pad, axis=1, kind="stable")[:, :k]
-            take += (np.cumsum(counts) - counts)[:, None]  # each row's first candidate
-            # In range, so "clip" clips nothing; "raise" would copy via a temporary.
-            col.take(take, out=idx[lo:lo + rows], mode="clip")
-            d.take(take, out=dist[lo:lo + rows], mode="clip")
-        return idx, dist
-
-    return search
+    for lo in range(0, len(queries), rows):
+        q = queries[lo:lo + rows]
+        a = buf[:len(q)]
+        ext = np.empty((len(q), dim + 2))
+        # Screen. Let u = eps/2, p' and q' the centered points, rounded,
+        # and M = |q'|^2 + max |p'|^2. Centering moves each coordinate
+        # of q - p by at most u(|q'_j| + |p'_j|), so |q' - p'|^2 is
+        # within 4u M of |q - p|^2. The norms carry D-term rounding
+        # (D u M together), and the (D+2)-term product, in any order and
+        # fused or not, is within (D+2)u times its terms' magnitudes,
+        # at most 2M: a is within (3D+4)u M of |q' - p'|^2. The
+        # re-rank's s = fl(sum fl(p-q)^2) is within (D+2)u |q-p|^2 <=
+        # 2(D+2)u M of |q-p|^2. Products that underflow add at most
+        # half the smallest subnormal each, 4D in all. So |a - s| <=
+        # e = (2.5D+6) eps M + 2D tiny, and delta exceeds e by at least
+        # (1.5D+10) eps M, room for second-order terms and for the
+        # 3 eps M below. Norms so large that 4M overflows get
+        # delta = inf, and their rows screen as zeros: every point is a
+        # candidate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(q, center, out=ext[:, :dim])
+            sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
+            ext[:, :dim] *= -2.0
+            ext[:, dim] = 1.0
+            ext[:, dim + 1] = sq_q
+            np.matmul(ext, screen, out=a)
+            scale = sq_q + max_sq
+            delta = np.where(np.isfinite(4.0 * scale),
+                             4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
+        a[np.isinf(delta)] = 0.0
+        # Cut. Each row keeps every point with a <= cut = c + 2 delta,
+        # its base cut c set by one of two rules, so the block is
+        # collected, measured and re-ranked once, from one per-row cut.
+        #
+        # Sampled rule: c is the 32nd smallest of every step-th value of
+        # a row, near its 2(k+1)-th smallest. A row keeps it only if at
+        # least k candidates have s > 0 and a <= c. Their s are at most
+        # c + e, so the k-th nonzero s is too. A true neighbor has s at
+        # most that, or up to 2 eps s <= 4 eps M more when sqrt rounds it
+        # into a tie with the k-th distance, so a <= s + e <= c + 2 delta,
+        # with eps M to spare for rounding the cut. Rows that fail the
+        # check take the exact rule's c in place, and the block is
+        # collected again.
+        #
+        # Exact rule: every s == 0 (query, duplicates) has a <= delta; a
+        # row has at most z such points. Among the m = k + z smallest a,
+        # at least k have s > 0 and s <= c + e, c the m-th smallest a, so
+        # the k-th nonzero s is at most c + e, and as above a true
+        # neighbor has a <= c + 2 delta. A larger m keeps all this true,
+        # so the rows cut together take their largest z; with m >= n,
+        # c = inf and every point is a candidate.
+        #
+        # The sampled rule replaces a partition of n values by one of
+        # about n / step, which pays where rows are long against the
+        # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
+        c = cut(a, step, _SAMPLE_RANK) if sampled else exact(a, delta)
+        r, col, d = collect(q, a, c, delta)
+        if sampled:
+            sure = np.bincount(r[(d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))],
+                               minlength=len(q)) >= k
+            if not sure.all():
+                redo = np.flatnonzero(~sure)
+                c[redo] = exact(a[redo], delta[redo])
+                r, col, d = collect(q, a, c, delta)
+        # Re-rank with the distances and order of _sorted_candidates. The
+        # candidates come by ascending row, then column, and each row's
+        # fill the first places of one row of a padded array in that
+        # order (a boolean mask assigns in row-major order), with NaN for
+        # d == 0 (the query and its duplicates) and for the padding. NaN
+        # sorts after every number, inf included (distances overflow at
+        # 1e160 scales), so a stable sort of each row puts its nonzero
+        # distances first, ties in ascending column order: the
+        # (distance, index) order of the full sort.
+        counts = np.bincount(r, minlength=len(q))
+        zero = d == 0.0
+        found = counts - np.bincount(r[zero], minlength=len(q))
+        short = np.flatnonzero(found < k)
+        if short.size:
+            row = int(short[0])
+            raise InsufficientNeighborsError(k, int(found[row]), point=names[lo + row])
+        d[zero] = np.nan
+        width = int(counts.max())
+        pad = _workspace("pad", (len(q), width))
+        pad.fill(np.nan)
+        pad[np.arange(width) < counts[:, None]] = d
+        take = np.argsort(pad, axis=1, kind="stable")[:, :k]
+        take += (np.cumsum(counts) - counts)[:, None]  # each row's first candidate
+        # In range, so "clip" clips nothing; "raise" would copy via a temporary.
+        col.take(take, out=idx[lo:lo + rows], mode="clip")
+        d.take(take, out=dist[lo:lo + rows], mode="clip")
+    return idx, dist
 
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -403,7 +399,7 @@ def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     One search of ``_knn_kernel``, whose docstring gives the outputs and
     errors; a short row is named by its position in ``queries``.
     """
-    return _knn_kernel(data, k)(queries, range(len(queries)))
+    return _knn_kernel(data, k, queries, range(len(queries)))
 
 
 def knn(data: DataMatrix, query, k: int) -> NeighborList:
@@ -414,7 +410,7 @@ def knn(data: DataMatrix, query, k: int) -> NeighborList:
     knn(data, q, k) a prefix of knn(data, q, k+1).
     """
     q, qidx = _resolve_query(data, query)
-    idx, dist = _knn_kernel(data, k)(q[None, :], [qidx])
+    idx, dist = _knn_kernel(data, k, q[None, :], [qidx])
     return NeighborList(qidx, idx[0], dist[0])
 
 
@@ -437,18 +433,20 @@ def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBund
     q, qidx = _resolve_query(data, query)
     if qidx != nl.query_index:
         raise ValueError("neighbor list was built for a different query")
-    return DirectionBundle(_directions(data.points, q, nl.indices, nl.distances), nl.k)
+    if nl.k and not 0 <= nl.indices.min() <= nl.indices.max() < data.n:  # _gather clips
+        raise IndexError(f"neighbor indices must lie in [0, {data.n})")
+    return DirectionBundle(_directions(data.points, q, nl.indices, nl.distances).copy(), nl.k)
 
 
 def _directions(points: np.ndarray, q: np.ndarray, indices: np.ndarray,
-                distances: np.ndarray, reuse: bool = False) -> np.ndarray:
+                distances: np.ndarray) -> np.ndarray:
     """Rows (points[indices[j]] - q) / distances[j], unchecked: the unit directions.
 
     Also for a block: q (B, D) with (B, k) indices and distances gives (B, k, D).
-    With ``reuse`` the result is this thread's workspace buffer "directions"
-    (``_gather``), valid until the thread's next such call.
+    The result is this thread's workspace buffer "directions" (``_gather``),
+    valid until the thread's next such call.
     """
-    u = _gather(points, indices, 0, "directions") if reuse else points.take(indices, 0)
+    u = _gather(points, indices, 0, "directions")
     u -= q[..., None, :]
     u /= distances[..., None]
     return u

@@ -213,10 +213,6 @@ class TestTrailContract:
             assert len(files) == 1, tag
 
 
-def _no_search(*args, **kwargs):
-    raise AssertionError("a neighbor search ran for an invalid k list")
-
-
 class TestTrailKValues:
     @pytest.mark.parametrize("k_values, match", [
         ([0, 10], "k values must be >= 1"),
@@ -229,20 +225,17 @@ class TestTrailKValues:
         ([True, 2], "k values must be integers"),
         ([np.True_, 2], "k values must be integers"),
     ])
-    def test_bad_k_lists_fail_before_any_search(self, monkeypatch, k_values, match):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_bad_k_lists_fail_before_any_search(self, no_search, k_values, match):
         with pytest.raises(ValueError, match=match):
             trails(sample_ball(300, 3, seed=1), k_values, "abid")
 
     @pytest.mark.parametrize("tag", ["rabid", "mle", "mom", "ged"])
-    def test_k_below_the_estimator_minimum_names_the_estimator(self, monkeypatch, tag):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_k_below_the_estimator_minimum_names_the_estimator(self, no_search, tag):
         need = MIN_K[tag]
         with pytest.raises(ValueError, match=f"^estimator {tag} needs k >= {need}, got k = {need - 1}$"):
             trails(sample_ball(300, 3, seed=1), [need - 1, 8], tag)
 
-    def test_ged_pair_sets_the_minimum_k(self, monkeypatch):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_ged_pair_sets_the_minimum_k(self, no_search):
         data = sample_ball(300, 3, seed=1)
         with pytest.raises(ValueError, match=r"ged_pair \(5, 20\) needs k >= 20, got k = 10"):
             trails(data, [10, 30], "ged", ged_pair=(5, 20))
@@ -250,17 +243,15 @@ class TestTrailKValues:
             trails(data, [10, 30], "ged", ged_pair=(20, 5))
 
     @pytest.mark.parametrize("tag", ["abid", "mle"])
-    def test_a_bad_ged_pair_fails_before_any_search_whatever_the_estimator(self, monkeypatch,
+    def test_a_bad_ged_pair_fails_before_any_search_whatever_the_estimator(self, no_search,
                                                                           tag):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
         data = sample_ball(300, 3, seed=1)
         with pytest.raises(ValueError, match=r"^ged_pair needs 1 <= k1 < k2, got \(5, 3\)$"):
             trails(data, [10, 30], tag, ged_pair=(5, 3))
         with pytest.raises(ValueError, match=r"^ged_pair \(5, 20\) needs k >= 20, got k = 10$"):
             trails(data, [10, 30], tag, ged_pair=(5, 20))
 
-    def test_empty_point_subset_or_bad_threads_fail_before_any_search(self, monkeypatch):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_empty_point_subset_or_bad_threads_fail_before_any_search(self, no_search):
         data = sample_ball(300, 3, seed=1)
         with pytest.raises(ValueError, match="point_subset is empty"):
             trails(data, [5, 10], "abid", point_subset=[])

@@ -425,8 +425,7 @@ class TestEstimatePoint:
         (("abid", "ged"), 3, 4),
     ])
     def test_k_below_an_estimator_minimum_fails_before_the_search(
-            self, monkeypatch, query, point, tags, k, need):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+            self, no_search, query, point, tags, k, need):
         with pytest.raises(InsufficientNeighborsError) as exc:
             estimate_point(sample_ball(50, 2, seed=1), query, k, estimators=tags)
         assert (exc.value.required, exc.value.available, exc.value.point) == (need, k, point)
@@ -440,20 +439,14 @@ class TestEstimatePoint:
         ((2, 11), r"^ged_pair \(2, 11\) needs k >= 11, got k = 10$"),
     ])
     def test_a_bad_ged_pair_fails_before_the_search_whatever_the_estimators(
-            self, monkeypatch, tags, pair, match):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+            self, no_search, tags, pair, match):
         with pytest.raises(ValueError, match=match):
             estimate_point(sample_ball(50, 2, seed=1), 7, 10, estimators=tags, ged_pair=pair)
 
-    def test_bad_k_fails_before_the_search(self, monkeypatch):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_bad_k_fails_before_the_search(self, no_search):
         for k in (0, 2.5, True):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 estimate_point(sample_ball(50, 2, seed=1), 7, k)
-
-
-def _no_search(*args, **kwargs):
-    raise AssertionError("a neighbor search ran")
 
 
 class TestEstimateTable:
@@ -487,23 +480,17 @@ class TestEstimateTable:
         ({"k": 5, "ged_pair": (1, 2, 3)}, r"ged_pair must be two integers, got \(1, 2, 3\)"),
         ({"k": 5, "ged_pair": 4}, "ged_pair must be two integers, got 4"),
     ])
-    def test_bad_k_or_threads_fail_before_any_search(self, monkeypatch, kwargs, match):
-        def no_search(*args, **kw):
-            raise AssertionError("a neighbor search ran")
-
-        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+    def test_bad_k_or_threads_fail_before_any_search(self, no_search, kwargs, match):
         with pytest.raises(ValueError, match=f"^{match}$"):
             estimate_table(sample_ball(50, 2, seed=1), estimators=("abid", "mle"), **kwargs)
 
     @pytest.mark.parametrize("queries", [[], (), np.array([], dtype=np.int64)])
-    def test_empty_queries_fail_before_any_search(self, monkeypatch, queries):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_empty_queries_fail_before_any_search(self, no_search, queries):
         with pytest.raises(ValueError,
                            match="^at least one query point is required; queries is empty$"):
             estimate_table(sample_ball(50, 2, seed=1), 5, queries=queries)
 
-    def test_no_estimators_fail_before_any_search(self, monkeypatch):
-        monkeypatch.setattr(angle_id, "_knn_kernel", _no_search)
+    def test_no_estimators_fail_before_any_search(self, no_search):
         data = sample_ball(50, 2, seed=1)
         with pytest.raises(ValueError, match="^at least one estimator tag is required$"):
             estimate_table(data, 5, estimators=())

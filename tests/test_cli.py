@@ -134,6 +134,17 @@ class TestEstimate:
         assert header == "index,abid,mle"
         assert first.startswith("0,")
 
+    @pytest.mark.parametrize("args, err", [
+        (("--k", 1, "--estimators", "abid"),
+         "warning: k=1 may be too small: an angle-based estimate exceeded k-2 on 300 of 300 "
+         "query points\nestimated 300 points at k=1: abid\n"),
+        (("--k", 20), "estimated 300 points at k=20: abid,rabid\n"),
+    ])
+    def test_small_neighborhoods_are_one_counted_warning_line(self, tmp_path, ball_csv, capsys,
+                                                              args, err):
+        assert run("estimate", "--input", ball_csv, *args, "-o", tmp_path / "est.csv") == 0
+        assert capsys.readouterr().err == err
+
     def test_rabid_needs_two_neighbors(self, tmp_path, ball_csv, capsys):
         out = tmp_path / "est.csv"
         assert run("estimate", "--input", ball_csv, "--k", 1,
@@ -449,19 +460,20 @@ class TestValidate:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, package_env):
         out = tmp_path / "g.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "angleid", "generate", "--shape", "gaussian",
              "--d", "2", "--n", "5", "--seed", "0", "-o", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 5
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "angleid", "frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 1
+        assert "invalid choice: 'frobnicate'" in proc.stderr

@@ -6,12 +6,8 @@ interpreter and lists what the import loaded.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
-
-import angleid
 
 _PROBE = """
 import json, sys
@@ -26,10 +22,8 @@ print(json.dumps({
 """
 
 
-def test_package_imports_only_numpy_and_the_standard_library():
-    src = str(Path(angleid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+def test_package_imports_only_numpy_and_the_standard_library(package_env):
     proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=package_env(), check=True)
     loaded = json.loads(proc.stdout)
     assert loaded == {"scipy": [], "third_party": []}

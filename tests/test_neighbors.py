@@ -1,19 +1,16 @@
 import dataclasses
 import math
-import os
 import platform
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import angleid
 from angleid import analysis, angle_id, neighbors, synth
 from angleid.core import ESTIMATOR_TAGS, DataMatrix, InsufficientNeighborsError, write_csv
 from angleid.neighbors import (
@@ -128,16 +125,23 @@ class TestKnn:
         ([np.nan], "^query vector must be finite$"),
         ([-np.inf], "^query vector must be finite$"),
     ])
-    def test_bad_query_vector_fails_before_the_search(self, monkeypatch, query, match):
-        def no_search(*args, **kwargs):
-            raise AssertionError("a neighbor search ran")
-
-        monkeypatch.setattr(neighbors, "_knn_kernel", no_search)
-        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+    def test_bad_query_vector_fails_before_the_search(self, no_search, query, match):
         data = DataMatrix([[0.0], [1.0], [3.0]])
         for search in (knn, angle_id.estimate_point):
             with pytest.raises(ValueError, match=match):
                 search(data, query, 1)
+
+    # Without this, a "before any search" test whose guard stopped guarding would still pass.
+    @pytest.mark.parametrize("route", [
+        lambda data: knn(data, 0, 5),
+        lambda data: knn_many(data, data.points[:3], 5),
+        lambda data: angle_id.estimate_point(data, [0.1, 0.2], 5),
+        lambda data: angle_id.estimate_table(data, 5),
+        lambda data: analysis.trails(data, [5, 10], "abid", threads=2),
+    ], ids=["knn", "knn_many", "estimate_point", "estimate_table", "trails"])
+    def test_the_no_search_guard_trips_on_every_route(self, no_search, route):
+        with pytest.raises(AssertionError, match="^a neighbor search ran$"):
+            route(synth.sample_ball(50, 2, seed=1))
 
 
 class TestRadiusNeighbors:
@@ -192,6 +196,21 @@ class TestDirectionBundle:
         nl = knn(data, 0, 1)
         with pytest.raises(ValueError):
             direction_bundle(data, 1, nl)
+
+    def test_a_bundle_keeps_its_directions_through_later_searches(self):
+        # _directions writes the thread's workspace; a bundle must hold its own copy.
+        data = synth.sample_ball(200, 3, seed=2)
+        first = direction_bundle(data, 0, knn(data, 0, 10))
+        want = first.directions.copy()
+        direction_bundle(data, 1, knn(data, 1, 10))
+        angle_id.estimate_table(data, 10)
+        assert np.array_equal(first.directions, want)
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_rejects_neighbor_indices_outside_the_data(self, index):
+        data = DataMatrix([[0.0], [1.0], [2.0]])
+        with pytest.raises(IndexError, match=r"^neighbor indices must lie in \[0, 3\)$"):
+            direction_bundle(data, 0, NeighborList(0, np.array([1, index]), np.array([1.0, 2.0])))
 
     def test_bundle_validation(self):
         with pytest.raises(ValueError, match="unit"):
@@ -591,11 +610,7 @@ class TestBlockedTables:
             analysis.trails(data, [10, k], "abid", point_subset=queries, threads=threads)
         assert (exc.value.point, exc.value.required, exc.value.available) == (5, k, 30)
 
-    def test_an_estimator_minimum_names_the_first_query_before_any_search(self, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("a neighbor search ran")
-
-        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+    def test_an_estimator_minimum_names_the_first_query_before_any_search(self, no_search):
         data = DataMatrix([[0.0], [0.0], [0.0], [0.0], [1.0]])
         # Query 1 is also short of neighbors; the estimator minimum comes first.
         for queries in ([4, 1], [1, 4]):
@@ -625,11 +640,7 @@ class TestBlockedTables:
         ([True, False], "True"),
         ([2, False], "False"),
     ])
-    def test_non_integer_query_indices_fail_before_any_search(self, monkeypatch, values, bad):
-        def no_search(*args, **kwargs):
-            raise AssertionError("a neighbor search ran")
-
-        monkeypatch.setattr(angle_id, "_knn_kernel", no_search)
+    def test_non_integer_query_indices_fail_before_any_search(self, no_search, values, bad):
         data = synth.sample_ball(50, 2, seed=1)
         with pytest.raises(ValueError) as exc:
             angle_id.estimate_table(data, 5, ("abid",), queries=values)
@@ -892,11 +903,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def _fault_round(**malloc_env) -> subprocess.CompletedProcess:
-    """``_FAULT_ROUND`` in a fresh interpreter, with ``malloc_env`` added to its environment."""
-    src = str(Path(angleid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               **malloc_env)
+def _fault_round(env: dict) -> subprocess.CompletedProcess:
+    """``_FAULT_ROUND`` in a fresh interpreter with the environment ``env``."""
     return subprocess.run([sys.executable, "-c", _FAULT_ROUND], capture_output=True, text=True,
                           env=env, check=True)
 
@@ -906,18 +914,18 @@ _ON_GLIBC = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0]
 
 
 @_ON_GLIBC
-def test_repeated_trails_do_not_page_their_arrays_in_again():
+def test_repeated_trails_do_not_page_their_arrays_in_again(package_env):
     # Arrays made afresh per search or per Gram chunk were handed back to
     # the OS when freed and paged in again by the next call: about 3 300
     # minor faults per round. A fresh interpreter runs the round, because
     # large blocks freed by earlier tests raise glibc's trim threshold and
     # would hide that churn in this process.
-    proc = _fault_round()
+    proc = _fault_round(package_env())
     assert int(proc.stdout) < 100
 
 
 @_ON_GLIBC
-def test_repeated_trails_page_nothing_in_at_glibcs_smallest_thresholds():
+def test_repeated_trails_page_nothing_in_at_glibcs_smallest_thresholds(package_env):
     # glibc raises its mmap and trim thresholds when it frees a large
     # mapped block, so a process that has done so keeps more of its heap.
     # Pinned at their 128 KiB defaults, every array of that size is mapped
@@ -925,5 +933,6 @@ def test_repeated_trails_page_nothing_in_at_glibcs_smallest_thresholds():
     # free: only arrays kept between calls stay paged in (about 2 200
     # faults per round when the screen and the per-block arrays were
     # made per call).
-    proc = _fault_round(MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="131072")
+    proc = _fault_round(package_env(MALLOC_MMAP_THRESHOLD_="131072",
+                                    MALLOC_TRIM_THRESHOLD_="131072"))
     assert int(proc.stdout) < 100
