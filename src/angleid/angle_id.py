@@ -550,12 +550,11 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     whole one: without the rounding, the 8-D lattice table at k = 500 ran
     17 % slower at threads=2 on a 2-core host (3-row blocks, 2 + 1 kernel rows).
     Each block is one kernel search, then ``_directions`` and
-    ``_estimates``, whose per-block arrays are the calling thread's
-    workspace buffers (``neighbors._workspace``); only the results are
-    made afresh. With ``threads > 1`` the blocks run in a thread pool.
-    No result depends on the block size. A neighbor shortage names the
-    first short query, as the kernel reports a block's first short row
-    by its name and the blocks are collected in order.
+    ``_estimates`` on the calling thread's workspace buffers
+    (``neighbors._workspace``), and writes its rows of the outputs. With
+    ``threads > 1`` the blocks run in a thread pool, drained in block
+    order, so a neighbor shortage names the first short query (the kernel
+    names a block's first short row). No result depends on the block size.
     """
     threads = _check_positive("threads", threads)
     ks = np.asarray(ks, dtype=np.int64)
@@ -565,22 +564,27 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     if rows > knn_rows:
         rows -= rows % knn_rows
     rows = min(rows, -(-len(queries) // threads))
+    size = (len(queries), len(ks))
+    est = {t: (np.empty(size), np.empty(size, np.uint8)) for t in tags}
+    mean_cosines = np.empty(len(queries)) if with_diagnostics else None
 
     def work(block: range):
-        q = queries[block.start:block.stop]
+        span = slice(block.start, block.stop)
+        q = queries[span]
         shape = (len(block), k_max)
         out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
         # Looked up per call, so one patch of neighbors._knn_kernel reaches every search.
-        idx, dist = neighbors._knn_kernel(data, k_max, q, names[block.start:block.stop], out)
+        idx, dist = neighbors._knn_kernel(data, k_max, q, names[span], out)
         u = _directions(data.points, q, idx, dist) if need_u else None
-        return _estimates(u, dist, tags, ks, ged_pair), (_mean_cosines(u) if with_diagnostics else None)
+        for t, (values, flags) in _estimates(u, dist, tags, ks, ged_pair).items():
+            est[t][0][span], est[t][1][span] = values, flags
+        if with_diagnostics:
+            mean_cosines[span] = _mean_cosines(u)
 
     blocks = [range(len(queries))[lo:lo + rows] for lo in range(0, len(queries), rows)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
+            list(pool.map(work, blocks))  # in block order, so the first short query raises
     else:
-        parts = [work(block) for block in blocks]
-    est = {t: tuple(np.concatenate([part[t][i] for part, _ in parts]) for i in (0, 1))
-           for t in tags}
-    return est, (np.concatenate([mc for _, mc in parts]) if with_diagnostics else None)
+        list(map(work, blocks))
+    return est, mean_cosines

@@ -15,25 +15,18 @@ re-ranks those candidates with the same difference-based distances and
 (distance, index) order as a full sort of all n distances. The (D+2, n)
 screen matrix, its center and largest squared norm are built by the first
 search of a DataMatrix and kept in it (``_screen``), so ``knn`` per point,
-``estimate_point``, tables and trails never build them again. Each row
-gets one cut, and a block's candidates are collected once, from that
-per-row cut. The re-rank puts each row's candidate distances, in
-ascending index order, into one row of a padded (B, widest row) array and
-sorts every row on its own with one stable ``argsort`` along the rows, so
-no row's order depends on the other rows of its block. Each row's cut
-comes from one of two rules:
-
-- sampled, where 2(k+1) >= 64 and n >= 16 (k+1) D: the 32nd smallest of
-  every s-th screened value, s = floor(2(k+1) / 32), so about 2(k+1)
-  candidates per row. A row keeps this cut only if k of its candidates
-  are provably no farther than it; any other row takes the exact cut,
-  and its block is collected again.
-- exact, for every other (n, k, D): a partition of the whole row, past
-  the query's duplicates.
-
-The rule reads only n, k and D. The screen only narrows the candidates,
+``estimate_point``, tables and trails never build them again. Every row
+gets one planned cut (``_plan``): about 2(k+1) candidates from a strided
+sample where rows are long, else the whole row cut at rank k + 1. A row
+keeps its cut only if k of its candidates are provably no farther than
+it; the rows that fail, such as those with duplicates of their query,
+take the one exact fallback, and their block is collected again. The
+re-rank puts each row's candidate distances, in ascending index order,
+into one row of a padded (B, widest row) array and sorts every row on its
+own with one stable ``argsort`` along the rows, so no row's order depends
+on the other rows of its block. The screen only narrows the candidates,
 so the neighbor lists are bitwise those of the full sort for any block
-size, thread count or rule. The full sort itself remains for
+size, thread count or plan. The full sort itself remains for
 ``radius_neighbors``.
 
 Each thread keeps one workspace (``_workspace``) for the per-block arrays
@@ -155,12 +148,22 @@ def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.
 _BLOCK_BYTES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
-# The sampled path cuts each row at this order statistic of its sample.
-_SAMPLE_RANK = 32
 
 
 def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _plan(n: int, k: int, dim: int) -> tuple[int, int]:
+    """The kernel's first cut: each row's rank-th smallest of every stride-th value.
+
+    Sampled, the 32nd smallest of every s-th value, s = floor(2(k+1) / 32),
+    keeps about 2(k+1) candidates per row from a partition of n / s values;
+    that pays where rows are long against the re-rank's k D work, s >= 2
+    and n >= 16 (k+1) D. Elsewhere the whole row is cut at rank k + 1.
+    """
+    step = 2 * (k + 1) // 32
+    return (step, 32) if step >= 2 and n >= 16 * (k + 1) * dim else (1, k + 1)
 
 
 _local = threading.local()
@@ -176,8 +179,8 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     it, so no result depends on what a buffer held before. The buffers:
 
     - the kernel's "block" and "mask" of the (B, n) screened values and
-      the cuts' copy "part" (B rows of n values for the exact cut, of
-      ceil(n / step) for the sampled one): at most 17 bytes per entry of
+      the cut's copy "part" (B rows of ceil(n / stride) values for the
+      planned cut, of n for the fallback): at most 17 bytes per entry of
       the largest block, 2.1 MiB for n <= 131 072 under the 1 MiB block
       budget;
     - the re-rank's gathers "diff" and "query_rows" (16 D bytes per
@@ -260,9 +263,7 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     pts = data.points
     n, dim = pts.shape
     screen, center, max_sq = _screen(data)
-    rows = _block_rows(n)
-    step = 2 * (k + 1) // _SAMPLE_RANK
-    sampled = step >= 2 and n >= 16 * (k + 1) * dim
+    rows, (stride, rank) = _block_rows(n), _plan(n, k, dim)
     if out is None:
         out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
     idx, dist = out
@@ -277,8 +278,8 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         return r, col, _distances(pts, q, r, col)
 
     def cut(a, stride, rank):
-        """Each row's rank-th smallest of every stride-th value of ``a``, as a copy (a
-        redo reuses "part"), or inf, keeping every point, where rank reaches their count."""
+        """Each row's rank-th smallest of every stride-th value of ``a``, as a copy (the
+        fallback reuses "part"), or inf, keeping every point, where rank reaches their count."""
         width = -(-n // stride)
         if rank >= width:
             return np.full(len(a), np.inf)
@@ -286,11 +287,6 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         np.copyto(part, a[:, ::stride])
         part.partition(rank - 1, axis=1)
         return part[:, rank - 1].copy()
-
-    def exact(a, delta):
-        """The exact rule's cut: rank k + z of each whole row, z its block's most zeros."""
-        z = int(np.less_equal(a, delta[:, None], out=mask[:len(a)]).sum(axis=1).max())
-        return cut(a, 1, k + z)
 
     for lo in range(0, len(queries), rows):
         q = queries[lo:lo + rows]
@@ -322,40 +318,33 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
             delta = np.where(np.isfinite(4.0 * scale),
                              4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
         a[np.isinf(delta)] = 0.0
-        # Cut. Each row keeps every point with a <= cut = c + 2 delta,
-        # its base cut c set by one of two rules, so the block is
-        # collected, measured and re-ranked once, from one per-row cut.
+        # Cut. Each row keeps every point with a <= c + 2 delta, c the
+        # rank-th smallest of every stride-th value of the row (``_plan``),
+        # or inf where rank reaches their count. Check: a row keeps c only
+        # if at least k candidates have s > 0 and a <= c. Their s are at
+        # most c + e, so the k-th nonzero s is too. A true neighbor has s
+        # at most that, or up to 2 eps s <= 4 eps M more when sqrt rounds
+        # it into a tie with the k-th distance, so a <= s + e <= c + 2
+        # delta, with eps M to spare for rounding the cut. This holds for
+        # any stride and rank; they only decide speed.
         #
-        # Sampled rule: c is the 32nd smallest of every step-th value of
-        # a row, near its 2(k+1)-th smallest. A row keeps it only if at
-        # least k candidates have s > 0 and a <= c. Their s are at most
-        # c + e, so the k-th nonzero s is too. A true neighbor has s at
-        # most that, or up to 2 eps s <= 4 eps M more when sqrt rounds it
-        # into a tie with the k-th distance, so a <= s + e <= c + 2 delta,
-        # with eps M to spare for rounding the cut. Rows that fail the
-        # check take the exact rule's c in place, and the block is
-        # collected again.
-        #
-        # Exact rule: every s == 0 (query, duplicates) has a <= delta; a
-        # row has at most z such points. Among the m = k + z smallest a,
-        # at least k have s > 0 and s <= c + e, c the m-th smallest a, so
-        # the k-th nonzero s is at most c + e, and as above a true
-        # neighbor has a <= c + 2 delta. A larger m keeps all this true,
-        # so the rows cut together take their largest z; with m >= n,
-        # c = inf and every point is a candidate.
-        #
-        # The sampled rule replaces a partition of n values by one of
-        # about n / step, which pays where rows are long against the
-        # re-rank's k D work: it needs step >= 2 and n >= 16 (k+1) D.
-        c = cut(a, step, _SAMPLE_RANK) if sampled else exact(a, delta)
+        # Fallback, for the rows that fail. Every s == 0 (the query, its
+        # duplicates) has a <= e <= delta, and every a >= -e, so c + 2
+        # delta >= delta: the first collection holds every zero, and z,
+        # the most zeros of these rows, is read off it. Among the m = k + z
+        # smallest a of such a row, at least k have s > 0 and s <= c + e,
+        # c now the m-th smallest a, so the check holds unmade. A larger m
+        # keeps it true, so these rows are cut together, in place, and the
+        # block is collected again. With m >= n, c = inf and every point
+        # is a candidate.
+        c = cut(a, stride, rank)
         r, col, d = collect(q, a, c, delta)
-        if sampled:
-            sure = np.bincount(r[(d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))],
-                               minlength=len(q)) >= k
-            if not sure.all():
-                redo = np.flatnonzero(~sure)
-                c[redo] = exact(a[redo], delta[redo])
-                r, col, d = collect(q, a, c, delta)
+        sure = (d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))
+        redo = np.flatnonzero(np.bincount(r[sure], minlength=len(q)) < k)
+        if redo.size:
+            z = int(np.bincount(r[d == 0.0], minlength=len(q))[redo].max())
+            c[redo] = cut(a[redo], 1, k + z)
+            r, col, d = collect(q, a, c, delta)
         # Re-rank with the distances and order of _sorted_candidates. The
         # candidates come by ascending row, then column, and each row's
         # fill the first places of one row of a padded array in that

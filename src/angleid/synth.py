@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, _check_positive
+from .core import DataMatrix, _check_positive, _integers
 
 __all__ = [
     "GeneratorSpec",
@@ -73,6 +73,10 @@ def koch_polyline(depth: int) -> np.ndarray:
     length, bumping outward. Returns the (3 * 4**depth + 1, 2) vertex
     array with first vertex repeated at the end; depth is capped at 10.
     """
+    try:
+        (depth,) = _integers([depth])
+    except TypeError:
+        raise ValueError(f"depth must be an integer, got {depth!r}") from None
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > 10:

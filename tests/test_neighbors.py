@@ -283,12 +283,22 @@ def _assert_bitwise(got, want):
 
 
 def _kernel_case(name):
-    """Points, query rows and k for the kernel's sampled path and its fallbacks.
+    """Points, query rows and k for the kernel's planned cuts and their fallback.
 
-    The kernel samples a row only when 2(k+1) >= 64 and n >= 16 (k+1) D
-    (``neighbors._knn_kernel``); every case but "rule_below" meets that.
+    ``neighbors._plan`` samples only when 2(k+1) >= 64 and n >= 16 (k+1) D;
+    every case but "rule_below" and "rule_below_with_copies" meets that,
+    and those two take the whole-row plan, cut at rank k + 1. Rows fail
+    that cut's check only where they hold duplicates of their query, so
+    the blocks of "rule_below_with_copies" mix rows that keep it with
+    rows that take the exact fallback.
     """
     rng = np.random.default_rng(21)
+    if name == "rule_below_with_copies":
+        k, dim = 40, 2
+        ball = synth.sample_ball(1300, dim, seed=22).points
+        points = np.vstack([ball, np.repeat(ball[[0, 74, 148]], [5, 1, 3], axis=0)])
+        assert len(points) < 16 * (k + 1) * dim
+        return points, points[::37], k
     if name == "ball":
         points = synth.sample_ball(20000, 2, seed=21).points
         return points, points[rng.choice(len(points), 60, replace=False)], 50
@@ -296,7 +306,7 @@ def _kernel_case(name):
         # Point 0 has 200 copies and 30 points within 1e-9, whose screened
         # values are rounding noise. Most of its row's sample is copies, so
         # at most 30 < k nonzero distances screen below the sampled cut and
-        # the row takes the exact cut, in a block with sampled rows.
+        # the row takes the exact fallback, in a block with sampled rows.
         ball = synth.sample_ball(20000, 2, seed=21).points
         near = ball[0] + 1e-9 * rng.standard_normal((30, 2))
         points = np.vstack([ball, np.repeat(ball[:1], 200, axis=0), near])
@@ -306,7 +316,7 @@ def _kernel_case(name):
         # The copies of a point are consecutive, so every row's sample (one
         # value in step = 3) holds over 32 zero distances: its sampled cut
         # is rounding noise, no nonzero distance screens at or below it,
-        # and every row of every block takes the exact cut.
+        # and every row of every block takes the exact fallback.
         ball = synth.sample_ball(20000, 2, seed=21).points
         points = np.vstack([ball, np.repeat(ball[:2], 200, axis=0)])
         return points, points[[0, 20000, 20399, 1, 20001, 20200]], 50
@@ -389,6 +399,17 @@ class TestKnnMany:
                      if _sorted_candidates(data, q)[0].size == distinct)
         assert (exc.value.point, exc.value.available) == (first, distinct)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 10))
+    def test_every_plan_matches_full_sort_on_the_same_grids(self, draw, stride, rank):
+        # The kernel is exact for any first cut (neighbors._plan), so the
+        # grid property above must hold with the plan forced to any stride
+        # and rank: the small grids otherwise only take the whole-row plan.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_plan", lambda n, k, dim: (stride, rank))
+            grids = self.test_matches_full_sort_on_grids_with_duplicates_and_ties
+            grids.hypothesis.inner_test(self, draw)
+
     def test_far_from_origin_and_tiny_or_huge_scales(self):
         rng = np.random.default_rng(9)
         base = rng.standard_normal((300, 3))
@@ -403,8 +424,16 @@ class TestKnnMany:
     @pytest.mark.parametrize("case", [
         "ball", "duplicates_at_a_query", "rule_below", "rule_at", "lattice_ties",
         "scale_1e150", "scale_1e160", "scale_1e306", "far_query", "every_row_in_a_cluster",
+        "rule_below_with_copies",
+        *(f"{name}/whole_row" for name in (
+            "ball", "duplicates_at_a_query", "rule_at", "lattice_ties", "scale_1e150",
+            "scale_1e160", "scale_1e306", "far_query", "every_row_in_a_cluster")),
     ])
     def test_sampled_path_and_its_fallback_match_full_sort(self, monkeypatch, case):
+        # "name/whole_row" reruns a sampled case under the forced whole-row plan.
+        case, _, whole_row = case.partition("/")
+        if whole_row:
+            monkeypatch.setattr(neighbors, "_plan", lambda n, k, dim: (1, k + 1))
         points, queries, k = _kernel_case(case)
         data = DataMatrix(points)
         want = _full_sort(data, queries, k)
@@ -424,7 +453,7 @@ class TestKnnMany:
         # 2**52, e = 11 and delta = 24. k = 31 and n >= 16(k+1)D take the
         # sampled path. The query at the origin has 80 copies, so its cut is
         # c = -e and no nonzero distance screens at or below it: the row must
-        # take the exact cut. Its 31 nearest are 30 copies of (1, 0) and the
+        # take the exact fallback. Its 31 nearest are 30 copies of (1, 0) and the
         # victim (5, 2), s = 29, screened at 40, above c + 2 delta = 37. The
         # decoy (6, 1), s = 37, screens at 26, so a check loosened to
         # a <= c + 2 delta would accept the row with the decoy in its place.
@@ -470,7 +499,7 @@ class TestKnnMany:
         # The re-rank sorts each row of a padded array on its own; a row of
         # the block must come out as it does on its own and as the full sort
         # has it, however wide its block-mates are. Both cases take the
-        # exact cut (n < 16 (k+1) D).
+        # whole-row plan (n < 16 (k+1) D).
         rng = np.random.default_rng(31)
         if case == "copies_and_kth_ties":
             # Point 0 has 200 copies (201 zero distances in its row). Point
@@ -669,7 +698,7 @@ class TestWorkspace:
 
     def test_alternating_rules_and_sizes_in_one_thread_match_full_sort(self):
         ball = synth.sample_ball(6000, 2, seed=3)  # k = 40 takes the sampled rule
-        # n < 16 (k+1) D: the exact rule, and point 0 has 60 copies.
+        # n < 16 (k+1) D: the whole-row plan, and point 0 has 60 copies.
         copies = DataMatrix(np.vstack([ball.points[:300], np.repeat(ball.points[:1], 60, axis=0)]))
         larger = synth.sample_ball(20000, 2, seed=4)
         smaller = synth.sample_ball(500, 3, seed=5)
@@ -702,7 +731,7 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
 
     def test_a_search_of_the_same_shape_reuses_the_threads_block(self):
-        data = synth.sample_ball(2000, 3, seed=8)  # k = 10 takes the exact rule
+        data = synth.sample_ball(2000, 3, seed=8)  # k = 10 takes the whole-row plan
 
         def buffers(rows):
             knn_many(data, data.points[:rows], 10)
@@ -724,7 +753,7 @@ class TestWorkspace:
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(run).result()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            # The copy holds ceil(n / step) values per row, never n: no row took the exact cut.
+            # The copy holds ceil(n / step) values per row, never n: no row fell back.
             assert pool.submit(sampled).result() == 5 * 1500
 
 
@@ -824,7 +853,7 @@ def _spy_workspace(monkeypatch) -> list:
 class TestWorkspaceBuffers:
     """The per-block arrays of searches and estimation in the thread's workspace."""
 
-    # The exact rule (k = 10) and the sampled one (k = 31 on 3 000 2-D points).
+    # The whole-row plan (k = 10) and the sampled one (k = 31 on 3 000 2-D points).
     CASES = [(lambda: synth.sample_ball(2000, 3, seed=8), 10),
              (lambda: synth.sample_ball(3000, 2, seed=6), 31)]
 

@@ -85,7 +85,7 @@ def _segment_distances(pts, vertices):
 
 
 class TestKoch:
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, np.int64(2)])
     def test_segment_count_and_length(self, depth):
         v = koch_polyline(depth)
         seg_count = len(v) - 1
@@ -98,6 +98,14 @@ class TestKoch:
     def test_depth_above_ten_is_rejected(self):
         with pytest.raises(ValueError, match="limit is 10"):
             koch_polyline(11)
+
+    @pytest.mark.parametrize("depth", [2.0, True, np.float64(2)], ids=repr)
+    def test_depth_must_be_an_integer(self, depth):
+        # A float or bool depth is refused, not truncated or read as 1.
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            koch_polyline(depth)
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            generate(GeneratorSpec("koch", n=10, params={"depth": depth}))
 
     def test_depth_zero_is_triangle(self):
         pts = koch_snowflake(0, 500, seed=5).points
