@@ -27,7 +27,7 @@ from .core import (
     load_csv,
     write_csv,
 )
-from .neighbors import DirectionBundle, NeighborList, direction_bundle, knn, radius_neighbors
+from .neighbors import DirectionBundle, NeighborList, direction_bundle, knn
 from .angle_id import (
     CosineSquareStats,
     NeighborhoodSizeWarning,

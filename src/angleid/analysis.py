@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_K, DataMatrix, DegenerateInputError, _integers, _write_csv
+from .core import MIN_K, DataMatrix, DegenerateInputError, _frozen, _integers, _write_csv
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -90,7 +90,8 @@ class TrailMatrix:
     """Per-point estimate trails across neighborhood sizes.
 
     ``estimates[i, j]`` is the estimate for point ``point_indices[i]`` at
-    neighborhood size ``k_values[j]``.
+    neighborhood size ``k_values[j]``; ``estimates`` is a read-only copy of
+    the input.
     """
 
     k_values: tuple[int, ...]
@@ -102,15 +103,16 @@ class TrailMatrix:
         ks = tuple(map(int, self.k_values))
         if not all(map(operator.lt, ks, ks[1:])):
             raise ValueError("k_values must be strictly increasing")
-        est = np.asarray(self.estimates, dtype=np.float64)
+        est = _frozen(self.estimates, np.float64)
         if est.shape != (len(self.point_indices), len(ks)):
             raise ValueError("estimates must be (n_points, n_k)")
-        est.setflags(write=False)
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "point_indices", tuple(map(int, self.point_indices)))
 
     def column(self, k: int) -> np.ndarray:
+        if k not in self.k_values:
+            raise ValueError(f"k = {k!r} is not among the trail's k values {self.k_values}")
         return self.estimates[:, self.k_values.index(k)]
 
 

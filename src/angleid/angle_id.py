@@ -214,10 +214,13 @@ def cosine_square_stats(bundle: DirectionBundle) -> CosineSquareStats:
     costs O(k D^2) instead of O(k^2 D); when D > k the k-by-k Gram matrix
     is the cheaper side (see ``_sq_sums``). The diagonal contributes
     exactly k and is subtracted; roundoff is clamped back into
-    [0, k**2 - k].
+    [0, k**2 - k]. A bundle of no directions raises
+    InsufficientNeighborsError(1, 0), as ``abid`` does at k = 0.
     """
     u = bundle.directions[None]
     k = bundle.source_k
+    if not k:
+        raise InsufficientNeighborsError(MIN_K["abid"], 0)
     off = _off_diag(_sq_sums(u, [k]), np.array([float(k)]))
     return CosineSquareStats(k, float(off[0, 0]), float(_mean_cosines(u)[0]))
 

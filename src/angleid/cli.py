@@ -25,6 +25,7 @@ from .core import (
     DataMatrix,
     load_csv,
     write_csv,
+    _check_delimiter as _delimiter_rule,
     _read_csv,
 )
 
@@ -146,8 +147,11 @@ def _check_seed(flag: str, seed: int) -> None:
 
 
 def _check_delimiter(args) -> None:
-    if not args.delimiter:
-        raise UsageError("--delimiter must not be empty")
+    """The library's delimiter rule (``core._check_delimiter``) for the file this command writes."""
+    try:
+        _delimiter_rule(args.delimiter, vars(args).get("with_diagnostics", False))
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
 
 
 def _load_queries(args) -> tuple[DataMatrix, list[int] | None]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import string
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
@@ -127,6 +128,13 @@ def _check_indices(name: str, values, n: int) -> list[int]:
             raise IndexError(f"query index {idx} out of range for n={n}")
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a new read-only ``dtype`` array, shared with no caller."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
     """n points in D-dimensional real space, immutable after construction.
@@ -144,7 +152,7 @@ class DataMatrix:
     _screen: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, copy=True)
+        pts = _frozen(self.points, np.float64)
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
         n, dim = pts.shape
@@ -152,7 +160,6 @@ class DataMatrix:
             raise ValueError(f"need n >= 1 and D >= 1, got {n}x{dim}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite (no NaN/Inf)")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -206,7 +213,7 @@ class EstimateTable:
         self._indices = indices
         self._k = int(k)
         self._values = {t: _column(v, np.float64, n) for t, v in values.items()}
-        self._flags = {t: _column(flags[t], np.uint8, n) for t in values}
+        self._flags = {t: _flag_column(t, flags[t], n) for t in values}
         if mean_cosines is not None:
             mean_cosines = tuple(_column(mean_cosines, np.float64, n).tolist())
         self._mean_cosines = mean_cosines
@@ -253,11 +260,20 @@ class EstimateTable:
 
 
 def _column(values, dtype, n: int) -> np.ndarray:
-    col = np.array(values, dtype=dtype)
+    col = _frozen(values, dtype)
     if col.shape != (n,):
         raise ValueError(f"a column must hold one entry per row ({n}), got shape {col.shape}")
-    col.setflags(write=False)
     return col
+
+
+def _flag_column(tag: str, masks, n: int) -> np.ndarray:
+    """The flag column of ``tag``, or a ValueError naming it for a mask outside ``FLAG_BITS``."""
+    masks = np.asarray(masks)
+    ok = (masks >= 0) & (masks < len(_FLAG_SETS))
+    if not ok.all():
+        (mask,) = masks.ravel()[np.flatnonzero(np.logical_not(ok))[:1]].tolist()
+        raise ValueError(f"flag mask {mask!r} of {tag} is not a sum of FLAG_BITS {FLAG_BITS}")
+    return _column(masks, np.uint8, n)
 
 
 def _columns(rows) -> tuple[list[int], int, dict, dict]:
@@ -330,22 +346,45 @@ def _flag_cells(table: EstimateTable, tags: tuple[str, ...]) -> list[str]:
 # reader and writer hold besides their result.
 _CSV_ROWS = 4096
 
+# What a written cell can hold: a "%.17g" number (digits, ".", "+", "-",
+# "e", "inf", "nan") or a column name (letters, digits, "_"); the items of a
+# flags cell (``_flag_cells``) add ":" and "|". A line break ends a row.
+_CELL_CHARS = frozenset(string.ascii_letters + string.digits + ".+-_\r\n")
+_FLAG_CHARS = frozenset(":|")
+
+
+def _check_delimiter(delimiter: str, flags: bool = False) -> None:
+    """A ValueError unless ``delimiter`` is non-empty and can occur in no written cell.
+
+    ``flags`` says that the file has the flags column of an estimate table
+    with diagnostics.
+    """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
+    if not _CELL_CHARS.isdisjoint(delimiter):
+        raise ValueError(f"delimiter {delimiter!r} must not contain a line break, "
+                         "an ASCII letter or digit, '.', '+', '-' or '_'")
+    if flags and not _FLAG_CHARS.isdisjoint(delimiter):
+        raise ValueError(f"delimiter {delimiter!r} must not contain ':' or '|' "
+                         "with the flags column")
+
 
 def _write_csv(path, rows: np.ndarray, delimiter: str, header=None) -> None:
     """Write a header line, if given, and the rows of a 2-D array as CSV.
 
     Every number is written ``"%.17g"``: 17 significant digits round-trip
     float64 exactly, and whole numbers such as indices and counts print
-    as integers. The str cells of an object array are written as they are.
-    Lines end in LF. Each chunk of rows is formatted by one %-format.
+    as integers. The str cells of an object array, the flags column, are
+    written as they are. Lines end in LF. Each chunk of rows is formatted
+    by one %-format. The delimiter must pass ``_check_delimiter``.
     """
-    if not delimiter:
-        raise ValueError("delimiter must not be empty")
+    texts = [isinstance(c, str) for c in rows[0]] if len(rows) else []
+    _check_delimiter(delimiter, any(texts))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header is not None:
             fh.write(delimiter.join(header) + "\n")
         if len(rows):
-            cells = ["%s" if isinstance(c, str) else "%.17g" for c in rows[0]]
+            cells = ["%s" if text else "%.17g" for text in texts]
             fmt = delimiter.replace("%", "%%").join(cells) + "\n"
             for lo in range(0, len(rows), _CSV_ROWS):
                 part = rows[lo:lo + _CSV_ROWS]

@@ -26,8 +26,9 @@ into one row of a padded (B, widest row) array and sorts every row on its
 own with one stable ``argsort`` along the rows, so no row's order depends
 on the other rows of its block. The screen only narrows the candidates,
 so the neighbor lists are bitwise those of the full sort for any block
-size, thread count or plan. The full sort itself remains for
-``radius_neighbors``.
+size, thread count or plan. The kernel's re-rank is the only code here
+that orders neighbors; the tests keep the full sort
+(``tests/test_neighbors.py::_sorted_candidates``) as its oracle.
 
 Each thread keeps one workspace (``_workspace``) for the per-block arrays
 of all its searches and estimation blocks: the screen block and its
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, InsufficientNeighborsError, _check_indices, _check_positive
+from .core import DataMatrix, InsufficientNeighborsError, _check_indices, _check_positive, _frozen
 
-__all__ = ["NeighborList", "DirectionBundle", "knn", "radius_neighbors", "direction_bundle"]
+__all__ = ["NeighborList", "DirectionBundle", "knn", "direction_bundle"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +60,7 @@ class NeighborList:
 
     ``query_index`` is None for out-of-set query vectors. Distances are
     non-decreasing and strictly positive; indices never repeat and never
-    equal the query index.
+    equal the query index. Both arrays are read-only copies of the inputs.
     """
 
     query_index: int | None
@@ -67,8 +68,8 @@ class NeighborList:
     distances: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        dist = np.asarray(self.distances, dtype=np.float64)
+        idx = _frozen(self.indices, np.int64)
+        dist = _frozen(self.distances, np.float64)
         if idx.shape != dist.shape or idx.ndim != 1:
             raise ValueError("indices and distances must be matching 1-d arrays")
         if dist.size and not np.all(dist > 0.0):
@@ -79,8 +80,6 @@ class NeighborList:
             raise ValueError("neighbor indices must be distinct")
         if self.query_index is not None and np.any(idx == self.query_index):
             raise ValueError("neighbor indices must not include the query index")
-        idx.setflags(write=False)
-        dist.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "distances", dist)
 
@@ -90,6 +89,7 @@ class NeighborList:
 
     def prefix(self, k: int) -> "NeighborList":
         """The k nearest of these neighbors (valid because they are sorted)."""
+        k = _check_positive("k", k)
         if k > self.k:
             raise InsufficientNeighborsError(k, self.k, point=self.query_index)
         return NeighborList(self.query_index, self.indices[:k], self.distances[:k])
@@ -97,22 +97,25 @@ class NeighborList:
 
 @dataclass(frozen=True, eq=False)
 class DirectionBundle:
-    """Unit direction vectors from a query point to each of its neighbors."""
+    """Unit direction vectors from a query point to each of its neighbors.
+
+    ``directions`` is a read-only copy of the input.
+    """
 
     directions: np.ndarray
     source_k: int
 
     def __post_init__(self):
-        dirs = np.asarray(self.directions, dtype=np.float64)
+        dirs = _frozen(self.directions, np.float64)
         if dirs.ndim != 2 or dirs.shape[0] != self.source_k:
             raise ValueError("directions must be a (k, D) array matching source_k")
         norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
         if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("directions must have unit Euclidean norm (within 1e-12)")
-        dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
 
     def prefix(self, k: int) -> "DirectionBundle":
+        k = _check_positive("k", k)
         if k > self.source_k:
             raise InsufficientNeighborsError(k, self.source_k)
         return DirectionBundle(self.directions[:k], k)
@@ -129,18 +132,6 @@ def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
     if not np.all(np.isfinite(q)):
         raise ValueError("query vector must be finite")
     return q, None
-
-
-def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = data.points - q
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    # dist == 0.0 exactly for the query row and bitwise duplicates.
-    valid = np.flatnonzero(dist > 0.0)
-    # Stable sort on an index-ascending candidate list breaks distance ties
-    # by ascending point index, deterministically.
-    order = np.argsort(dist[valid], kind="stable")
-    sel = valid[order]
-    return sel, dist[sel]
 
 
 # Bytes of the (B, n) block of screened squared distances; it sets the
@@ -249,7 +240,9 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     """The exact k nearest neighbors in ``data`` of each row of ``queries``: the one search.
 
     Maps a (Q, D) array of query vectors to (Q, k) int64 indices and (Q, k)
-    float64 distances, row for row bitwise equal to the first k entries of
+    float64 distances: each row's k points of nonzero distance (the query
+    and its exact duplicates excluded), distances ``_distances``, in
+    (distance, index) order, bitwise the first k of the tests' full sort
     ``_sorted_candidates``. It writes them to ``out``, a pair of such
     arrays, if given, else to new ones. It screens ``_block_rows`` queries
     at a time against the matrix's cached screen (``_screen``) into the
@@ -345,7 +338,8 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
             z = int(np.bincount(r[d == 0.0], minlength=len(q))[redo].max())
             c[redo] = cut(a[redo], 1, k + z)
             r, col, d = collect(q, a, c, delta)
-        # Re-rank with the distances and order of _sorted_candidates. The
+        # Re-rank: zero distances excluded, the rest in (distance, index)
+        # order, as the tests' full sort _sorted_candidates. The
         # candidates come by ascending row, then column, and each row's
         # fill the first places of one row of a padded array in that
         # order (a boolean mask assigns in row-major order), with NaN for
@@ -375,7 +369,7 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
 
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """The distances of _sorted_candidates from query rows ``q[r]`` to points ``pts[col]``."""
+    """sqrt(fl(sum fl(p - q)^2)) from rows ``q[r]`` to ``pts[col]``, as the tests' full sort."""
     diff = _gather(pts, col, 0, "diff")
     diff -= _gather(q, r, 0, "query_rows")
     d = np.einsum("ij,ij->i", diff, diff)
@@ -403,16 +397,6 @@ def knn(data: DataMatrix, query, k: int) -> NeighborList:
     return NeighborList(qidx, idx[0], dist[0])
 
 
-def radius_neighbors(data: DataMatrix, query, radius: float) -> NeighborList:
-    """All neighbors within ``radius`` (inclusive), sorted like knn."""
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    q, qidx = _resolve_query(data, query)
-    sel, dist = _sorted_candidates(data, q)
-    m = int(np.searchsorted(dist, radius, side="right"))
-    return NeighborList(qidx, sel[:m], dist[:m])
-
-
 def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBundle:
     """Unit directions from the query to each neighbor in ``nl``.
 
@@ -424,7 +408,7 @@ def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBund
         raise ValueError("neighbor list was built for a different query")
     if nl.k and not 0 <= nl.indices.min() <= nl.indices.max() < data.n:  # _gather clips
         raise IndexError(f"neighbor indices must lie in [0, {data.n})")
-    return DirectionBundle(_directions(data.points, q, nl.indices, nl.distances).copy(), nl.k)
+    return DirectionBundle(_directions(data.points, q, nl.indices, nl.distances), nl.k)
 
 
 def _directions(points: np.ndarray, q: np.ndarray, indices: np.ndarray,

@@ -134,6 +134,12 @@ class TestTrails:
         with pytest.raises(ValueError, match=r"^estimates must be \(n_points, n_k\)$"):
             TrailMatrix((5, 9), np.zeros(shape), "abid", (3,))
 
+    def test_column_of_a_missing_k_names_it_and_the_k_values(self):
+        tm = TrailMatrix((10, 20), np.array([[1.5, 2.5]]), "abid", (3,))
+        assert tm.column(20).tolist() == [2.5]
+        with pytest.raises(ValueError, match=r"^k = 15 is not among the trail's k values \(10, 20\)$"):
+            tm.column(15)
+
     def test_csv_output(self, tmp_path):
         tm = TrailMatrix((5, 9), np.array([[1.5, 2.5]]), "abid", (3,))
         p = tmp_path / "t.csv"

@@ -73,6 +73,15 @@ class TestCosineSquareStats:
         s = cosine_square_stats(_bundle([[1.0, 0.0]]))
         assert (s.k, s.off_diag_sq_sum, s.mean_cosine) == (1, 0.0, 0.0)
 
+    def test_no_directions_are_too_few_neighbors_as_for_abid(self):
+        errors = []
+        for call in (lambda: cosine_square_stats(DirectionBundle(np.empty((0, 2)), 0)),
+                     lambda: abid(CosineSquareStats(0, 0.0, 0.0))):
+            with pytest.raises(InsufficientNeighborsError) as exc:
+                call()
+            errors.append((exc.value.required, exc.value.available, exc.value.point))
+        assert errors == [(1, 0, None)] * 2
+
     @pytest.mark.parametrize("k,dim", [(2, 1), (5, 3), (20, 4), (50, 10), (10, 40)])
     def test_gram_path_matches_double_loop(self, k, dim):
         rng = np.random.default_rng(k * 100 + dim)

@@ -9,6 +9,11 @@ from angleid.cli import main
 from angleid.core import load_csv
 
 
+# The two refusals of the delimiter rule, after "must not contain".
+_IN_A_CELL = "a line break, an ASCII letter or digit, '.', '+', '-' or '_'"
+_IN_A_FLAGS_CELL = "':' or '|' with the flags column"
+
+
 def run(*args) -> int:
     return main([str(a) for a in args])
 
@@ -213,6 +218,36 @@ class TestEstimate:
         assert run(*command, "--input", tmp_path / "missing.csv", "--delimiter", "",
                    "-o", tmp_path / "x.csv") == 1
         assert capsys.readouterr().err == "usage error: --delimiter must not be empty\n"
+
+    @pytest.mark.parametrize("command, delimiter, message", [
+        (("estimate", "--k", 10), ".", _IN_A_CELL),
+        (("estimate", "--k", 10), "e", _IN_A_CELL),
+        (("estimate", "--k", 10, "--with-diagnostics"), "|", _IN_A_FLAGS_CELL),
+        (("estimate", "--k", 10, "--with-diagnostics"), ":", _IN_A_FLAGS_CELL),
+        (("trails", "--k-values", "10,20"), "-", _IN_A_CELL),
+        (("histogram", "--column", "abid", "--bin-width", 0.5), "\n", _IN_A_CELL),
+    ], ids=["estimate-dot", "estimate-letter", "flags-bar", "flags-colon", "trails-minus",
+            "histogram-newline"])
+    def test_a_delimiter_a_written_cell_can_hold_is_a_usage_error_before_loading(
+            self, tmp_path, capsys, command, delimiter, message):
+        out = tmp_path / "x.csv"
+        assert run(*command, "--input", tmp_path / "missing.csv", "--delimiter", delimiter,
+                   "-o", out) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --delimiter {delimiter!r} must not contain {message}\n")
+        assert not out.exists()
+
+    def test_bar_stays_valid_without_the_flags_column(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(f"{i}|{j}\n" for i in range(10) for j in range(10)))
+        est, hist = tmp_path / "est.csv", tmp_path / "hist.csv"
+        assert run("estimate", "--input", grid, "--k", 2, "--estimators", "rabid,mle",
+                   "--delimiter", "|", "-o", est) == 0
+        assert run("histogram", "--input", est, "--column", "mle", "--bin-width", 0.5,
+                   "--delimiter", "|", "-o", hist) == 0
+        for path, fields in ((est, 3), (hist, 2)):
+            lines = path.read_text().splitlines()
+            assert {line.count("|") + 1 for line in lines} == {fields}
 
     @pytest.mark.parametrize("command", [
         ("estimate", "--k", 10),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,16 +14,26 @@ from angleid.core import (
     DataMatrix,
     EstimateTable,
     IdEstimate,
+    _read_csv,
     load_csv,
     write_csv,
 )
 from angleid.analysis import Histogram, TrailMatrix, write_histogram_csv, write_trails_csv
+from angleid.neighbors import DirectionBundle, NeighborList
 
 
 def _write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def _table(diagnostics=True):
+    """A two-row rabid and mle table whose second row has flags in both columns."""
+    both = FLAG_BITS[CLAMPED_TO_K] | FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+    return EstimateTable([0, 1], [0.5, -0.25] if diagnostics else None, k=3,
+                         values={"rabid": [1.5, 3.0], "mle": [2.0, 3.0]},
+                         flags={"rabid": [0, both], "mle": [0, FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]]})
 
 
 class TestDataMatrix:
@@ -179,6 +191,39 @@ class TestWriteCsv:
             write(obj, p, delimiter="")
         assert not p.exists()
 
+    @pytest.mark.parametrize("write, obj", [
+        (write_csv, DataMatrix([[1.0, 2.0]])),
+        (write_csv, _table(diagnostics=False)),
+        (write_histogram_csv, Histogram(0.5, 0.0, {0: 2, 3: 1}, 3)),
+        (write_trails_csv, TrailMatrix((2, 3), [[1.5, 1.25]], "abid", (0,))),
+    ])
+    @pytest.mark.parametrize("delimiter", ["\n", "\r", "a", "E", "7", ".", "+", "-", "_", ";e"])
+    def test_a_delimiter_a_cell_can_hold_is_rejected_before_the_file_is_opened(
+            self, tmp_path, write, obj, delimiter):
+        p = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=f"^delimiter {re.escape(repr(delimiter))} must not "
+                           "contain a line break, an ASCII letter or digit"):
+            write(obj, p, delimiter=delimiter)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("delimiter", ["|", ":", ";|"])
+    def test_the_flags_column_also_rejects_its_own_separators(self, tmp_path, delimiter):
+        p = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="must not contain ':' or '[|]' with the flags column$"):
+            write_csv(_table(), p, delimiter=delimiter)
+        assert not p.exists()
+        write_csv(_table(diagnostics=False), p, delimiter=delimiter)
+        assert _read_csv(p, delimiter, column="mle").tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "%", " ", ", "])
+    def test_every_line_of_a_table_with_flags_has_the_header_field_count(self, tmp_path,
+                                                                          delimiter):
+        p = tmp_path / "x.csv"
+        write_csv(_table(), p, delimiter=delimiter)
+        lines = p.read_text().splitlines()
+        assert [line.count(delimiter) for line in lines] == [4] * 3
+        assert _read_csv(p, delimiter, column="mle").tolist() == [2.0, 3.0]
+
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError) as exc:
             write_csv(DataMatrix([[1.0]]), tmp_path / "missing_dir" / "x.csv")
@@ -276,6 +321,12 @@ class TestEstimateTable:
         with pytest.raises(ValueError, match="same estimator tags"):
             EstimateTable([0], k=4, values={"mle": [1.0]}, flags={"mom": [0]})
 
+    @pytest.mark.parametrize("mask", [4, 8, 255, 256, -1, 2**70, 0.5 - 1, np.nan])
+    def test_rejects_flag_masks_outside_flag_bits(self, mask):
+        with pytest.raises(ValueError, match=f"^flag mask {re.escape(repr(mask))} of mle is not "
+                           "a sum of FLAG_BITS"):
+            EstimateTable([0, 1], k=4, values={"mle": [1.0, 2.0]}, flags={"mle": [0, mask]})
+
 
 # Finite float64 values, with the edge cases that a 17-digit format must
 # keep apart: signed zeros, subnormals and the largest magnitudes.
@@ -322,3 +373,32 @@ class TestCsvProperties:
         want = [["bin_left", "count"]]
         want += [["%.17g" % (origin + b * width), str(counts[b])] for b in sorted(counts)]
         assert p.read_bytes() == _join(want, delimiter)
+
+
+# Each public container, built from a view of a larger array: (build, input, what it keeps).
+_CONTAINERS = {
+    "DataMatrix": (DataMatrix, [[1.0, 2.0], [3.0, 4.0]], lambda m: m.points),
+    "NeighborList.indices": (lambda a: NeighborList(0, a, [1.0, 2.0]), [3, 1],
+                             lambda nl: nl.indices),
+    "NeighborList.distances": (lambda a: NeighborList(0, [3, 1], a), [1.0, 2.0],
+                               lambda nl: nl.distances),
+    "DirectionBundle": (lambda a: DirectionBundle(a, 2), [[0.6, 0.8], [1.0, 0.0]],
+                        lambda b: b.directions),
+    "TrailMatrix": (lambda a: TrailMatrix((2, 3), a, "abid", (0,)), [[1.5, 1.25]],
+                    lambda tm: tm.estimates),
+    "EstimateTable": (lambda a: EstimateTable([0, 1], k=3, values={"mle": a},
+                                              flags={"mle": [0, 0]}),
+                      [2.0, 3.0], lambda t: t.values("mle")),
+}
+
+
+@pytest.mark.parametrize("build, values, kept", _CONTAINERS.values(), ids=list(_CONTAINERS))
+def test_containers_keep_a_read_only_copy_and_leave_the_callers_array_writable(build, values,
+                                                                               kept):
+    base = np.concatenate([np.array(values)] * 2)
+    view = base[:len(values)]
+    obj = build(view)
+    want = kept(obj).tobytes()
+    assert view.flags.writeable and not np.shares_memory(kept(obj), base)
+    base[...] = 5
+    assert kept(obj).tobytes() == want

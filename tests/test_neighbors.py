@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -16,11 +17,9 @@ from angleid.core import ESTIMATOR_TAGS, DataMatrix, InsufficientNeighborsError,
 from angleid.neighbors import (
     DirectionBundle,
     NeighborList,
-    _sorted_candidates,
     direction_bundle,
     knn,
     knn_many,
-    radius_neighbors,
 )
 
 
@@ -144,31 +143,6 @@ class TestKnn:
             route(synth.sample_ball(50, 2, seed=1))
 
 
-class TestRadiusNeighbors:
-    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
-    def test_radius_must_be_positive(self, radius):
-        with pytest.raises(ValueError, match="^radius must be positive, got "):
-            radius_neighbors(DataMatrix([[0.0], [1.0]]), 0, radius)
-
-    def test_inclusive_radius(self):
-        data = DataMatrix([[0.0], [1.0], [2.0], [3.0]])
-        nl = radius_neighbors(data, 0, 2.0)
-        assert list(nl.indices) == [1, 2]
-
-    def test_empty_result_allowed(self):
-        data = DataMatrix([[0.0], [5.0]])
-        nl = radius_neighbors(data, 0, 1.0)
-        assert nl.k == 0
-
-    def test_agrees_with_knn_ordering(self):
-        rng = np.random.default_rng(3)
-        data = DataMatrix(rng.standard_normal((50, 2)))
-        full = knn(data, 0, 49)
-        r = float(full.distances[9])
-        nl = radius_neighbors(data, 0, r)
-        assert list(nl.indices) == list(full.indices[: nl.k])
-
-
 class TestDirectionBundle:
     def test_three_four_five(self):
         data = DataMatrix([[0.0, 0.0], [3.0, 4.0]])
@@ -233,6 +207,15 @@ class TestDirectionBundle:
             bundle.prefix(4)
         assert (exc.value.required, exc.value.available, exc.value.point) == (4, 3, None)
 
+    @pytest.mark.parametrize("k", [0, -1, True, np.True_, 2.0, np.float64(2.0), "2", None])
+    def test_prefix_takes_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {re.escape(repr(k))}$"):
+            DirectionBundle(np.eye(3), 3).prefix(k)
+
+    def test_prefix_of_a_numpy_integer_keeps_an_int_source_k(self):
+        head = DirectionBundle(np.eye(3), 3).prefix(np.int64(2))
+        assert type(head.source_k) is int and head.source_k == 2
+
 
 class TestNeighborListValidation:
     def test_rejects_zero_distance(self):
@@ -262,8 +245,27 @@ class TestNeighborListValidation:
     def test_prefix(self):
         nl = NeighborList(None, np.array([4, 2, 9]), np.array([1.0, 2.0, 3.0]))
         assert list(nl.prefix(2).indices) == [4, 2]
+        assert list(nl.prefix(np.int64(1)).indices) == [4]
         with pytest.raises(InsufficientNeighborsError):
             nl.prefix(5)
+
+    @pytest.mark.parametrize("k", [0, -1, True, np.True_, 2.0, np.float64(2.0), "2", None])
+    def test_prefix_takes_a_positive_integer(self, k):
+        nl = NeighborList(None, np.arange(5), np.arange(1.0, 6.0))
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {re.escape(repr(k))}$"):
+            nl.prefix(k)
+
+
+def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    diff = data.points - q
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    # dist == 0.0 exactly for the query row and bitwise duplicates.
+    valid = np.flatnonzero(dist > 0.0)
+    # Stable sort on an index-ascending candidate list breaks distance ties
+    # by ascending point index, deterministically.
+    order = np.argsort(dist[valid], kind="stable")
+    sel = valid[order]
+    return sel, dist[sel]
 
 
 def _full_sort(data, queries, k):
