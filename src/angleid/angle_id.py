@@ -29,7 +29,7 @@ import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .core import (
     MIN_K,
     _FLAG_SETS,
     _check_indices,
-    _check_positive,
+    _check_integer,
     _integers,
 )
 from . import neighbors
@@ -271,8 +271,12 @@ def abid_via_fixed_point(
     converging to the same self-consistent value. At m*(k-1) == 1 exactly,
     neither direction converges and a FixedPointDivergenceError is raised
     unless d_0 already solves the equation. Kept as a diagnostic
-    cross-check of the closed form used by abid.
+    cross-check of the closed form used by abid. ``tol`` must be positive
+    and finite and ``max_iter`` a positive integer, or a ValueError is raised.
     """
+    if not 0.0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    max_iter = _check_integer("max_iter", max_iter)
     k = stats.k
     if k < 2:
         raise InsufficientNeighborsError(2, k)
@@ -307,7 +311,7 @@ def required_k(d: int, c: float) -> int:
 
     Returns ceil(d**2/c + (1 - 1/c)*d). With c = 1 this is d**2.
     """
-    d = _check_positive("d", d)
+    d = _check_integer("d", d)
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     value = d * d / c + (1.0 - 1.0 / c) * d
@@ -485,7 +489,7 @@ def estimate_point(
     ``estimate_table``; an error names the query index (None for a vector).
     """
     tags = _check_tags(estimators)
-    k = _check_positive("k", k)
+    k = _check_integer("k", k)
     q, qidx = _resolve_query(data, query)
     _check_ks(tags, [k], ged_pair, qidx)
     est, _ = _estimate_many(data, q[None], [qidx], tags, [k], ged_pair, threads=1)
@@ -515,7 +519,7 @@ def estimate_table(
     whose angle-based estimate exceeds k - 2.
     """
     tags = _check_tags(estimators)
-    k = _check_positive("k", k)
+    k = _check_integer("k", k)
     rows, names = _query_rows(data, queries, "queries")
     _check_ks(tags, [k], ged_pair, names[0])
     est, mean_cosines = _estimate_many(data, rows, names, tags, [k], ged_pair, threads,
@@ -559,7 +563,7 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     order, so a neighbor shortage names the first short query (the kernel
     names a block's first short row). No result depends on the block size.
     """
-    threads = _check_positive("threads", threads)
+    threads = _check_integer("threads", threads)
     ks = np.asarray(ks, dtype=np.int64)
     k_max = int(ks[-1])
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)

@@ -27,6 +27,7 @@ from .core import (
     write_csv,
     _check_delimiter as _delimiter_rule,
     _read_csv,
+    _rng,
 )
 
 EXIT_OK = 0
@@ -170,7 +171,7 @@ def _load_queries(args) -> tuple[DataMatrix, list[int] | None]:
     count, n, seed = args.points, data.n, args.subsample_seed
     if count is None or count >= n:
         return data, None
-    picked = np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
+    picked = np.sort(_rng(seed).choice(n, size=count, replace=False))
     print(f"subsample: {count} of {n} query points (seed={seed})", file=sys.stderr)
     return data, picked.tolist()
 
@@ -199,17 +200,14 @@ def _spec_from_args(args) -> synth.GeneratorSpec:
     params = {name: value for name, value in vars(args).items() if value is not None
               and name not in ("command", "func", "shape", "n", "seed", "output")}
     if "levels" in params:
-        params["levels"] = _parse_floats(params["levels"], "--levels")
+        params["levels"] = _parse_list(params["levels"], "--levels", float)
     return synth.GeneratorSpec(shape=args.shape, n=args.n, seed=args.seed, params=params)
 
 
 def cmd_estimate(args) -> int:
     ged_pair = None
     if args.ged_pair is not None:
-        pair = _parse_floats(args.ged_pair, "--ged-pair")
-        if len(pair) != 2 or not all(v.is_integer() for v in pair):
-            raise UsageError(f"--ged-pair expects two integers k1,k2, got {args.ged_pair!r}")
-        ged_pair = (int(pair[0]), int(pair[1]))
+        ged_pair = tuple(_parse_list(args.ged_pair, "--ged-pair", int))
     try:
         tags = angle_id._check_tags(t.strip() for t in args.estimators.split(",") if t.strip())
         analysis._check_k_values([args.k], tags, ged_pair)
@@ -278,10 +276,7 @@ def _read_column(path, column: str, delimiter: str) -> np.ndarray:
 
 def cmd_trails(args) -> int:
     if args.k_values is not None:
-        values = _parse_floats(args.k_values, "--k-values")
-        if not all(v.is_integer() for v in values):
-            raise UsageError(f"--k-values expects comma-separated integers, got {args.k_values!r}")
-        ks = [int(v) for v in values]
+        ks = _parse_list(args.k_values, "--k-values", int)
     else:
         if None in (args.k_min, args.k_max, args.k_step):
             raise UsageError("need --k-values or all of --k-min/--k-max/--k-step")
@@ -357,8 +352,10 @@ def _pair_cosines(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", unit[0::2], unit[1::2])
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind) -> list:
+    """The comma-separated values of ``text``, each read by ``kind`` (``float`` or ``int``)."""
     try:
-        return [float(v) for v in text.split(",")]
+        return [kind(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {noun}, got {text!r}") from None

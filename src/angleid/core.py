@@ -94,15 +94,21 @@ def _integers(values: list) -> list[int]:
     return list(map(operator.index, values))
 
 
-def _check_positive(name: str, value) -> int:
-    """``value`` as an int, or a ValueError unless it is an integer of at least 1."""
+def _check_integer(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, or a ValueError unless it is an integer of at least ``minimum``."""
     try:
         (out,) = _integers([value])
     except TypeError:
-        out = 0
-    if out < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        out = minimum - 1
+    if out < minimum:
+        rule = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return out
+
+
+def _rng(seed) -> np.random.Generator:
+    """The random generator of ``seed``, which must be an integer >= 0 under the rule above."""
+    return np.random.default_rng(_check_integer("seed", seed, 0))
 
 
 def _check_indices(name: str, values, n: int) -> list[int]:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, InsufficientNeighborsError, _check_indices, _check_positive, _frozen
+from .core import DataMatrix, InsufficientNeighborsError, _check_indices, _check_integer, _frozen
 
 __all__ = ["NeighborList", "DirectionBundle", "knn", "direction_bundle"]
 
@@ -89,7 +89,7 @@ class NeighborList:
 
     def prefix(self, k: int) -> "NeighborList":
         """The k nearest of these neighbors (valid because they are sorted)."""
-        k = _check_positive("k", k)
+        k = _check_integer("k", k)
         if k > self.k:
             raise InsufficientNeighborsError(k, self.k, point=self.query_index)
         return NeighborList(self.query_index, self.indices[:k], self.distances[:k])
@@ -115,7 +115,7 @@ class DirectionBundle:
         object.__setattr__(self, "directions", dirs)
 
     def prefix(self, k: int) -> "DirectionBundle":
-        k = _check_positive("k", k)
+        k = _check_integer("k", k)
         if k > self.source_k:
             raise InsufficientNeighborsError(k, self.source_k)
         return DirectionBundle(self.directions[:k], k)
@@ -252,7 +252,7 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     (Q labels) as ``point``. It reads only shared arrays and writes only
     its thread's buffers and ``out``, so threads may call it at once.
     """
-    k = _check_positive("k", k)
+    k = _check_integer("k", k)
     pts = data.points
     n, dim = pts.shape
     screen, center, max_sq = _screen(data)

@@ -5,7 +5,9 @@ calls produce bit-identical matrices. Shapes cover rotation-invariant
 clouds (ball, sphere, Gaussian), a fractal curve (Koch snowflake), a
 jittered lattice, nested hypercubes of mixed dimension, and the
 offset-disc scenario where a query point sits far from the plane its
-neighborhood lives in.
+neighborhood lives in. Counts, dimensions, the Koch depth (>= 0) and
+seeds (>= 0) follow core's integer rule (``core._check_integer``), and
+every random generator comes from ``core._rng``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, _check_positive, _integers
+from .core import DataMatrix, _check_integer, _rng
 
 __all__ = [
     "GeneratorSpec",
@@ -44,8 +46,8 @@ def sample_ball(n: int, d: int, seed: int) -> DataMatrix:
     Gaussian direction times a U**(1/d) radius, the standard volume-exact
     construction.
     """
-    n, d = _check_positive("n", n), _check_positive("d", d)
-    rng = np.random.default_rng(seed)
+    n, d = _check_integer("n", n), _check_integer("d", d)
+    rng = _rng(seed)
     dirs = _unit_rows(rng.standard_normal((n, d)))
     radii = rng.random(n) ** (1.0 / d)
     return DataMatrix(dirs * radii[:, None])
@@ -53,15 +55,15 @@ def sample_ball(n: int, d: int, seed: int) -> DataMatrix:
 
 def sample_sphere(n: int, d: int, seed: int) -> DataMatrix:
     """n points i.i.d. uniform on the unit sphere in d-space."""
-    n, d = _check_positive("n", n), _check_positive("d", d)
-    rng = np.random.default_rng(seed)
+    n, d = _check_integer("n", n), _check_integer("d", d)
+    rng = _rng(seed)
     return DataMatrix(_unit_rows(rng.standard_normal((n, d))))
 
 
 def sample_gaussian(n: int, d: int, seed: int) -> DataMatrix:
     """n points from the standard spherical Gaussian in d-space."""
-    n, d = _check_positive("n", n), _check_positive("d", d)
-    rng = np.random.default_rng(seed)
+    n, d = _check_integer("n", n), _check_integer("d", d)
+    rng = _rng(seed)
     return DataMatrix(rng.standard_normal((n, d)))
 
 
@@ -71,14 +73,9 @@ def koch_polyline(depth: int) -> np.ndarray:
     Starts from a counterclockwise equilateral triangle of side 1; each
     subdivision replaces every segment with 4 segments of a third the
     length, bumping outward. Returns the (3 * 4**depth + 1, 2) vertex
-    array with first vertex repeated at the end; depth is capped at 10.
+    array with first vertex repeated at the end; depth is an integer in 0..10.
     """
-    try:
-        (depth,) = _integers([depth])
-    except TypeError:
-        raise ValueError(f"depth must be an integer, got {depth!r}") from None
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = _check_integer("depth", depth, 0)
     if depth > 10:
         raise ValueError(f"depth={depth} would emit 3*4**{depth} + 1 vertices; limit is 10")
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [0.0, 0.0]])
@@ -112,10 +109,10 @@ def koch_snowflake(depth: int, n: int, seed: int) -> DataMatrix:
     uniform arc-length sampling is a uniform segment choice plus a uniform
     position along it.
     """
-    n = _check_positive("n", n)
+    n = _check_integer("n", n)
     v = koch_polyline(depth)
     segments = len(v) - 1
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     seg = rng.integers(0, segments, size=n)
     t = rng.random(n)
     pts = v[seg] + (v[seg + 1] - v[seg]) * t[:, None]
@@ -135,7 +132,7 @@ def jittered_lattice(
     dims > 10 and at more than 4**10 points (the default levels at dims=10)
     because the point count explodes as levels**dims.
     """
-    dims = _check_positive("dims", dims)
+    dims = _check_integer("dims", dims)
     if dims > 10:
         raise ValueError(f"dims={dims} would emit {len(levels)}**{dims} points; limit is 10")
     if not 0.0 <= jitter_max < math.inf:
@@ -146,7 +143,7 @@ def jittered_lattice(
                          "points; limit is 4**10")
     grids = np.meshgrid(*((levels,) * dims), indexing="ij")
     base = np.stack([g.ravel() for g in grids], axis=1)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return DataMatrix(base + rng.uniform(0.0, jitter_max, size=base.shape))
 
 
@@ -165,11 +162,11 @@ def nested_hypercubes(
     leaves all angle statistics unchanged. Returns (matrix, labels) where
     labels[i] is the source-cube dimension of row i.
     """
-    max_dim = _check_positive("max_dim", max_dim)
-    n_per_cube = _check_positive("n_per_cube", n_per_cube)
+    max_dim = _check_integer("max_dim", max_dim)
+    n_per_cube = _check_integer("n_per_cube", n_per_cube)
     if max_dim > 8:
         raise ValueError(f"max_dim must be in 1..8, got {max_dim}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     blocks = []
     labels = []
     for m in range(1, max_dim + 1):
@@ -191,7 +188,7 @@ def offset_disc(n: int, h: float, seed: int) -> tuple[DataMatrix, np.ndarray]:
     and angle-based estimates tend to 1 while distance-based estimates
     blow up (all neighbor distances become nearly equal).
     """
-    n = _check_positive("n", n)
+    n = _check_integer("n", n)
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 0.0 <= h < math.inf:
@@ -203,12 +200,12 @@ def offset_disc(n: int, h: float, seed: int) -> tuple[DataMatrix, np.ndarray]:
 
 def noisy_line(n: int, length: float = 1.0, width_ratio: float = 0.04, seed: int = 0) -> DataMatrix:
     """n points uniform in a thin axis-aligned rectangle (a noised segment)."""
-    n = _check_positive("n", n)
+    n = _check_integer("n", n)
     if not (0.0 < length < math.inf and 0.0 <= width_ratio < math.inf
             and width_ratio * length < math.inf):
         raise ValueError(f"need finite length > 0 and width_ratio >= 0 with a finite width, "
                          f"got length={length}, width_ratio={width_ratio}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     width = width_ratio * length
     x = rng.uniform(0.0, length, n)
     y = rng.uniform(-width / 2.0, width / 2.0, n)

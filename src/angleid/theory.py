@@ -21,6 +21,10 @@ Legendre duplication identity) and the symmetric regularized incomplete
 beta I_x(a, a), the only one the cosine law needs, via its continued
 fraction (modified Lentz method), split at x = 1/2 by I_x(a, a) =
 1 - I_{1-x}(a, a).
+
+Dimensions, counts and seeds follow core's integer rule
+(``core._check_integer``): d >= 2 for the angle and cosine densities and
+the cdf, d >= 1 for the moments and the sampler, and a seed >= 0.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import _check_positive
+from .core import _check_integer, _rng
 
 __all__ = [
     "angle_pdf",
@@ -47,20 +51,12 @@ __all__ = [
 KS_CRITICAL_1PCT = 1.63
 
 
-def _check_dim(d: int, minimum: int) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise TypeError(f"dimension must be an integer, got {type(d).__name__}")
-    if d < minimum:
-        raise ValueError(f"dimension must be >= {minimum}, got {d}")
-    return int(d)
-
-
 def angle_pdf(theta, d: int):
     """Density of the angle between two uniform random points on a d-sphere.
 
     Accepts a scalar or array of angles in [0, pi]; requires d >= 2.
     """
-    d = _check_dim(d, 2)
+    d = _check_integer("d", d, 2)
     t = np.asarray(theta, dtype=np.float64)
     if not np.all((t >= 0.0) & (t <= math.pi)):
         raise ValueError("theta must lie in [0, pi]")
@@ -76,7 +72,7 @@ def cosine_pdf(c, d: int):
     parameters (d-1)/2. For d == 2 the density diverges at the endpoints
     (arcsine law) and +inf is returned there.
     """
-    d = _check_dim(d, 2)
+    d = _check_integer("d", d, 2)
     cc = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if not np.all((cc >= -1.0) & (cc <= 1.0)):
         raise ValueError("cosine values must lie in [-1, 1]")
@@ -97,7 +93,7 @@ def cosine_cdf(c, d: int):
 
     Exact endpoints: cdf(-1) = 0, cdf(0) = 1/2 (symmetry), cdf(1) = 1.
     """
-    d = _check_dim(d, 2)
+    d = _check_integer("d", d, 2)
     cc = np.asarray(c, dtype=np.float64)
     if not np.all((cc >= -1.0) & (cc <= 1.0)):
         raise ValueError("cosine values must lie in [-1, 1]")
@@ -110,7 +106,7 @@ def cosine_cdf(c, d: int):
 
 def cosine_moments(d: int) -> tuple[float, float]:
     """Mean and variance of the cosine law: (0, 1/d). Defined for d >= 1."""
-    d = _check_dim(d, 1)
+    d = _check_integer("d", d)
     return 0.0, 1.0 / d
 
 
@@ -135,9 +131,9 @@ def sample_cosines(d: int, n: int, seed: int) -> np.ndarray:
     Uses the ratio-of-gammas construction of a symmetric beta variate,
     mapped to [-1, 1]; d == 1 degenerates to a fair coin on {-1, +1}.
     """
-    d = _check_dim(d, 1)
-    n = _check_positive("n", n)
-    rng = np.random.default_rng(seed)
+    d = _check_integer("d", d)
+    n = _check_integer("n", n)
+    rng = _rng(seed)
     if d == 1:
         return rng.integers(0, 2, size=n) * 2.0 - 1.0
     a = (d - 1) / 2

@@ -248,6 +248,13 @@ class TestFixedPoint:
         with pytest.raises(FixedPointDivergenceError, match="^no convergence after 3 iterations$"):
             abid_via_fixed_point(s, max_iter=3)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf], ids=repr)
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # Equal iterates would stop at once, but a zero or NaN tol never stops.
+        s = CosineSquareStats(4, 12.0, 1.0)
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
+            abid_via_fixed_point(s, tol=tol)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_abid_on_random_bundles(self, seed):
         rng = np.random.default_rng(seed)

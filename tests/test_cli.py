@@ -80,6 +80,11 @@ class TestGenerate:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
+        assert run("generate", "--shape", "ball", "--d", 2, "--n", 5, "--seed", -1,
+                   "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == "usage error: seed must be an integer >= 0, got -1\n"
+
     def test_shape_options_left_out_take_the_generator_defaults(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run("generate", "--shape", "koch", "--n", 10, "-o", a) == 0
@@ -311,7 +316,17 @@ class TestEstimate:
         assert run("estimate", "--input", ball_csv, "--k", 10, "--estimators", "ged",
                    "--ged-pair", "a,b", "-o", tmp_path / "x.csv") == 1
         assert capsys.readouterr().err == (
-            "usage error: --ged-pair expects comma-separated numbers, got 'a,b'\n")
+            "usage error: --ged-pair expects comma-separated integers, got 'a,b'\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("pair, message", [
+        ("2.0,8", "--ged-pair expects comma-separated integers, got '2.0,8'"),
+        ("2,4,6", "ged_pair must be two integers, got (2, 4, 6)"),
+    ])
+    def test_ged_pair_parses_as_two_integers(self, tmp_path, ball_csv, capsys, pair, message):
+        assert run("estimate", "--input", ball_csv, "--k", 10, "--estimators", "ged",
+                   "--ged-pair", pair, "-o", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_label_column_needs_two_columns(self, tmp_path, capsys):
@@ -447,6 +462,13 @@ class TestTrailsCommand:
         assert run("trails", "--input", ball_csv, *args, "-o", tmp_path / "t.csv") == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_k_values_parse_as_integers_like_k(self, tmp_path, ball_csv, capsys):
+        assert run("trails", "--input", ball_csv, "--k-values", "10.0,20",
+                   "-o", tmp_path / "t.csv") == 1
+        assert capsys.readouterr().err == (
+            "usage error: --k-values expects comma-separated integers, got '10.0,20'\n")
         assert not (tmp_path / "t.csv").exists()
 
     def test_too_small_k_names_the_estimator(self, tmp_path, ball_csv, capsys):

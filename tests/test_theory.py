@@ -133,9 +133,9 @@ class TestCosineMoments:
 
     @pytest.mark.parametrize("d", [True, np.bool_(True), 2.0, "3"])
     def test_dimension_must_be_an_integer_and_not_a_bool(self, d):
-        with pytest.raises(TypeError, match="dimension must be an integer"):
+        with pytest.raises(ValueError, match="^d must be a positive integer, got "):
             theory.cosine_moments(d)
-        with pytest.raises(TypeError, match="dimension must be an integer"):
+        with pytest.raises(ValueError, match="^d must be an integer >= 2, got "):
             theory.cosine_cdf(0.0, d)
 
     @pytest.mark.parametrize("d", [2, 5])
