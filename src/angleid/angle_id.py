@@ -102,8 +102,8 @@ class CosineSquareStats:
 # Elements of the largest array the estimation core builds per block
 # (512 KiB): the query rows of an estimation block (``_estimate_rows``) are
 # sized by it. Larger blocks were no faster on the benchmark's workloads
-# and raise the peak memory. ``_outer_sums`` walks k in chunks of a quarter
-# of it (128 KiB) or less. The per-block arrays of that size live in the
+# and raise the peak memory. ``_outer_sums`` walks k in chunks of at most
+# that many products. The per-block arrays of that size live in the
 # thread's workspace (``neighbors._workspace``), so no block pages them in
 # again.
 _CHUNK = 1 << 16
@@ -151,25 +151,31 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # Only the upper triangle a <= b of each outer product is summed; the
-    # off-diagonal entries count twice in the Frobenius norm.
+    # off-diagonal entries count twice in the Frobenius norm. The products
+    # go in chunks of at most _CHUNK: whole rows where one row's fit, else
+    # runs of one row's directions. Either is a contiguous part of u, which
+    # numpy's take gathers from without copying it first.
     a, b, weight = _triu(u.shape[2])
     k_max = int(ks[-1])
-    step = max(1, _CHUNK // 4 // (len(u) * a.size))
+    rows = _CHUNK // (k_max * a.size)
+    step = k_max if rows else max(1, _CHUNK // a.size)
+    rows = max(1, rows)
     out = np.empty((len(u), ks.size))
-    total = None
-    for lo in range(0, k_max, step):
-        v = u[:, lo:min(lo + step, k_max)]
-        c = _gather(v, a, 2, "products")
-        c *= _gather(v, b, 2, "products_b")
-        if total is not None:
-            c[:, 0] += total
-        np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
-        total = c[:, -1].copy()  # not a view: the next chunk overwrites this buffer
-        j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
-        sel = _gather(c, ks[j0:j1] - lo - 1, 1, "selected")
-        sel *= sel
-        sel *= weight
-        out[:, j0:j1] = _row_sums(sel)
+    for r in range(0, len(u), rows):
+        total = None
+        for lo in range(0, k_max, step):
+            v = u[r:r + rows, lo:min(lo + step, k_max)]
+            c = _gather(v, a, 2, "products")
+            c *= _gather(v, b, 2, "products_b")
+            if total is not None:
+                c[:, 0] += total
+            np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
+            total = c[:, -1].copy()  # not a view: the next chunk overwrites this buffer
+            j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
+            sel = _gather(c, ks[j0:j1] - lo - 1, 1, "selected")
+            sel *= sel
+            sel *= weight
+            out[r:r + rows, j0:j1] = _row_sums(sel)
     return out
 
 

@@ -15,30 +15,38 @@ re-ranks those candidates with the same difference-based distances and
 (distance, index) order as a full sort of all n distances. The (D+2, n)
 screen matrix, its center and largest squared norm are built by the first
 search of a DataMatrix and kept in it (``_screen``), so ``knn`` per point,
-``estimate_point``, tables and trails never build them again. Every row
-gets one planned cut (``_plan``): about 2(k+1) candidates from a strided
-sample where rows are long, else the whole row cut at rank k + 1. A row
-keeps its cut only if k of its candidates are provably no farther than
-it; the rows that fail, such as those with duplicates of their query,
-take the one exact fallback, and their block is collected again. The
-re-rank puts each row's candidate distances, in ascending index order,
-into one row of a padded (B, widest row) array and sorts every row on its
-own with one stable ``argsort`` along the rows, so no row's order depends
-on the other rows of its block. The screen only narrows the candidates,
-so the neighbor lists are bitwise those of the full sort for any block
-size, thread count or plan. The kernel's re-rank is the only code here
-that orders neighbors; the tests keep the full sort
+``estimate_point``, tables and trails never build them again. The screen
+is float32 unless the points' largest centered squared norm M leaves
+float32's range (4M overflows it) or eps32 M falls below its smallest
+normal (``_screen_dtype``); then it is float64. A float32 screen halves
+the product's output and every pass over a screened row, and its
+rounding bound is derived for float32 in the kernel's proof comment.
+Every row gets one planned cut (``_plan``): about 2(k+1) candidates
+from a strided sample where rows are long, else the whole row cut at
+rank k + 1. A row keeps its cut only if k of its candidates are provably
+no farther than it; the rows that fail, such as those with duplicates of
+their query, take the one exact fallback and are collected again. The
+re-rank recomputes every candidate's distance in float64 from the
+points, puts each row's candidate distances, in ascending index order,
+into one row of a padded (B, widest row) array and sorts every row on
+its own with one stable ``argsort`` along the rows, so no row's order
+depends on the other rows of its block. The screen only narrows the
+candidates, so the neighbor lists are bitwise those of the full sort for
+any block size, thread count, plan or screen dtype. The kernel's re-rank
+is the only code here that orders neighbors; the tests keep the full sort
 (``tests/test_neighbors.py::_sorted_candidates``) as its oracle.
 
 Each thread keeps one workspace (``_workspace``) for the per-block arrays
 of all its searches and estimation blocks: the screen block and its
-copies, the re-rank's gathers and padded rows, and the estimation core's
-neighbor lists, directions, Gram chunks and distance increments. With
-glibc's malloc, arrays of 128 KiB or more made afresh per block can go
-back to the OS when freed, and the next block pages them in again; how
-often depends on thresholds that glibc adjusts as the process runs. For
-repeated trails on the 6-D lattice that churn, with a screen matrix built
-per call, cost about a third of the time.
+copies, the candidates' rows and distances, the re-rank's gathers and
+padded rows, and the estimation core's neighbor lists, directions, Gram
+chunks and distance increments. With glibc's malloc, arrays of 128 KiB or
+more made afresh per block can go back to the OS when freed, and the next
+block pages them in again, as can the top of the heap once smaller
+temporaries leave 128 KiB of it free; how often depends on thresholds
+that glibc adjusts as the process runs. For repeated trails on the 6-D
+lattice that churn, with a screen matrix built per call, cost about a
+third of the time.
 """
 
 from __future__ import annotations
@@ -134,15 +142,29 @@ def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
     return q, None
 
 
-# Bytes of the (B, n) block of screened squared distances; it sets the
-# number B of query rows that the kernel screens with one matrix product.
-_BLOCK_BYTES = 1 << 20
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).smallest_subnormal
+# Bytes of a (B, n) float64 block of screened squared distances; it sets
+# the number B of query rows that the kernel screens with one matrix
+# product, whatever the screen's dtype. With a float32 screen, 2 MiB (1 MiB
+# of float32 values) ran nested-cube tables at k = 100 about 10 % faster
+# than 1 MiB on a 2-core Xeon, and no search slower.
+_BLOCK_BYTES = 1 << 21
 
 
 def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _screen_dtype(max_sq: np.float64) -> type:
+    """The screen's dtype for points whose largest centered squared norm is ``max_sq``.
+
+    float32, which halves the screen and every pass over a screened row,
+    unless 4 max_sq overflows it or its eps * max_sq falls below its
+    smallest normal: then float64. Where either holds, the kernel's float32
+    bound would be inf for every row or would not hold (see its proof).
+    """
+    f32 = np.finfo(np.float32)
+    fits = f32.smallest_normal <= f32.eps * max_sq and 4.0 * max_sq <= f32.max
+    return np.float32 if fits else np.float64
 
 
 def _plan(n: int, k: int, dim: int) -> tuple[int, int]:
@@ -166,24 +188,31 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
 
     Every later call of the thread reuses it, a smaller shape as a prefix;
     it is replaced only when a larger one is needed, and freed when the
-    thread ends. The callers write every entry of a view before reading
-    it, so no result depends on what a buffer held before. The buffers:
+    thread ends. A name holds one dtype: asking it for another raises
+    TypeError, so an array whose dtype varies takes one name per dtype.
+    The callers write every entry of a view before reading it, so no
+    result depends on what a buffer held before. The buffers:
 
     - the kernel's "block" and "mask" of the (B, n) screened values and
       the cut's copy "part" (B rows of ceil(n / stride) values for the
-      planned cut, of n for the fallback): at most 17 bytes per entry of
-      the largest block, 2.1 MiB for n <= 131 072 under the 1 MiB block
-      budget;
-    - the re-rank's gathers "diff" and "query_rows" (16 D bytes per
-      candidate) and its padded rows "pad" (8 bytes per slot);
+      planned cut, of n for the fallback), "block64" and "part64" for a
+      float64 screen: at most 9 bytes per entry of the largest block with
+      a float32 screen and 17 with a float64 one, 2.25 MiB or 4.25 MiB
+      for n <= 262 144 under the 2 MiB block budget;
+    - the candidates' rows "cand_rows" and distances "cand_dists" and the
+      re-rank's gathers "diff" and "query_rows" (16 (D+1) bytes per
+      candidate), its padded rows "pad" (8 bytes per slot) and the
+      positions "take" of each row's k nearest (8 bytes each);
     - the estimation core's neighbor lists "idx" and "dist", directions
-      "directions" and distance increments "rise" and "terms" (at most
-      512 KiB each, ``angle_id._CHUNK``), and its Gram chunks "products",
-      "products_b" and "selected" (at most 128 KiB each); these budgets
-      hold wherever one query row fits them.
+      "directions", distance increments "rise" and "terms" and Gram
+      chunks "products", "products_b" and "selected" (at most 512 KiB
+      each, ``angle_id._CHUNK``); these budgets hold wherever one query
+      row fits them.
     """
     size = math.prod(shape)
     buf = getattr(_local, name, None)
+    if buf is not None and buf.dtype != dtype:
+        raise TypeError(f"workspace buffer {name!r} holds {buf.dtype}, not {np.dtype(dtype)}")
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype)
         setattr(_local, name, buf)
@@ -219,8 +248,9 @@ def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
 
     Rows 0..D-1 hold the points centered at their mean, row D their
     squared norms and row D+1 ones, so one product with the centered query
-    rows (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2. Both arrays are
-    read-only.
+    rows (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2. The matrix is
+    computed in float64 and rounded to ``_screen_dtype``; the center and
+    the largest norm stay float64. Both arrays are read-only.
     """
     dim = pts.shape[1]
     screen = np.empty((dim + 2, len(pts)))
@@ -230,9 +260,11 @@ def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
         screen[:dim] -= center[:, None]
         np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim])
     screen[dim + 1] = 1.0
+    max_sq = screen[dim].max()
+    screen = screen.astype(_screen_dtype(max_sq), copy=False)
     screen.setflags(write=False)
     center.setflags(write=False)
-    return screen, center, screen[dim].max()
+    return screen, center, max_sq
 
 
 def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
@@ -260,13 +292,22 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     if out is None:
         out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
     idx, dist = out
+    dtype = screen.dtype
+    info = np.finfo(dtype)
+    eps, tiny, big = float(info.eps), float(info.smallest_subnormal), float(info.max)
+    # A thread may search matrices of both screen dtypes: one name per dtype.
+    block, part = ("block", "part") if dtype == np.float32 else ("block64", "part64")
     shape = (min(rows, len(queries)), n)
-    buf, mask = _workspace("block", shape), _workspace("mask", shape, bool)
+    buf, mask = _workspace(block, shape, dtype), _workspace("mask", shape, bool)
 
     def collect(q, a, c, delta):
         """Row, column and distance of each value of ``a`` at most its cut."""
-        col = np.flatnonzero(np.less_equal(a, (c + 2.0 * delta)[:, None], out=mask[:len(a)]))
-        r = col // n
+        bound = c + 2.0 * delta
+        with np.errstate(over="ignore"):
+            top = bound.astype(dtype)
+        np.nextafter(top, np.inf, out=top, where=top < bound)  # rounded up
+        col = np.flatnonzero(np.less_equal(a, top[:, None], out=mask[:len(a)]))
+        r = np.floor_divide(col, n, out=_workspace("cand_rows", col.shape, np.int64))
         col -= r * n  # flat positions to columns, in place
         return r, col, _distances(pts, q, r, col)
 
@@ -275,51 +316,77 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         fallback reuses "part"), or inf, keeping every point, where rank reaches their count."""
         width = -(-n // stride)
         if rank >= width:
-            return np.full(len(a), np.inf)
-        part = _workspace("part", (len(a), width))
-        np.copyto(part, a[:, ::stride])
-        part.partition(rank - 1, axis=1)
-        return part[:, rank - 1].copy()
+            return np.full(len(a), np.inf, dtype)
+        copy = _workspace(part, (len(a), width), dtype)
+        np.copyto(copy, a[:, ::stride])
+        copy.partition(rank - 1, axis=1)
+        return copy[:, rank - 1].copy()
 
     for lo in range(0, len(queries), rows):
         q = queries[lo:lo + rows]
         a = buf[:len(q)]
         ext = np.empty((len(q), dim + 2))
-        # Screen. Let u = eps/2, p' and q' the centered points, rounded,
-        # and M = |q'|^2 + max |p'|^2. Centering moves each coordinate
-        # of q - p by at most u(|q'_j| + |p'_j|), so |q' - p'|^2 is
-        # within 4u M of |q - p|^2. The norms carry D-term rounding
-        # (D u M together), and the (D+2)-term product, in any order and
-        # fused or not, is within (D+2)u times its terms' magnitudes,
-        # at most 2M: a is within (3D+4)u M of |q' - p'|^2. The
-        # re-rank's s = fl(sum fl(p-q)^2) is within (D+2)u |q-p|^2 <=
-        # 2(D+2)u M of |q-p|^2. Products that underflow add at most
-        # half the smallest subnormal each, 4D in all. So |a - s| <=
-        # e = (2.5D+6) eps M + 2D tiny, and delta exceeds e by at least
-        # (1.5D+10) eps M, room for second-order terms and for the
-        # 3 eps M below. Norms so large that 4M overflows get
-        # delta = inf, and their rows screen as zeros: every point is a
-        # candidate.
+        # Screen. Let u = 2**-53, eps and tiny be float64's unit roundoff,
+        # epsilon (2u) and smallest subnormal, p' and q' the centered
+        # points, rounded, and M = |q'|^2 + max |p'|^2. Centering moves
+        # each coordinate of q - p by at most u(|q'_j| + |p'_j|), so
+        # |q' - p'|^2 is within 4u M of |q - p|^2. The norms carry D-term
+        # rounding (D u M together). The re-rank's s = fl(sum fl(p-q)^2)
+        # is within (D+2)u |q-p|^2 <= 2(D+2)u M of |q-p|^2.
+        #
+        # A float64 screen: the (D+2)-term product, in any order and fused
+        # or not, is within (D+2)u times its terms' magnitudes, at most
+        # 2M, so a is within (3D+4)u M of |q' - p'|^2. Products that
+        # underflow add at most half the smallest subnormal each, 4D in
+        # all. So |a - s| <= e = (2.5D+6) eps M + 2D tiny, and delta =
+        # 4(D+4)(eps M + tiny) exceeds e by at least (1.5D+10) eps M, room
+        # for second-order terms and for the 3 eps M below.
+        #
+        # A float32 screen (``_screen_dtype``): let u32 = 2**-24, eps32
+        # and tiny32 = 2**-149 float32's. The screen holds p'_j and the
+        # float64 |p'|^2 rounded to float32, and the query row (-2q', 1,
+        # |q'|^2) is rounded to float32 as well. That moves the D products
+        # by at most (2 u32 + u32^2) sum 2|q'_j p'_j| <= (1 + u32/2) eps32
+        # M and the two norms by u32 M. The (D+2)-term float32 product is
+        # within (D+2) u32 times its terms' magnitudes, at most 2M(1 +
+        # 2 u32): a is within (D + 3.5) eps32 M of |q' - p'|^2, to first
+        # order. The float64 steps above add (3D+8)u M <= 0.25 eps32 M
+        # (D < 2**26). Float32 underflow adds at most tiny32 per product
+        # (D in all) and tiny32/2 per norm rounded into the subnormals; a
+        # coordinate rounded into them is off by tiny32/2, which moves the
+        # products by at most 1.5 tiny32 sqrt(D M) < 2**-73 sqrt(D) eps32
+        # M, since the dtype rule keeps eps32 max |p'|^2 >= 2**-126, so M
+        # >= 2**-103. So |a - s| <= e32 = (D+4) eps32 M + (D+1) tiny32,
+        # and delta = 4(D+4)(eps32 M + tiny32) exceeds e32 by at least
+        # 3(D+4) eps32 M, room for second-order terms and for the 3 eps M
+        # below, with float64's eps. The rule also keeps 4 max |p'|^2
+        # within float32.
+        #
+        # Either dtype: rows whose 4M overflows the screen's dtype get
+        # delta = inf and screen as zeros: every point is a candidate.
+        # Elsewhere every term and partial sum of the product stays below
+        # 2M(1 + 2 u32), so none overflows.
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(q, center, out=ext[:, :dim])
             sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
             ext[:, :dim] *= -2.0
             ext[:, dim] = 1.0
             ext[:, dim + 1] = sq_q
-            np.matmul(ext, screen, out=a)
+            np.matmul(ext.astype(dtype, copy=False), screen, out=a)
             scale = sq_q + max_sq
-            delta = np.where(np.isfinite(4.0 * scale),
-                             4.0 * (dim + 4) * (_EPS * scale + _TINY), np.inf)
+            delta = np.where(4.0 * scale <= big, 4.0 * (dim + 4) * (eps * scale + tiny), np.inf)
         a[np.isinf(delta)] = 0.0
-        # Cut. Each row keeps every point with a <= c + 2 delta, c the
+        # Cut. Each row keeps every point with a <= c + 2 delta, that bound
+        # summed in float64 and rounded up to the screen's dtype, c the
         # rank-th smallest of every stride-th value of the row (``_plan``),
         # or inf where rank reaches their count. Check: a row keeps c only
-        # if at least k candidates have s > 0 and a <= c. Their s are at
-        # most c + e, so the k-th nonzero s is too. A true neighbor has s
-        # at most that, or up to 2 eps s <= 4 eps M more when sqrt rounds
-        # it into a tie with the k-th distance, so a <= s + e <= c + 2
-        # delta, with eps M to spare for rounding the cut. This holds for
-        # any stride and rank; they only decide speed.
+        # if at least k candidates have s > 0 and a <= c, both compared
+        # exactly. Their s are at most c + e, so the k-th nonzero s is
+        # too. A true neighbor has s at most that, or up to 2 eps s <= 4
+        # eps M more when sqrt rounds it into a tie with the k-th
+        # distance, so a <= s + e <= c + 2 delta, with eps M to spare for
+        # summing the bound. This holds for any stride and rank; they only
+        # decide speed. (e is e32 on a float32 screen, eps always float64's.)
         #
         # Fallback, for the rows that fail. Every s == 0 (the query, its
         # duplicates) has a <= e <= delta, and every a >= -e, so c + 2
@@ -327,17 +394,27 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         # the most zeros of these rows, is read off it. Among the m = k + z
         # smallest a of such a row, at least k have s > 0 and s <= c + e,
         # c now the m-th smallest a, so the check holds unmade. A larger m
-        # keeps it true, so these rows are cut together, in place, and the
-        # block is collected again. With m >= n, c = inf and every point
-        # is a candidate.
+        # keeps it true, so these rows are cut together and collected
+        # again; the rows that kept their cut keep their first collection,
+        # and the two merge in (row, column) order. With m >= n, c = inf
+        # and every point is a candidate.
         c = cut(a, stride, rank)
         r, col, d = collect(q, a, c, delta)
         sure = (d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))
         redo = np.flatnonzero(np.bincount(r[sure], minlength=len(q)) < k)
         if redo.size:
             z = int(np.bincount(r[d == 0.0], minlength=len(q))[redo].max())
-            c[redo] = cut(a[redo], 1, k + z)
-            r, col, d = collect(q, a, c, delta)
+            sub = a if redo.size == len(q) else a[redo]
+            keep = np.ones(len(q), bool)
+            keep[redo] = False
+            keep = keep[r]
+            r, col, d = r[keep], col[keep], d[keep]  # copies: collect reuses the buffers
+            r2, col2, d2 = collect(q[redo], sub, cut(sub, 1, k + z), delta[redo])
+            r = np.concatenate([r, redo[r2]])
+            order = np.argsort(r, kind="stable")  # two runs, each in (row, column) order
+            r = r[order]
+            col = np.concatenate([col, col2])[order]
+            d = np.concatenate([d, d2])[order]
         # Re-rank: zero distances excluded, the rest in (distance, index)
         # order, as the tests' full sort _sorted_candidates. The
         # candidates come by ascending row, then column, and each row's
@@ -360,7 +437,10 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         pad = _workspace("pad", (len(q), width))
         pad.fill(np.nan)
         pad[np.arange(width) < counts[:, None]] = d
-        take = np.argsort(pad, axis=1, kind="stable")[:, :k]
+        # Copied out first: an add into a strided view of the argsort
+        # made a temporary three times its size.
+        take = _workspace("take", (len(q), k), np.int64)
+        np.copyto(take, np.argsort(pad, axis=1, kind="stable")[:, :k])
         take += (np.cumsum(counts) - counts)[:, None]  # each row's first candidate
         # In range, so "clip" clips nothing; "raise" would copy via a temporary.
         col.take(take, out=idx[lo:lo + rows], mode="clip")
@@ -369,10 +449,14 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
 
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """sqrt(fl(sum fl(p - q)^2)) from rows ``q[r]`` to ``pts[col]``, as the tests' full sort."""
+    """sqrt(fl(sum fl(p - q)^2)) from rows ``q[r]`` to ``pts[col]``, as the tests' full sort.
+
+    The result is this thread's workspace buffer "cand_dists", valid until
+    the thread's next call.
+    """
     diff = _gather(pts, col, 0, "diff")
     diff -= _gather(q, r, 0, "query_rows")
-    d = np.einsum("ij,ij->i", diff, diff)
+    d = np.einsum("ij,ij->i", diff, diff, out=_workspace("cand_dists", (len(r),)))
     return np.sqrt(d, out=d)
 
 

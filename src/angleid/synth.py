@@ -5,9 +5,10 @@ calls produce bit-identical matrices. Shapes cover rotation-invariant
 clouds (ball, sphere, Gaussian), a fractal curve (Koch snowflake), a
 jittered lattice, nested hypercubes of mixed dimension, and the
 offset-disc scenario where a query point sits far from the plane its
-neighborhood lives in. Counts, dimensions, the Koch depth (>= 0) and
-seeds (>= 0) follow core's integer rule (``core._check_integer``), and
-every random generator comes from ``core._rng``.
+neighborhood lives in. Counts (the offset disc's n >= 3), dimensions,
+the Koch depth (>= 0) and seeds (>= 0) follow core's integer rule
+(``core._check_integer``), and every random generator comes from
+``core._rng``.
 """
 
 from __future__ import annotations
@@ -188,9 +189,7 @@ def offset_disc(n: int, h: float, seed: int) -> tuple[DataMatrix, np.ndarray]:
     and angle-based estimates tend to 1 while distance-based estimates
     blow up (all neighbor distances become nearly equal).
     """
-    n = _check_integer("n", n)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    n = _check_integer("n", n, 3)
     if not 0.0 <= h < math.inf:
         raise ValueError(f"offset must be finite and >= 0, got {h}")
     disc = sample_ball(n, 2, seed).points

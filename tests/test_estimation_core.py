@@ -241,6 +241,27 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
     assert chunked.tobytes() == angle_id._sq_sums(u, ks).tobytes()
 
 
+def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
+    # numpy's take copies a strided input before it gathers, so a chunk of
+    # k across rows would make a temporary per chunk; _outer_sums takes
+    # whole rows, or runs of one row's directions where a row exceeds _CHUNK.
+    rng = np.random.default_rng(10)
+    u = rng.standard_normal((7, 90, 4))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    ks = np.arange(4, 91)
+    want = angle_id._sq_sums(u, ks)
+    contiguous = []
+    gather = angle_id._gather
+    monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: contiguous.append(
+        a.flags.c_contiguous) or gather(a, indices, axis, name))
+    # 10 products per direction: runs of 7 directions, rows of 3, the whole block.
+    for chunk in (10 * 7, 10 * 90 * 3, 10 * 90 * 7):
+        monkeypatch.setattr(angle_id, "_CHUNK", chunk)
+        contiguous.clear()
+        assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
+        assert contiguous and all(contiguous)
+
+
 class TestRowReductions:
     """Undocumented numpy behavior that the core relies on, pinned here."""
 

@@ -37,6 +37,7 @@ _USERS = [
     ("cubes_max_dim", "max_dim", 1, lambda v: synth.nested_hypercubes(v, 5)),
     ("cubes_n_per_cube", "n_per_cube", 1, lambda v: synth.nested_hypercubes(2, v)),
     ("cubes_seed", "seed", 0, lambda v: synth.nested_hypercubes(2, 5, seed=v)),
+    ("offset_disc_n", "n", 3, lambda v: synth.offset_disc(v, 1.0, 0)),
     ("offset_disc_seed", "seed", 0, lambda v: synth.offset_disc(5, 1.0, v)),
     ("line_seed", "seed", 0, lambda v: synth.noisy_line(5, seed=v)),
     ("angle_pdf_d", "d", 2, lambda v: theory.angle_pdf(0.5, v)),

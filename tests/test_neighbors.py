@@ -335,7 +335,23 @@ def _kernel_case(name):
         dists = [_sorted_candidates(DataMatrix(points), q)[1] for q in queries]
         assert all(d[k] == d[k - 1] for d in dists)  # ties at the k-th distance
         return points, queries, k
+    if name == "clusters_1e-8_apart":
+        # 400 unit-scale clusters of 25 points 1e-8 apart: the float32
+        # screen's bound (about 3e-6 M) cannot tell a cluster's points apart.
+        centers = rng.standard_normal((400, 3))
+        points = np.repeat(centers, 25, axis=0) + 1e-8 * rng.standard_normal((10000, 3))
+        return points, points[[0, 12, 24, 5000, 9999, 4321]], 50
     base = rng.standard_normal((2000, 3))
+    if name == "scale_1e-15":  # float32 near the dtype rule's lower edge, M about 2**-96
+        return base * 1e-15, base[::50] * 1e-15, 31
+    if name == "scale_1e-20":  # float32's subnormals: a float64 screen
+        return base * 1e-20, base[::50] * 1e-20, 31
+    if name == "offset_1e20":  # 4 M overflows float32: a float64 screen
+        points = (base + [5.0, -3.0, 1.0]) * 1e20
+        return points, points[::50], 31
+    if name == "far_query_f32":
+        # One query row whose squared norm overflows float32 but not float64.
+        return base, np.vstack([base[:3], [1e20, -1e20, 3.0], base[3:7]]), 31
     if name == "scale_1e150":  # delta stays finite
         return base * 1e150, base[::50] * 1e150, 31
     if name == "scale_1e160":  # squared norms overflow: delta = inf, NaN screens
@@ -412,6 +428,16 @@ class TestKnnMany:
             grids = self.test_matches_full_sort_on_grids_with_duplicates_and_ties
             grids.hypothesis.inner_test(self, draw)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 10))
+    def test_every_plan_matches_full_sort_under_the_float64_screen(self, draw, stride, rank):
+        # The same forced plans on the same grids with the float64 screen,
+        # which such grids take only where every point coincides.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
+            plans = self.test_every_plan_matches_full_sort_on_the_same_grids
+            plans.hypothesis.inner_test(self, draw, stride, rank)
+
     def test_far_from_origin_and_tiny_or_huge_scales(self):
         rng = np.random.default_rng(9)
         base = rng.standard_normal((300, 3))
@@ -426,7 +452,8 @@ class TestKnnMany:
     @pytest.mark.parametrize("case", [
         "ball", "duplicates_at_a_query", "rule_below", "rule_at", "lattice_ties",
         "scale_1e150", "scale_1e160", "scale_1e306", "far_query", "every_row_in_a_cluster",
-        "rule_below_with_copies",
+        "rule_below_with_copies", "clusters_1e-8_apart", "scale_1e-15", "scale_1e-20",
+        "offset_1e20", "far_query_f32",
         *(f"{name}/whole_row" for name in (
             "ball", "duplicates_at_a_query", "rule_at", "lattice_ties", "scale_1e150",
             "scale_1e160", "scale_1e306", "far_query", "every_row_in_a_cluster")),
@@ -484,8 +511,109 @@ class TestKnnMany:
         data, query = DataMatrix(points), np.zeros((1, dim))
         want = _full_sort(data, query, k)
         assert sorted(want[0][0]) == list(range(80, 111))
+        monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
         monkeypatch.setattr(neighbors, "np", ScreenOff())
         _assert_bitwise(knn_many(data, query, k), want)
+
+    def test_a_float32_screen_error_at_its_bound_keeps_the_sampled_path_exact(self, monkeypatch):
+        # The float32 twin of the test above. The kernel bounds a float32
+        # screen's error |a - s| by e32 = (D + 4) eps32 M + (D + 1) tiny32.
+        # Far points at distance 2**12 give M = 2**24, e32 = 12 and delta =
+        # 48, and every screened value below stays an integer under 2**24,
+        # exact in float32, so the unpatched product is exact. The query at
+        # the origin has 80 copies, so its sampled cut is c = -e32 and it
+        # must take the fallback. Its 31 nearest are 30 copies of (1, 0) and
+        # the victim (9, 2), s = 85, screened at 97, above c + 2 delta = 84.
+        # The decoy (7, 6) ties with it but comes later, and screens at 73,
+        # so a check loosened to a <= c + 2 delta would accept the row with
+        # the decoy in its place. The fallback's cut is the decoy's 73, so
+        # it collects the victim only while delta >= e32.
+        k, far = 31, 2.0**12
+        near = [[0.0, 0.0]] * 80 + [[1.0, 0.0]] * 30 + [[9.0, 2.0], [7.0, 6.0], [-46.0, -8.0]]
+        axes = [[far, 0.0], [-far, 0.0], [0.0, far], [0.0, -far]] * 230
+        points = np.array(near + axes)
+        victim, dim, n = 110, 2, len(points)
+        assert not points.sum(axis=0).any() and n >= 16 * (k + 1) * dim
+        f32 = np.finfo(np.float32)
+        e = (dim + 4) * float(f32.eps) * far**2 + (dim + 1) * float(f32.smallest_subnormal)
+        assert e == 12.0
+        err = np.full(n, -e)
+        err[victim] = e
+
+        class ScreenOff:
+            """numpy as the kernel sees it, but the screen product is off by ``err``."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, out):
+                np.matmul(a, b, out=out)
+                out += err
+                return out
+
+        data, query = DataMatrix(points), np.zeros((1, dim))
+        want = _full_sort(data, query, k)
+        assert sorted(want[0][0]) == list(range(80, 111))
+        monkeypatch.setattr(neighbors, "np", ScreenOff())
+        _assert_bitwise(knn_many(data, query, k), want)
+        assert data._screen[0].dtype == np.float32
+
+    @pytest.mark.parametrize("case, dtype", [
+        ("ball", np.float32), ("clusters_1e-8_apart", np.float32), ("scale_1e-15", np.float32),
+        ("far_query_f32", np.float32), ("far_query", np.float32), ("scale_1e-20", np.float64),
+        ("offset_1e20", np.float64), ("scale_1e150", np.float64), ("scale_1e160", np.float64),
+        ("scale_1e306", np.float64),
+    ])
+    def test_each_case_takes_the_screen_dtype_its_norms_allow(self, case, dtype):
+        points, queries, k = _kernel_case(case)
+        data = DataMatrix(points)
+        knn_many(data, queries[:1], k)
+        assert data._screen[0].dtype == dtype
+
+    def test_the_dtype_rule_at_its_edges(self):
+        f32 = np.finfo(np.float32)
+        low, high = 2.0**-103, float(f32.max) / 4.0  # eps32 * low is float32's smallest normal
+        for max_sq, dtype in [(1.0, np.float32), (low, np.float32), (high, np.float32),
+                              (np.nextafter(low, 0.0), np.float64),
+                              (np.nextafter(high, np.inf), np.float64), (0.0, np.float64),
+                              (np.inf, np.float64), (np.nan, np.float64)]:
+            assert neighbors._screen_dtype(np.float64(max_sq)) is dtype, max_sq
+
+    def test_a_query_whose_norm_overflows_float32_screens_every_point(self, monkeypatch):
+        points, queries, k = _kernel_case("far_query_f32")
+        data = DataMatrix(points)
+        rows = []
+        distances = neighbors._distances
+        monkeypatch.setattr(neighbors, "_distances",
+                            lambda pts, q, r, col: rows.append(r.copy()) or distances(pts, q, r, col))
+        _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
+        assert data._screen[0].dtype == np.float32
+        counts = np.bincount(np.concatenate(rows), minlength=len(queries))
+        assert counts[3] == data.n and (np.delete(counts, 3) < data.n // 10).all()
+
+    @pytest.mark.parametrize("case", [
+        "ball", "duplicates_at_a_query", "every_row_in_a_cluster", "rule_below_with_copies",
+        "lattice_ties", "clusters_1e-8_apart", "scale_1e-15", "far_query_f32"])
+    def test_the_float64_screen_matches_full_sort_where_float32_is_picked(self, monkeypatch,
+                                                                           case):
+        monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
+        points, queries, k = _kernel_case(case)
+        data = DataMatrix(points)
+        _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
+        assert data._screen[0].dtype == np.float64
+
+    def test_the_fallback_collects_only_the_rows_that_failed(self, monkeypatch):
+        # One block of 36 rows: the 3 whose queries have copies fail the
+        # whole-row cut; the other 33 keep their first collection.
+        points, queries, k = _kernel_case("rule_below_with_copies")
+        data = DataMatrix(points)
+        want = _full_sort(data, queries, k)
+        rows = []
+        distances = neighbors._distances
+        monkeypatch.setattr(neighbors, "_distances",
+                            lambda pts, q, r, col: rows.append(len(q)) or distances(pts, q, r, col))
+        _assert_bitwise(knn_many(data, queries, k), want)
+        assert rows == [36, 3]
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         data = synth.sample_ball(500, 3, seed=5)
@@ -710,6 +838,27 @@ class TestWorkspace:
         for _ in range(2):
             for case, want in zip(cases, wants):
                 _assert_bitwise(knn_many(*case), want)
+
+    def test_a_buffer_name_holds_one_dtype(self):
+        def run():
+            assert neighbors._workspace("x", (4,)).dtype == np.float64
+            for dtype in (np.float32, bool):
+                with pytest.raises(TypeError, match="^workspace buffer 'x' holds float64, not "):
+                    neighbors._workspace("x", (4,), dtype)
+            assert neighbors._workspace("x", (8,)).dtype == np.float64
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, a fresh workspace
+            pool.submit(run).result()
+
+    def test_float32_and_float64_screens_alternate_in_one_thread(self):
+        ball = synth.sample_ball(3000, 2, seed=6)
+        far = DataMatrix(ball.points * 1e20)  # 4 M overflows float32: a float64 screen
+        cases = [(ball, ball.points[::59], 31), (far, far.points[::59], 31)]
+        wants = [_full_sort(*case) for case in cases]
+        for _ in range(2):
+            for case, want in zip(cases, wants):
+                _assert_bitwise(knn_many(*case), want)
+        assert ball._screen[0].dtype == np.float32 and far._screen[0].dtype == np.float64
 
     def test_two_threads_searching_different_data_at_once_match_full_sort(self):
         sampled = synth.sample_ball(3000, 2, seed=6)

@@ -275,6 +275,8 @@ def test_a_line_whose_width_overflows_is_rejected():
 ], ids=["ball_n", "ball_d", "sphere_n", "sphere_d", "gaussian_n", "gaussian_d", "koch_n",
         "lattice_dims", "cubes_max_dim", "cubes_n_per_cube", "offset_disc_n", "line_n"])
 @pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0], ids=repr)
-def test_counts_must_be_positive_integers(make, value):
-    with pytest.raises(ValueError, match="must be a positive integer"):
+def test_counts_must_be_positive_integers(request, make, value):
+    # offset_disc's n has the rule's minimum 3.
+    rule = "an integer >= 3" if "offset_disc_n" in request.node.callspec.id else "a positive integer"
+    with pytest.raises(ValueError, match=f"must be {rule}"):
         make(value)
