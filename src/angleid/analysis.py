@@ -128,7 +128,11 @@ def trails(
 
     Each point gets a single neighbor search at the largest k; smaller
     neighborhoods are its sorted prefixes, so trails are consistent by
-    construction. Trails run through the same estimation core as tables
+    construction. The matrix keeps the neighbor lists of a small enough
+    point set (``angle_id._estimate_many``), so trails of another
+    estimator on the same points, in the same order, at k values no
+    larger, search nothing: ABID and then MLE trails search once. Trails
+    run through the same estimation core as tables
     (``angle_id._estimates``), on blocks of points at every k at once.
     The trail of a point is one pass: its directions are computed once,
     and ABID/RABID read every k off running sums of the squared cosines

@@ -108,6 +108,12 @@ class CosineSquareStats:
 # again.
 _CHUNK = 1 << 16
 
+# Bytes of the neighbor lists, 16 per (query, neighbor), that a query map
+# keeps in its DataMatrix (``_estimate_many``). A trails batch of 10
+# lattice points at k = 400 keeps 64 KiB and a 100-query cube table at
+# k = 100 160 KiB; all-points tables are not kept.
+_KEEP_BYTES = 1 << 21
+
 
 def _estimate_rows(k_max: int, dim: int, need_u: bool) -> int:
     """Query rows per call of the estimation core for neighborhoods of up to ``k_max``.
@@ -568,10 +574,24 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     ``threads > 1`` the blocks run in a thread pool, drained in block
     order, so a neighbor shortage names the first short query (the kernel
     names a block's first short row). No result depends on the block size.
+
+    The matrix keeps the neighbor lists of its last map (``_neighbors``)
+    if every query is a point index and the (Q, k_max) lists fit
+    ``_KEEP_BYTES``: the blocks copy their kernel rows out, and the
+    read-only copies are stored in one assignment once every block has
+    succeeded, so a failed map leaves the previous lists. A map of the same
+    indices in the same order at a k_max no larger searches nothing: its
+    blocks read the kept lists' first k_max columns, bitwise what the
+    kernel would return, since knn(k) is a prefix of knn(k+1).
     """
     threads = _check_integer("threads", threads)
     ks = np.asarray(ks, dtype=np.int64)
     k_max = int(ks[-1])
+    key, kept = tuple(names), data._neighbors  # read once: a concurrent map may store others
+    hit = kept is not None and kept[0] == key and kept[1].shape[1] >= k_max
+    keep = None
+    if not hit and 16 * len(queries) * k_max <= _KEEP_BYTES and None not in key:
+        keep = np.empty((len(queries), k_max), np.int64), np.empty((len(queries), k_max))
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
     rows, knn_rows = _estimate_rows(k_max, data.dim, need_u), _block_rows(data.n)
     if rows > knn_rows:
@@ -584,10 +604,15 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     def work(block: range):
         span = slice(block.start, block.stop)
         q = queries[span]
-        shape = (len(block), k_max)
-        out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
-        # Looked up per call, so one patch of neighbors._knn_kernel reaches every search.
-        idx, dist = neighbors._knn_kernel(data, k_max, q, names[span], out)
+        if hit:
+            idx, dist = kept[1][span, :k_max], kept[2][span, :k_max]
+        else:
+            shape = (len(block), k_max)
+            out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
+            # Looked up per call, so one patch of neighbors._knn_kernel reaches every search.
+            idx, dist = neighbors._knn_kernel(data, k_max, q, names[span], out)
+            if keep is not None:
+                keep[0][span], keep[1][span] = idx, dist
         u = _directions(data.points, q, idx, dist) if need_u else None
         for t, (values, flags) in _estimates(u, dist, tags, ks, ged_pair).items():
             est[t][0][span], est[t][1][span] = values, flags
@@ -600,4 +625,8 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
             list(pool.map(work, blocks))  # in block order, so the first short query raises
     else:
         list(map(work, blocks))
+    if keep is not None:
+        for a in keep:
+            a.setflags(write=False)
+        object.__setattr__(data, "_neighbors", (key, *keep))
     return est, mean_cosines

@@ -148,14 +148,24 @@ class DataMatrix:
     Row order defines the point index; all reported results key on it.
 
     The first neighbor search on a matrix builds its kNN screen (see
-    ``neighbors._screen``): a read-only (D+2, n) float64 array, (D+2)/D
-    times the size of the points, with its center and largest squared
-    norm. The matrix keeps it for its lifetime, so every later search
-    reuses it; ``dataclasses.replace`` gives a matrix without one.
+    ``neighbors._screen``): a read-only (D+2, n) array, float32 unless
+    ``neighbors._screen_dtype`` keeps float64 for the points' norms, so
+    (D+2)/(2D) or (D+2)/D times the size of the points, with its center
+    and largest squared norm. The matrix keeps it for its lifetime, so
+    every later search reuses it.
+
+    The matrix also keeps the neighbor lists of its last query map of
+    in-set points that fit a small budget (``_neighbors``, see
+    ``angle_id._estimate_many``): the query indices and read-only (Q, k)
+    indices and distances. A later map of the same indices, in the same
+    order, at a k no larger reads their prefixes instead of searching, so
+    ABID and then MLE trails of one point set search once.
+    ``dataclasses.replace`` gives a matrix with neither.
     """
 
     points: np.ndarray
     _screen: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _neighbors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _frozen(self.points, np.float64)

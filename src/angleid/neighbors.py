@@ -36,6 +36,14 @@ any block size, thread count, plan or screen dtype. The kernel's re-rank
 is the only code here that orders neighbors; the tests keep the full sort
 (``tests/test_neighbors.py::_sorted_candidates``) as its oracle.
 
+A DataMatrix also keeps the neighbor lists of its last query map of point
+indices, where they fit a small budget (``_neighbors``, kept by
+``angle_id._estimate_many``). A later map of the same indices, in the same
+order, at a k no larger takes their prefixes and does not call the kernel:
+by the prefix property they are bitwise the lists it would return. So
+trails of ABID and then MLE on one point set, or a table after them,
+search once.
+
 Each thread keeps one workspace (``_workspace``) for the per-block arrays
 of all its searches and estimation blocks: the screen block and its
 copies, the candidates' rows and distances, the re-rank's gathers and
@@ -154,6 +162,12 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
+# The screen build's float64 column chunks (``_build_screen``): about
+# 256 KiB, and never one column.
+_BUILD_BYTES = 1 << 18
+_BUILD_MIN_COLUMNS = 4
+
+
 def _screen_dtype(max_sq: np.float64) -> type:
     """The screen's dtype for points whose largest centered squared norm is ``max_sq``.
 
@@ -248,20 +262,40 @@ def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
 
     Rows 0..D-1 hold the points centered at their mean, row D their
     squared norms and row D+1 ones, so one product with the centered query
-    rows (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2. The matrix is
+    rows (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2. The entries are
     computed in float64 and rounded to ``_screen_dtype``; the center and
     the largest norm stay float64. Both arrays are read-only.
+
+    No whole float64 copy of the matrix is made: each coordinate's mean
+    is taken over a contiguous copy of its column, and the centered rows
+    are computed in float64 column chunks of about ``_BUILD_BYTES``, once
+    for the norms, whose maximum picks the dtype, and once more to round
+    them into the screen. Every entry is bitwise that of the whole (D+2, n)
+    float64 matrix: the row means and the per-column ``einsum`` of a chunk
+    of two or more columns round as on the whole rows (a test pins this
+    on the running numpy). A contiguous (D, 1) chunk may sum in another
+    order, so the chunks split the n columns evenly at a width of at least
+    ``_BUILD_MIN_COLUMNS``: each holds two or more, or all n.
     """
-    dim = pts.shape[1]
-    screen = np.empty((dim + 2, len(pts)))
-    screen[:dim] = pts.T
+    n, dim = pts.shape
+    sq = np.empty(n)
+    center = np.empty(dim)
+    chunks = -(-n // max(_BUILD_MIN_COLUMNS, _BUILD_BYTES // (8 * dim)))
+    bounds = [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
+    buf = np.empty((dim, -(-n // chunks)))
     with np.errstate(over="ignore", invalid="ignore"):
-        center = screen[:dim].mean(axis=1)  # along rows: far faster than pts.mean(0)
-        screen[:dim] -= center[:, None]
-        np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim])
+        for j in range(dim):  # sq holds each column in turn, then the norms
+            np.copyto(sq, pts[:, j])
+            center[j] = sq.mean()
+        for lo, hi in bounds:
+            c = np.subtract(pts[lo:hi].T, center[:, None], out=buf[:, :hi - lo])
+            np.einsum("ij,ij->j", c, c, out=sq[lo:hi])
+        max_sq = sq.max()
+        screen = np.empty((dim + 2, n), _screen_dtype(max_sq))
+        for lo, hi in bounds:
+            screen[:dim, lo:hi] = np.subtract(pts[lo:hi].T, center[:, None], out=buf[:, :hi - lo])
+    screen[dim] = sq
     screen[dim + 1] = 1.0
-    max_sq = screen[dim].max()
-    screen = screen.astype(_screen_dtype(max_sq), copy=False)
     screen.setflags(write=False)
     center.setflags(write=False)
     return screen, center, max_sq

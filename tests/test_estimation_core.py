@@ -9,14 +9,18 @@ rows. They also pin the numpy behavior that this rests on, and check the
 estimators' invariances and bounds as ``hypothesis`` properties.
 """
 
+import dataclasses
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from angleid import analysis, angle_id, baseline_id, synth
+from angleid import analysis, angle_id, baseline_id, neighbors, synth
 from angleid.core import (
     CLAMPED_TO_K,
     DEGENERATE_ZERO_DENOMINATOR,
@@ -24,9 +28,10 @@ from angleid.core import (
     FLAG_BITS,
     MIN_K,
     DataMatrix,
+    InsufficientNeighborsError,
     _FLAG_SETS,
 )
-from angleid.neighbors import DirectionBundle, NeighborList, direction_bundle, knn
+from angleid.neighbors import DirectionBundle, NeighborList, direction_bundle, knn, knn_many
 
 pytestmark = pytest.mark.filterwarnings("ignore::angleid.angle_id.NeighborhoodSizeWarning")
 
@@ -235,10 +240,22 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
     u = rng.standard_normal((7, 400, 6))
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     ks = np.arange(10, 401)
-    assert angle_id._CHUNK // 4 < 7 * 400 * 21  # so the default takes several chunks
-    chunked = angle_id._sq_sums(u, ks)
-    monkeypatch.setattr(angle_id, "_CHUNK", 4 * 7 * 400 * 21)
-    assert chunked.tobytes() == angle_id._sq_sums(u, ks).tobytes()
+    chunks = []
+    gather = angle_id._gather
+    monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: (
+        name == "products" and chunks.append(a.shape[:2])) or gather(a, indices, axis, name))
+    monkeypatch.setattr(angle_id, "_CHUNK", 7 * 400 * 21)  # the whole block in one chunk
+    whole = angle_id._sq_sums(u, ks)
+    assert chunks == [(7, 400)]
+    # _outer_sums takes whole rows where one row's products fit _CHUNK, else
+    # runs of one row's directions: rows of 2 (the last alone), and runs of
+    # 37 directions, 10 per row and a last one of 30.
+    for chunk, want in ((2 * 400 * 21, [(2, 400)] * 3 + [(1, 400)]),
+                        (37 * 21, ([(1, 37)] * 10 + [(1, 30)]) * 7)):
+        monkeypatch.setattr(angle_id, "_CHUNK", chunk)
+        chunks.clear()
+        assert angle_id._sq_sums(u, ks).tobytes() == whole.tobytes()
+        assert chunks == want
 
 
 def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
@@ -413,3 +430,174 @@ def test_mle_and_mom_at_every_k_match_an_extended_precision_oracle(d):
                 value, flags = out[tag][0][r, j], out[tag][1][r, j]
                 assert flags == (degenerate if equal else 0), (r, k, tag)
                 assert abs(value - w) <= 8 * k * eps * abs(w), (r, k, tag, value, w)
+
+
+# --- The neighbor lists a DataMatrix keeps (``DataMatrix._neighbors``) -------
+
+SUBSET = [41, 3, 250, 17, 99, 7, 160]  # not sorted: a map keeps its query order
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record the query count of every kernel call, which still runs."""
+    calls = []
+    search = neighbors._knn_kernel
+
+    def counted(data, k, queries, names, out=None):
+        calls.append(len(queries))
+        return search(data, k, queries, names, out)
+
+    monkeypatch.setattr(neighbors, "_knn_kernel", counted)
+    return calls
+
+
+def _digest(out) -> list:
+    """The bytes of a trail matrix or of a table's columns, for bitwise comparison."""
+    if isinstance(out, analysis.TrailMatrix):
+        return [out.estimates.tobytes(), out.point_indices, out.k_values]
+    cosines = None if out.mean_cosines is None else np.array(out.mean_cosines).tobytes()
+    return [out.indices, cosines] + [(out.values(t).tobytes(), out.flags(t).tobytes())
+                                     for t in out.estimators]
+
+
+def test_maps_of_a_kept_point_set_run_no_search(request):
+    data = synth.sample_ball(600, 4, seed=31)
+    single = dataclasses.replace(data)
+    ks = range(4, 31)
+
+    def calls(matrix):
+        return [analysis.trails(matrix, ks, "mle", point_subset=SUBSET),
+                angle_id.estimate_table(matrix, 30, ESTIMATOR_TAGS, queries=SUBSET,
+                                        with_diagnostics=True),
+                angle_id.estimate_table(matrix, 12, ("abid", "ged"), queries=SUBSET)]
+
+    want = [_digest(out) for out in calls(dataclasses.replace(data))]
+    want_point = angle_id.estimate_point(dataclasses.replace(data), 5, 12, ESTIMATOR_TAGS)
+    analysis.trails(data, ks, "abid", point_subset=SUBSET)
+    angle_id.estimate_point(single, 5, 30)  # keeps a one-row map
+    request.getfixturevalue("no_search")
+    assert [_digest(out) for out in calls(data)] == want
+    got = angle_id.estimate_point(single, 5, 12, ESTIMATOR_TAGS)
+    assert {t: np.float64(e.value).tobytes() for t, e in got.items()} == \
+        {t: np.float64(e.value).tobytes() for t, e in want_point.items()}
+    assert got == want_point
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_every_kept_map_equals_a_search_on_a_fresh_matrix(monkeypatch, name, threads):
+    make, k = DATASETS[name]
+    data = make()
+    ks = range(MIN_K["ged"], k + 1)
+    subset = [q % data.n for q in SUBSET]
+
+    def calls(fresh):
+        for tag in ESTIMATOR_TAGS:
+            yield analysis.trails(fresh(), ks, tag, point_subset=subset, threads=threads)
+        yield analysis.trails(fresh(), ks[1:], "ged", point_subset=subset, ged_pair=(2, 4),
+                              threads=threads)
+        for kk in (k, k - 1, MIN_K["ged"]):  # k descending
+            yield angle_id.estimate_table(fresh(), kk, ESTIMATOR_TAGS, queries=subset,
+                                          with_diagnostics=True, threads=threads)
+
+    want = [_digest(out) for out in calls(lambda: dataclasses.replace(data))]
+    searches = _count_searches(monkeypatch)
+    got = [_digest(out) for out in calls(lambda: data)]
+    assert got == want
+    assert sum(searches) == len(subset)  # the first trails only
+    assert data._neighbors[0] == tuple(subset) and data._neighbors[1].shape == (len(subset), k)
+
+
+def test_every_other_map_searches_once(monkeypatch):
+    data = synth.sample_ball(600, 4, seed=32)
+    searches = _count_searches(monkeypatch)
+
+    def searched(call) -> bool:
+        searches.clear()
+        call()
+        assert len(searches) <= 1
+        return len(searches) == 1
+
+    assert searched(lambda: analysis.trails(data, range(4, 21), "abid", point_subset=SUBSET))
+    assert not searched(lambda: analysis.trails(data, range(4, 21), "mle", point_subset=SUBSET))
+    # A larger k, another subset, the same subset in another order.
+    assert searched(lambda: analysis.trails(data, range(4, 22), "mle", point_subset=SUBSET))
+    assert searched(lambda: angle_id.estimate_table(data, 21, queries=SUBSET[::-1]))
+    assert searched(lambda: angle_id.estimate_table(data, 21, queries=SUBSET[:-1]))
+    assert not searched(lambda: angle_id.estimate_table(data, 20, queries=SUBSET[:-1]))
+    # A vector query is never kept, not even one equal to a kept point.
+    assert searched(lambda: angle_id.estimate_point(data, SUBSET[0], 10))
+    kept = data._neighbors
+    assert kept[0] == (SUBSET[0],)
+    for _ in range(2):
+        assert searched(lambda: angle_id.estimate_point(data, data.points[SUBSET[0]], 10))
+    assert data._neighbors is kept
+    # A map over the budget is not kept either, and leaves the kept lists.
+    monkeypatch.setattr(angle_id, "_KEEP_BYTES", 16 * len(SUBSET) * 10 - 1)
+    for _ in range(2):
+        assert searched(lambda: angle_id.estimate_table(data, 10, queries=SUBSET))
+    assert data._neighbors is kept
+    monkeypatch.setattr(angle_id, "_KEEP_BYTES", 16 * len(SUBSET) * 10)
+    assert searched(lambda: angle_id.estimate_table(data, 10, queries=SUBSET))
+    assert not searched(lambda: angle_id.estimate_table(data, 10, queries=SUBSET))
+
+
+def test_a_failed_map_leaves_the_kept_lists(request):
+    # Point 0 has five exact copies, so it has 19 neighbors of nonzero distance.
+    points = np.random.default_rng(33).uniform(0.0, 1.0, (20, 3))
+    data = DataMatrix(np.vstack([points, np.repeat(points[:1], 5, axis=0)]))
+    want = _digest(analysis.trails(dataclasses.replace(data), range(2, 11), "mle",
+                                   point_subset=[1, 2, 3]))
+    analysis.trails(data, range(2, 11), "abid", point_subset=[1, 2, 3])
+    kept = data._neighbors
+    # Two blocks of two rows: the first copies its rows out, the second fails.
+    with pytest.raises(InsufficientNeighborsError, match="for point 0"):
+        angle_id.estimate_table(data, 20, queries=[1, 2, 3, 0], threads=2)
+    assert data._neighbors is kept
+    request.getfixturevalue("no_search")
+    assert _digest(analysis.trails(data, range(2, 11), "mle", point_subset=[1, 2, 3])) == want
+
+
+def test_the_kept_lists_are_read_only_copies_of_the_search():
+    data = synth.sample_ball(600, 4, seed=34)
+    analysis.trails(data, range(4, 26), "abid", point_subset=SUBSET)
+    names, idx, dist = data._neighbors
+    want = knn_many(data, data.points[SUBSET], 25)
+    assert names == tuple(SUBSET)
+    assert idx.tobytes() == want[0].tobytes() and dist.tobytes() == want[1].tobytes()
+    for a in (idx, dist):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+        assert not np.shares_memory(a, neighbors._local.idx)
+        assert not np.shares_memory(a, neighbors._local.dist)
+    angle_id.estimate_table(data, 25, queries=SUBSET[:3])  # keeps others
+    assert idx.tobytes() == want[0].tobytes() and dist.tobytes() == want[1].tobytes()
+
+
+def test_two_threads_mapping_different_subsets_of_one_matrix_get_sequential_bytes(monkeypatch):
+    data = synth.sample_ball(2000, 3, seed=35)
+    subsets = [list(range(0, 2000, 97)), list(range(5, 2000, 89))]
+    ks = range(4, 41)
+    _use_block_rows(monkeypatch, 2, 40, 3)  # many blocks per map, each reading the kept lists
+
+    def round_(matrix, subset):
+        return [_digest(analysis.trails(matrix, ks, tag, point_subset=subset))
+                for tag in ("abid", "mle")] + \
+            [_digest(angle_id.estimate_table(matrix, 30, ESTIMATOR_TAGS, queries=subset))]
+
+    want = [round_(dataclasses.replace(data), subset) for subset in subsets]
+    start = threading.Barrier(2, timeout=30)
+
+    def run(i):
+        start.wait()
+        return [round_(data, subsets[i]) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, between the read and the store too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(run, range(2), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, rounds in enumerate(results):
+        assert all(got == want[i] for got in rounds)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -951,6 +952,50 @@ class TestScreenCache:
             _assert_bitwise(knn_many(fresh, queries, 12), _full_sort(fresh, queries, 12))
         assert moved._screen[1].tobytes() != data._screen[1].tobytes()  # its own center
 
+    # (n, D, scale): float32 screens, float64 ones where 4M overflows float32
+    # or eps32 M is subnormal (one point: M = 0), one and two points, D = 1.
+    BUILDS = {"ball": (3001, 3, 1.0), "huge": (2000, 3, 1e30), "tiny": (2000, 3, 1e-30),
+              "one": (1, 4, 1.0), "two": (2, 4, 1.0), "line": (1001, 1, 1.0),
+              "wide": (777, 40, 1e3)}
+
+    @pytest.mark.parametrize("case", sorted(BUILDS))
+    @pytest.mark.parametrize("columns", [None, 1, 5])
+    @pytest.mark.parametrize("force64", [False, True])
+    def test_the_chunked_build_is_bitwise_the_whole_float64_one(self, monkeypatch, case, columns,
+                                                                force64):
+        n, dim, scale = self.BUILDS[case]
+        rng = np.random.default_rng(n + dim)
+        pts = scale * (rng.standard_normal((n, dim)) + rng.uniform(-50.0, 50.0, dim))
+        if columns:  # a budget of 1 column (the minimum, 4, holds) or 5
+            monkeypatch.setattr(neighbors, "_BUILD_BYTES", 8 * dim * columns)
+        if force64:
+            monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
+        got, want = neighbors._build_screen(pts), _whole_build(pts)
+        float32 = case in ("ball", "two", "line", "wide") and not force64
+        assert got[0].dtype == want[0].dtype == (np.float32 if float32 else np.float64)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+
+    @pytest.mark.parametrize("force64", [False, True])
+    def test_a_first_build_holds_little_beyond_the_kept_screen(self, monkeypatch, force64):
+        # The size of the 8-D lattice. A whole float64 matrix rounded to
+        # float32 afterwards peaked at three times the kept screen.
+        pts = np.random.default_rng(13).standard_normal((65536, 8))
+        if force64:
+            monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
+        tracemalloc.start()
+        try:
+            screen = neighbors._build_screen(pts)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert screen.dtype == (np.float64 if force64 else np.float32)
+        assert screen.nbytes <= peak  # numpy reports its arrays to tracemalloc
+        # Besides the screen: the float64 norms and one float64 column chunk.
+        assert peak <= screen.nbytes + 8 * len(pts) + neighbors._BUILD_BYTES + (1 << 16)
+
     def test_two_threads_making_a_fresh_matrixs_first_search_at_once_match_full_sort(
             self, monkeypatch):
         base = synth.sample_ball(3000, 2, seed=12)
@@ -979,6 +1024,21 @@ class TestScreenCache:
         finally:
             sys.setswitchinterval(interval)
         assert len(builds) == 20  # one per matrix
+
+
+def _whole_build(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """The screen of ``pts`` from one whole (D+2, n) float64 matrix, rounded to its dtype at
+    the end: ``neighbors._build_screen`` before its column chunks, kept as its oracle."""
+    dim = pts.shape[1]
+    screen = np.empty((dim + 2, len(pts)))
+    screen[:dim] = pts.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = screen[:dim].mean(axis=1)
+        screen[:dim] -= center[:, None]
+        np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim])
+    screen[dim + 1] = 1.0
+    max_sq = screen[dim].max()
+    return screen.astype(neighbors._screen_dtype(max_sq), copy=False), center, max_sq
 
 
 def _spy_workspace(monkeypatch) -> list:
@@ -1015,9 +1075,9 @@ class TestWorkspaceBuffers:
         data = make()
         seen = _spy_workspace(monkeypatch)
 
-        def run(rows):
+        def run(rows, matrix=data):
             seen.clear()
-            angle_id.estimate_table(data, k, ESTIMATOR_TAGS, queries=range(rows),
+            angle_id.estimate_table(matrix, k, ESTIMATOR_TAGS, queries=range(rows),
                                     with_diagnostics=True)
             return {name: (addr, shape) for _, name, addr, shape, _ in seen}
 
@@ -1027,7 +1087,9 @@ class TestWorkspaceBuffers:
                      "products", "products_b", "selected", "rise", "terms", "pad"}
             assert names <= set(first)
             held = {name: getattr(neighbors._local, name) for name in first}
-            assert run(rows) == first  # the same addresses and shapes
+            # The same addresses and shapes. A copy of the matrix searches again:
+            # the matrix itself keeps these neighbor lists and would not.
+            assert run(rows, dataclasses.replace(data)) == first
             smaller = run(rows // 4)
             for name, (addr, shape) in smaller.items():
                 assert addr == first[name][0] and math.prod(shape) <= math.prod(first[name][1])
