@@ -133,12 +133,14 @@ def _sq_sums(u: np.ndarray, ks) -> np.ndarray:
     ||sum_{i<k} u_i u_i^T||_F**2, read off running sums of the outer
     products; for k < D it is the sum of the squared entries of the
     k-by-k Gram matrix, read off running sums of its rows. Sums over
-    directions run in index order (np.cumsum) and each Gram entry is a
-    dot product of fixed length D, so S(k) depends only on the first k
-    directions of its row and is bitwise the same whichever other k
-    values, rows or block size are involved; a BLAS matrix product is
-    avoided because its rounding depends on the matrix size. Cost
-    O(k_max * D * min(D, k_max)) per row for k_max = max(ks).
+    directions run in index order (np.cumsum), so do the sums of squared
+    entries (``_outer_sums`` has two paths that add alike), and each
+    Gram entry is a dot product of fixed length D, so S(k) depends only
+    on the first k directions of its row and is bitwise the same
+    whichever other k values, rows or block size are involved; a BLAS
+    matrix product is avoided because its rounding depends on the
+    matrix size. Cost O(k_max * D * min(D, k_max)) per row for k_max =
+    max(ks).
     """
     ks = np.asarray(ks, dtype=np.int64)
     dim = u.shape[2]
@@ -159,37 +161,81 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # Only the upper triangle a <= b of each outer product is summed; the
     # off-diagonal entries count twice in the Frobenius norm. The products
     # go in chunks of at most _CHUNK: whole rows where one row's fit, else
-    # runs of one row's directions. Either is a contiguous part of u, which
-    # numpy's take gathers from without copying it first.
-    a, b, weight = _triu(u.shape[2])
-    k_max = int(ks[-1])
-    rows = _CHUNK // (k_max * a.size)
-    step = k_max if rows else max(1, _CHUNK // a.size)
+    # runs of one row's directions. A chunk's R rows of kc directions are
+    # copied transposed, (D, R, kc), and the products c of the P pairs lie
+    # as (P, R, kc): numpy's take gathers each pair's first factor as a
+    # whole (R, kc) block, the second factors of pairs (i, i..D-1) are the
+    # contiguous blocks i..D-1, and the running sums run along the
+    # contiguous last axis. S(k) then sums the weighted squares over the
+    # pairs in index order: one add per pair of whole (R, kc) blocks where
+    # the requested k give the chunk at least _LANES (row, k) lanes, else
+    # one cumsum per lane over a transposed copy of the requested columns.
+    # Either adds in the order of the row-wise cumsum, so S(k) is bitwise
+    # the same on both paths.
+    dim = u.shape[2]
+    a, starts, weight = _triu(dim)
+    pairs, k_max = a.size, int(ks[-1])
+    rows = _CHUNK // (k_max * pairs)
+    step = k_max if rows else max(1, _CHUNK // pairs)
     rows = max(1, rows)
     out = np.empty((len(u), ks.size))
     for r in range(0, len(u), rows):
         total = None
         for lo in range(0, k_max, step):
             v = u[r:r + rows, lo:min(lo + step, k_max)]
-            c = _gather(v, a, 2, "products")
-            c *= _gather(v, b, 2, "products_b")
+            vt = _workspace("transposed", (dim,) + v.shape[:2])
+            np.copyto(vt, v.transpose(2, 0, 1))
+            c = _gather(vt, a, 0, "products")
+            for i, s in enumerate(starts):  # pairs (i, i..D-1) are c[s:s + D - i]
+                c[s:s + dim - i] *= vt[i:]
             if total is not None:
-                c[:, 0] += total
-            np.cumsum(c, axis=1, out=c)  # c[:, j]: sum of the first lo + j + 1 products
-            total = c[:, -1].copy()  # not a view: the next chunk overwrites this buffer
+                c[..., 0] += total
+            np.cumsum(c, axis=2, out=c)  # c[..., j]: sum of the first lo + j + 1 products
+            total = c[..., -1].copy()  # not a view: the next chunk overwrites this buffer
             j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
-            sel = _gather(c, ks[j0:j1] - lo - 1, 1, "selected")
-            sel *= sel
-            sel *= weight
-            out[r:r + rows, j0:j1] = _row_sums(sel)
+            if j0 == j1:
+                continue
+            cols = _columns(ks[j0:j1], lo + 1)
+            o = out[r:r + rows, j0:j1]
+            if o.size >= _LANES:
+                np.square(c, out=c)
+                c *= weight[:, None, None]
+                for p in range(1, pairs):
+                    c[0] += c[p]
+                o[...] = c[0][:, cols]
+            else:
+                # "transposed" is spent: it takes gathered columns, or else the copy.
+                if isinstance(cols, slice):
+                    sel, spare = c[..., cols], "transposed"
+                else:
+                    sel, spare = _gather(c, cols, 2, "transposed"), "products"
+                t = _workspace(spare, o.shape + (pairs,))
+                np.copyto(t, sel.transpose(1, 2, 0))
+                np.square(t, out=t)
+                t *= weight
+                o[...] = _row_sums(t)
     return out
+
+
+# (row, k) lanes of a chunk from which ``_outer_sums`` sums the pairs with
+# one add per pair rather than one cumsum per lane. The two cost the same
+# at about 200 to 270 lanes, for D from 3 to 20 on a 2-core Xeon.
+_LANES = 1 << 8
+
+
+def _columns(ks: np.ndarray, first: int) -> slice | np.ndarray:
+    """Positions ``ks - first``: a slice where the ascending ``ks`` form a run, else an array."""
+    if ks[-1] - ks[0] == ks.size - 1:
+        return slice(int(ks[0]) - first, int(ks[-1]) - first + 1)
+    return ks - first
 
 
 @functools.lru_cache(maxsize=64)
 def _triu(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column indices of the upper triangle, and each entry's weight (read-only)."""
+    """The upper triangle's row indices in row-major order, where each row starts, and
+    each entry's weight (read-only)."""
     a, b = np.triu_indices(dim)
-    out = (a, b, np.where(a == b, 1.0, 2.0))
+    out = (a, np.flatnonzero(a == b), np.where(a == b, 1.0, 2.0))
     for x in out:
         x.setflags(write=False)
     return out
@@ -387,14 +433,16 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     kf = ks.astype(np.float64)
     if any(t in ANGLE_TAGS for t in tags):
         off = _off_diag(_sq_sums(u, ks), kf)
+    last = _columns(ks, 1)  # a slice where ks is a run, as in every-k trails
     if "mle" in tags or "mom" in tags:
+        rises = _columns(ks, 2)
         d = d[:, :ks[-1]]
         # Column j - 1 holds d_j - d_{j-1} >= 0. The (B, k_max) arrays live
         # in the thread's workspace: with distance estimators alone they
         # are the block's largest.
         rise = np.subtract(d[:, 1:], d[:, :-1], out=_workspace("rise", (len(d), ks[-1] - 1)))
         weights = np.arange(1.0, ks[-1])
-        equal = d[:, :1] == d[:, ks - 1]
+        equal = d[:, :1] == d[:, last]
     out = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for tag in tags:
@@ -404,19 +452,21 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
                 terms = _workspace("terms", rise.shape)
                 np.log1p(np.divide(rise, d[:, :-1], out=terms), out=terms)
                 terms *= weights
-                g = np.cumsum(terms, axis=1, out=terms)[:, ks - 2]
-                out[tag] = _degenerate(np.divide(kf - 1.0, g, out=g), equal, kf)
+                g = np.cumsum(terms, axis=1, out=terms)[:, rises]
+                # Not in place: g may be a view of "terms", which the next tag reuses.
+                out[tag] = _degenerate(np.divide(kf - 1.0, g), equal, kf)
             elif tag == "mom":
-                total = np.cumsum(d, axis=1, out=_workspace("terms", d.shape))[:, ks - 1]
+                # A copy: "terms" is reused for the increments' sums below.
+                total = np.cumsum(d, axis=1, out=_workspace("terms", d.shape))[:, last].copy()
                 terms = _workspace("terms", rise.shape)
-                g = np.cumsum(np.multiply(rise, weights, out=terms), axis=1, out=terms)[:, ks - 2]
+                g = np.cumsum(np.multiply(rise, weights, out=terms), axis=1, out=terms)[:, rises]
                 out[tag] = _degenerate(np.divide(total, g, out=total), equal, kf)
             else:
                 if ged_pair is None:
                     k1, k2 = (ks + 1) // 2, ks
                 else:
                     k1, k2 = np.full_like(ks, ged_pair[0]), np.full_like(ks, ged_pair[1])
-                d1, d2 = d[:, k1 - 1], d[:, k2 - 1]
+                d1, d2 = d[:, k1 - 1], d[:, _columns(k2, 1)]
                 out[tag] = _degenerate(np.log(k2 / k1) / np.log(d2 / d1), d1 == d2, kf)
     return out
 

@@ -29,11 +29,15 @@ their query, take the one exact fallback and are collected again. The
 re-rank recomputes every candidate's distance in float64 from the
 points, puts each row's candidate distances, in ascending index order,
 into one row of a padded (B, widest row) array and sorts every row on
-its own with one stable ``argsort`` along the rows, so no row's order
-depends on the other rows of its block. The screen only narrows the
-candidates, so the neighbor lists are bitwise those of the full sort for
-any block size, thread count, plan or screen dtype. The kernel's re-rank
-is the only code here that orders neighbors; the tests keep the full sort
+its own (``_rank``): one ``argsort`` along the rows of the array's int64
+view, which orders these positive doubles, inf and NaN as floats and
+sorts faster, then a stable sort again of each row where two equal
+distances fall within its first k + 1 places, the only rows whose first
+k an unstable sort could misorder. So no row's order depends on the
+other rows of its block. The screen only narrows the candidates, so the
+neighbor lists are bitwise those of the full sort for any block size,
+thread count, plan or screen dtype. The kernel's re-rank is the only
+code here that orders neighbors; the tests keep the full sort
 (``tests/test_neighbors.py::_sorted_candidates``) as its oracle.
 
 A DataMatrix also keeps the neighbor lists of its last query map of point
@@ -218,10 +222,12 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
       candidate), its padded rows "pad" (8 bytes per slot) and the
       positions "take" of each row's k nearest (8 bytes each);
     - the estimation core's neighbor lists "idx" and "dist", directions
-      "directions", distance increments "rise" and "terms" and Gram
-      chunks "products", "products_b" and "selected" (at most 512 KiB
-      each, ``angle_id._CHUNK``); these budgets hold wherever one query
-      row fits them.
+      "directions", distance increments "rise" and "terms", and the Gram
+      chunks "products" (at most 512 KiB, ``angle_id._CHUNK``) and
+      "transposed", a chunk's directions copied transposed (2 / (D + 1)
+      of that), which the requested k's gathered or copied columns reuse
+      once they are spent (``angle_id._outer_sums``; at most as large as
+      "products"); these budgets hold wherever one query row fits them.
     """
     size = math.prod(shape)
     buf = getattr(_local, name, None)
@@ -456,9 +462,9 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         # order (a boolean mask assigns in row-major order), with NaN for
         # d == 0 (the query and its duplicates) and for the padding. NaN
         # sorts after every number, inf included (distances overflow at
-        # 1e160 scales), so a stable sort of each row puts its nonzero
-        # distances first, ties in ascending column order: the
-        # (distance, index) order of the full sort.
+        # 1e160 scales), so sorting each row by (value, place), which
+        # _rank does, puts its nonzero distances first, ties in ascending
+        # column order: the (distance, index) order of the full sort.
         counts = np.bincount(r, minlength=len(q))
         zero = d == 0.0
         found = counts - np.bincount(r[zero], minlength=len(q))
@@ -471,15 +477,36 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         pad = _workspace("pad", (len(q), width))
         pad.fill(np.nan)
         pad[np.arange(width) < counts[:, None]] = d
-        # Copied out first: an add into a strided view of the argsort
-        # made a temporary three times its size.
-        take = _workspace("take", (len(q), k), np.int64)
-        np.copyto(take, np.argsort(pad, axis=1, kind="stable")[:, :k])
+        take = _rank(pad, k)
         take += (np.cumsum(counts) - counts)[:, None]  # each row's first candidate
         # In range, so "clip" clips nothing; "raise" would copy via a temporary.
         col.take(take, out=idx[lo:lo + rows], mode="clip")
         d.take(take, out=dist[lo:lo + rows], mode="clip")
     return idx, dist
+
+
+def _rank(pad: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest of each row of ``pad``, in (value, position) order.
+
+    ``pad`` holds positive doubles, inf and the canonical NaN. Their int64
+    views order as the values do, NaN last, and numpy sorts int64 keys
+    faster than doubles. That default sort is not stable, so a row with
+    two equal keys among its first min(k + 1, width) sorted places is
+    sorted again, stably. Elsewhere the first k keys are distinct and
+    below every later key, so any sort puts the same k positions first,
+    in the same order. The result is this thread's workspace buffer "take".
+    """
+    keys = pad.view(np.int64)
+    order = np.argsort(keys, axis=1)
+    head = np.take_along_axis(keys, order[:, :k + 1], axis=1)
+    tied = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(pad[tied], axis=1, kind="stable")
+    # Copied out: an add into a strided view of the argsort made a
+    # temporary three times its size.
+    take = _workspace("take", (len(pad), k), np.int64)
+    np.copyto(take, order[:, :k])
+    return take
 
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:

@@ -225,8 +225,9 @@ def test_the_outer_sums_do_not_depend_on_their_k_chunks(monkeypatch):
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     ks = list(range(4, 91))
     want = angle_id._sq_sums(u, ks)
-    # _outer_sums takes k chunks of _CHUNK // 4 elements: 3 rows of 10 products per k.
-    for chunk in (4 * 10 * 3, 4 * 7 * 3 * 10, 4 * 33 * 3 * 10):  # k chunks of 1, 7 and 33
+    # 10 products per direction: _outer_sums takes runs of _CHUNK // 10 directions
+    # of one row where a row's 900 products exceed _CHUNK, else whole rows.
+    for chunk in (10, 10 * 7, 10 * 33, 900, 900 * 3):  # runs of 1, 7, 33; rows of 1, 3
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
     for r in range(3):
@@ -242,8 +243,9 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
     ks = np.arange(10, 401)
     chunks = []
     gather = angle_id._gather
+    # The products are gathered from each chunk's (D, R, kc) transposed directions.
     monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: (
-        name == "products" and chunks.append(a.shape[:2])) or gather(a, indices, axis, name))
+        name == "products" and chunks.append(a.shape[1:])) or gather(a, indices, axis, name))
     monkeypatch.setattr(angle_id, "_CHUNK", 7 * 400 * 21)  # the whole block in one chunk
     whole = angle_id._sq_sums(u, ks)
     assert chunks == [(7, 400)]
@@ -259,24 +261,53 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
 
 
 def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
-    # numpy's take copies a strided input before it gathers, so a chunk of
-    # k across rows would make a temporary per chunk; _outer_sums takes
-    # whole rows, or runs of one row's directions where a row exceeds _CHUNK.
+    # numpy's take copies a strided input before it gathers, so a gather
+    # from a strided chunk would make a temporary per chunk. _outer_sums
+    # gathers the products' first factors from a contiguous transposed copy
+    # of each chunk, whole (R, kc) blocks along its first axis, and k values
+    # that are not a run from the contiguous products; a run is a slice.
     rng = np.random.default_rng(10)
     u = rng.standard_normal((7, 90, 4))
     u /= np.linalg.norm(u, axis=2, keepdims=True)
-    ks = np.arange(4, 91)
-    want = angle_id._sq_sums(u, ks)
-    contiguous = []
+    # Every k, and every third k, whose columns are gathered from the products.
+    cases = [(np.arange(4, 91), []), (np.arange(4, 91, 3), [(True, 2, "transposed")])]
+    wants = [angle_id._sq_sums(u, ks) for ks, _ in cases]
+    gathers = []
     gather = angle_id._gather
-    monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: contiguous.append(
-        a.flags.c_contiguous) or gather(a, indices, axis, name))
-    # 10 products per direction: runs of 7 directions, rows of 3, the whole block.
-    for chunk in (10 * 7, 10 * 90 * 3, 10 * 90 * 7):
-        monkeypatch.setattr(angle_id, "_CHUNK", chunk)
-        contiguous.clear()
-        assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
-        assert contiguous and all(contiguous)
+    monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: gathers.append(
+        (a.flags.c_contiguous, axis, name)) or gather(a, indices, axis, name))
+    for (ks, selected), want in zip(cases, wants):
+        # 10 products per direction: runs of 7 directions, rows of 3, the whole block.
+        for chunk in (10 * 7, 10 * 90 * 3, 10 * 90 * 7):
+            monkeypatch.setattr(angle_id, "_CHUNK", chunk)
+            gathers.clear()
+            assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
+            assert gathers[0] == (True, 0, "products")
+            assert set(gathers) == {gathers[0], *selected}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 20])
+def test_both_pair_sums_give_the_same_outer_sums(monkeypatch, dim):
+    # _outer_sums sums a chunk's pairs with one add per pair where it has
+    # at least _LANES (row, k) lanes, else with one cumsum per lane. Each
+    # path is forced here through that threshold; both must give bitwise
+    # the same S(k), and a table's single k the same as every-k trails.
+    rng = np.random.default_rng(dim)
+    u = rng.standard_normal((9, 60, dim))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    every, some = np.arange(dim, 61), np.arange(dim, 61, 4)
+    results = []
+    for lanes in (0, 1 << 62):  # every chunk on the add path, then on the cumsum path
+        monkeypatch.setattr(angle_id, "_LANES", lanes)
+        for chunk in (1 << 16, 7 * dim * (dim + 1) // 2):  # one chunk, runs of 7 directions
+            monkeypatch.setattr(angle_id, "_CHUNK", chunk)
+            got = angle_id._outer_sums(u, every)
+            assert angle_id._outer_sums(u, some).tobytes() == got[:, ::4].tobytes()
+            for j in (0, 17 % every.size, every.size - 1):
+                single = angle_id._outer_sums(u, every[j:j + 1])
+                assert single.tobytes() == got[:, j:j + 1].tobytes(), (lanes, chunk, j)
+            results.append(got.tobytes())
+    assert len(set(results)) == 1
 
 
 class TestRowReductions:

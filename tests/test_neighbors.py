@@ -696,6 +696,60 @@ class TestKnnMany:
         assert np.array_equal(nl.indices, idx[0]) and nl.distances.tobytes() == dist[0].tobytes()
 
 
+class TestReRank:
+    """The re-rank sorts int64 views of the padded distances and repairs ties stably."""
+
+    def test_int64_views_of_the_padded_values_sort_as_the_floats(self):
+        # The padded rows hold positive doubles (subnormal to the largest),
+        # inf where distances overflow, and the NaN that numpy's nan and the
+        # kernel's fill write; as int64 their order is the float order, NaN last.
+        info = np.finfo(np.float64)
+        values = np.array([info.smallest_subnormal, 3 * info.smallest_subnormal,
+                           info.smallest_normal / 2, info.smallest_normal, 1e-300, 0.5, 1.0,
+                           1.0 + info.eps, 2.0, 1e160, 1e300, info.max / 2, info.max, np.inf])
+        pad = np.empty((7, 3 * values.size + 5))
+        pad.fill(np.nan)
+        assert pad.view(np.int64)[0, 0] == np.array(np.nan).view(np.int64) == 0x7FF8 << 48
+        rng = np.random.default_rng(12)
+        for row in pad:
+            row[:3 * values.size] = rng.permutation(np.tile(values, 3))
+            rng.shuffle(row)
+        order = np.argsort(pad.view(np.int64), axis=1)
+        got = np.take_along_axis(pad, order, axis=1)
+        want = np.sort(pad, axis=1)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[:, -5:]).all() and not np.isnan(got[:, :-5]).any()
+
+    @pytest.mark.parametrize("k", [10, 40])
+    def test_ties_across_the_kth_place_rank_as_the_full_sort(self, monkeypatch, k):
+        # An integer grid: every interior point has 6 neighbors at 1, 12 at
+        # sqrt 2, 8 at sqrt 3, 6 at 2 and 24 at sqrt 5, so k = 10 and k = 40
+        # fall inside a shell and its tied distances straddle the k-th place.
+        # k = 10 takes the whole-row plan and k = 40 the sampled one.
+        axes = np.meshgrid(*[np.arange(14.0)] * 3, indexing="ij")
+        data = DataMatrix(np.stack(axes, axis=-1).reshape(-1, 3))
+        assert (neighbors._plan(data.n, k, 3)[0] > 1) == (k == 40)
+        rows = [3 * 196 + 4 * 14 + 5, 7 * 196 + 7 * 14 + 7, 0, 2743, 10 * 196 + 3 * 14 + 9]
+        queries = data.points[rows]
+        d = _sorted_candidates(data, queries[1])[1]
+        assert d[k - 1] == d[k]
+        stable = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            stable.append(a.dtype == np.float64 and kwargs.get("kind") == "stable")
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        want = _full_sort(data, queries, k)
+        stable.clear()
+        for block in (1, 2, None):
+            if block is not None:
+                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * block)
+            _assert_bitwise(knn_many(data, queries, k), want)
+        assert any(stable)  # the repair of tied rows ran
+
+
 class TestBlockedTables:
     def test_threads_give_identical_csv_bytes(self, tmp_path, monkeypatch):
         data = synth.sample_ball(1500, 4, seed=12)
@@ -1084,7 +1138,7 @@ class TestWorkspaceBuffers:
         def buffers(rows):
             first = run(rows)
             names = {"block", "mask", "diff", "query_rows", "idx", "dist", "directions",
-                     "products", "products_b", "selected", "rise", "terms", "pad"}
+                     "transposed", "products", "rise", "terms", "pad"}
             assert names <= set(first)
             held = {name: getattr(neighbors._local, name) for name in first}
             # The same addresses and shapes. A copy of the matrix searches again:
