@@ -12,7 +12,8 @@ import operator
 import string
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import fields as dataclass_fields
+from itertools import count, islice
 
 import numpy as np
 
@@ -178,6 +179,20 @@ class DataMatrix:
             raise ValueError("coordinates must be finite (no NaN/Inf)")
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _adopt(cls, points: np.ndarray) -> DataMatrix:
+        """A matrix that keeps ``points`` itself, made read-only, with no copy or check.
+
+        Only for arrays that ``core`` made and no caller holds, such as
+        ``_read_csv``'s: float64, (n, D) with n, D >= 1, every value finite.
+        """
+        points.setflags(write=False)
+        out = object.__new__(cls)
+        for f in dataclass_fields(cls):
+            object.__setattr__(out, f.name, f.default)
+        object.__setattr__(out, "points", points)
+        return out
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -323,8 +338,9 @@ def load_csv(path, delimiter: str = ",", skip_header: bool = False) -> DataMatri
     Data files carry no header by default; pass ``skip_header=True`` to
     drop the first line. Raises CsvFormatError naming the offending
     1-based line for ragged rows or non-numeric or non-finite fields.
+    The matrix keeps the reader's array without copying it again.
     """
-    return DataMatrix(_read_csv(path, delimiter, skip_header))
+    return DataMatrix._adopt(_read_csv(path, delimiter, skip_header))
 
 
 def write_csv(obj, path, delimiter: str = ",") -> None:
@@ -358,9 +374,11 @@ def _flag_cells(table: EstimateTable, tags: tuple[str, ...]) -> list[str]:
     return cells
 
 
-# Lines parsed or formatted at a time, which bounds the memory the CSV
-# reader and writer hold besides their result.
+# Lines parsed or formatted at a time, which bounds the memory the block
+# parser and the writer hold besides their result; and bytes scanned at a
+# time before numpy's parser reads a file.
 _CSV_ROWS = 4096
+_CSV_BYTES = 1 << 20
 
 # What a written cell can hold: a "%.17g" number (digits, ".", "+", "-",
 # "e", "inf", "nan") or a column name (letters, digits, "_"); the items of a
@@ -417,29 +435,90 @@ def _read_csv(path, delimiter: str, skip_header: bool = False, column: str | Non
     not in the header raises KeyError. Raises CsvFormatError naming the
     1-based line of a ragged row or of a non-numeric or non-finite field,
     and for a file without data lines.
+
+    A whole matrix with a one-character delimiter is first read by
+    numpy's C parser (``_loadtxt``), if the file is seekable: both readers
+    may read it. Every file numpy declines, and every column read, goes
+    to the block parser (``_parse_blocks``), which writes every error.
+    The array is bitwise the same either way.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
-    blocks, width, start, step, lineno = [], None, 0, 1, 1
     with open(path, encoding="utf-8") as fh:
-        if skip_header or column is not None:
-            header, lineno = fh.readline().rstrip("\r\n").split(delimiter), 2
-        if column is not None:
-            if column not in header:
-                raise KeyError(f"column {column!r} not in header {header}")
-            width = step = len(header)
-            start = header.index(column)
-        while lines := [line.rstrip("\r\n") for line in islice(fh, _CSV_ROWS)]:
-            width = width or lines[0].count(delimiter) + 1
-            block = None
-            if all(line.count(delimiter) == width - 1 for line in lines):
-                fields = delimiter.join(lines).split(delimiter)[start::step]
-                with suppress(ValueError):
-                    block = np.fromiter(map(float, fields), np.float64, len(fields))
-            if block is None or not np.isfinite(block).all():
-                _raise_first_error(path, lineno, lines, delimiter, width, start, step)
-            blocks.append(block)
-            lineno += len(lines)
+        if column is None and len(delimiter) == 1 and fh.seekable():
+            values = _loadtxt(fh, delimiter, skip_header)
+            if values is not None:
+                return values
+            fh.seek(0)
+        return _parse_blocks(fh, path, delimiter, skip_header, column)
+
+
+# numpy strips these four ASCII separators from a field's ends as whitespace,
+# where ``float`` refuses the field. Each is one byte in UTF-8.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _loadtxt(fh, delimiter: str, skip_header: bool) -> np.ndarray | None:
+    """The matrix in text file ``fh`` by ``np.loadtxt``, or None where it may differ.
+
+    numpy reads the lines of ``fh``, split by Python's universal newlines
+    as the block parser's are, and converts each field with CPython's own
+    string-to-double. It differs where it skips a blank line, strips
+    ``_SEPARATORS``, declines a field that ``float`` reads (``1_0``,
+    non-ASCII digits) or warns on a file without data rows. So a file
+    whose first data line is blank or missing, which the block parser
+    refuses too, or that holds a separator is declined before numpy runs;
+    numpy then returns at least one row or raises, and never warns. Its
+    array counts only if it raised nothing, holds one row per data line
+    (none was skipped) and only finite values.
+    """
+    skip = 1 if skip_header else 0
+    try:
+        if skip_header:
+            fh.readline()
+        if fh.readline() in ("", "\n"):  # no first data line, or a blank one
+            return None
+        fh.seek(0)
+        while block := fh.buffer.read(_CSV_BYTES):
+            if any(s in block for s in _SEPARATORS):
+                return None
+        fh.seek(0)
+        lines = count()  # numpy takes each line of ``fh`` through ``zip``, which counts it
+        values = np.loadtxt(map(operator.itemgetter(0), zip(fh, lines)), delimiter=delimiter,
+                            comments=None, ndmin=2, skiprows=skip)
+    except (ValueError, TypeError):  # TypeError: a line break as the delimiter
+        return None
+    if len(values) != next(lines) - skip or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_blocks(fh, path, delimiter: str, skip_header: bool = False,
+                  column: str | None = None):
+    """``_read_csv`` of the text file ``fh``, opened from ``path``, in blocks of lines.
+
+    It reads what ``_loadtxt`` declines: any delimiter, and every field
+    ``float`` accepts.
+    """
+    blocks, width, start, step, lineno = [], None, 0, 1, 1
+    if skip_header or column is not None:
+        header, lineno = fh.readline().rstrip("\r\n").split(delimiter), 2
+    if column is not None:
+        if column not in header:
+            raise KeyError(f"column {column!r} not in header {header}")
+        width = step = len(header)
+        start = header.index(column)
+    while lines := [line.rstrip("\r\n") for line in islice(fh, _CSV_ROWS)]:
+        width = width or lines[0].count(delimiter) + 1
+        block = None
+        if all(line.count(delimiter) == width - 1 for line in lines):
+            fields = delimiter.join(lines).split(delimiter)[start::step]
+            with suppress(ValueError):
+                block = np.fromiter(map(float, fields), np.float64, len(fields))
+        if block is None or not np.isfinite(block).all():
+            _raise_first_error(path, lineno, lines, delimiter, width, start, step)
+        blocks.append(block)
+        lineno += len(lines)
     if not blocks:
         raise CsvFormatError(path, None, "file contains no data rows")
     values = np.concatenate(blocks)

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from angleid import theory
+from angleid import core, theory
 from angleid.cli import main
-from angleid.core import load_csv
+from angleid.core import DataMatrix, load_csv, write_csv
 
 
 # The two refusals of the delimiter rule, after "must not contain".
@@ -336,6 +336,36 @@ class TestEstimate:
                    "-o", tmp_path / "x.csv") == 1
         assert capsys.readouterr().err == "usage error: --label-column needs at least 2 input columns\n"
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_numpy_and_the_block_parser_give_the_same_outputs(tmp_path, capsys, monkeypatch):
+    """A clean file goes through numpy's parser; the same values with a ``1_0`` go to the block parser."""
+    points = np.random.default_rng(8).normal(size=(120, 3))
+    points[7, 1] = 10.0
+    clean, fallback = tmp_path / "clean.csv", tmp_path / "fallback.csv"
+    write_csv(DataMatrix(points), clean)
+    lines = clean.read_text().splitlines(keepends=True)
+    assert lines[7].split(",")[1] == "10"
+    lines[7] = lines[7].replace(",10,", ",1_0,")
+    fallback.write_text("".join(lines))
+    parsed, parse_blocks = [], core._parse_blocks
+
+    def spy(fh, path, *args):
+        parsed.append(path)
+        return parse_blocks(fh, path, *args)
+
+    monkeypatch.setattr(core, "_parse_blocks", spy)
+    commands = [("estimate", "--k", 12, "--estimators", "abid,rabid,mle,mom,ged",
+                 "--with-diagnostics"),
+                ("trails", "--estimator", "mle", "--k-values", "5,12,40", "--points", 30)]
+    for command in commands:
+        results = []
+        for data in (clean, fallback):
+            out = tmp_path / f"{command[0]}-{data.stem}.csv"
+            code = run(*command, "--input", data, "-o", out)
+            results.append((code, out.read_bytes(), capsys.readouterr().err))
+        assert results[0] == results[1] and results[0][0] == 0
+    assert parsed == [str(fallback)] * 2
 
 
 class TestHistogramCommand:

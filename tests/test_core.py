@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from angleid import core
 from angleid.core import (
     CLAMPED_TO_K,
     DEGENERATE_ZERO_DENOMINATOR,
@@ -14,6 +16,7 @@ from angleid.core import (
     DataMatrix,
     EstimateTable,
     IdEstimate,
+    _parse_blocks,
     _read_csv,
     load_csv,
     write_csv,
@@ -326,6 +329,138 @@ class TestEstimateTable:
         with pytest.raises(ValueError, match=f"^flag mask {re.escape(repr(mask))} of mle is not "
                            "a sum of FLAG_BITS"):
             EstimateTable([0, 1], k=4, values={"mle": [1.0, 2.0]}, flags={"mle": [0, mask]})
+
+
+def _blocks(path, delimiter, skip_header=False):
+    """The block parser on ``path``, called directly: the fast path's oracle."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_blocks(fh, path, delimiter, skip_header)
+
+
+def _outcome(read, *args):
+    """``read(*args)`` as its array's shape and bytes, or its error's type, message and line."""
+    try:
+        values = read(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return values.shape, values.tobytes()
+
+
+# Short CSV texts with "," as the delimiter, which the differential test replaces:
+# fields from numbers and the characters a bad field may hold, lines of one
+# width or ragged, any line break, and a last line with or without one.
+_TOKENS = [*"0123456789", ".", "e", "+", "-", "_", " ", "x", "nan", "inf"]
+_BREAKS = ["\n", "\r", "\r\n"]
+_field = st.one_of(st.integers(-999, 999).map(str), st.floats(-1e6, 1e6).map(repr),
+                   st.lists(st.sampled_from(_TOKENS), max_size=4).map("".join))
+
+
+@st.composite
+def _csv_files(draw):
+    width = draw(st.integers(1, 3))
+    line = st.one_of(st.lists(_field, min_size=width, max_size=width),
+                     st.lists(_field, max_size=4)).map(",".join)
+    lines = draw(st.lists(line, max_size=6))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(map(str.__add__, lines, breaks))
+
+
+class TestFastPath:
+    """numpy's C parser reads clean matrices; what it declines goes to the block parser."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1,2\n\n3,4", 2, "expected 2 fields, found 1"),
+        ("1,2\r\n\r\n3,4", 2, "expected 2 fields, found 1"),
+        ("1,2\r\r3,4", 2, "expected 2 fields, found 1"),
+        ("1,2\n \t\n3,4", 2, "expected 2 fields, found 1"),
+        ("1\n  \n3", 2, "non-numeric field '  '"),
+        ("\ufeff1,2\n3,4", 1, "non-numeric field '\\ufeff1'"),
+        ("1,2\n1e400,4", 2, "non-finite field '1e400'"),
+        ("1,2,\n3,4,\n", 1, "non-numeric field ''"),
+        ("1,2\n3\x1c,4", 2, "non-numeric field '3\\x1c'"),
+    ], ids=["blank-line", "blank-crlf-line", "blank-cr-line", "whitespace-line",
+            "whitespace-column-line", "bom", "overflow", "trailing-delimiter", "separator"])
+    def test_files_numpy_would_read_differently_keep_their_errors(self, tmp_path, text, line,
+                                                                   message):
+        # numpy skips blank lines, so it reads the first three as two rows,
+        # and strips the separator as whitespace.
+        with pytest.raises(CsvFormatError) as exc:
+            _read_csv(_write(tmp_path, text), ",")
+        assert exc.value.line == line and str(exc.value).endswith(f"line {line}: {message}")
+
+    @pytest.mark.parametrize("text, delimiter, skip_header, want", [
+        ("1_0,2\n3,4", ",", False, [[10.0, 2.0], [3.0, 4.0]]),
+        ("1;;2\n3;;4\n", ";;", False, [[1.0, 2.0], [3.0, 4.0]]),
+        ("1\n2\n3\n", ",", False, [[1.0], [2.0], [3.0]]),
+        ("a,b\n1,2\n", ",", True, [[1.0, 2.0]]),
+        ("5,6", ",", False, [[5.0, 6.0]]),
+        ("1\r2\n3\n", "\r", False, [[1.0], [2.0], [3.0]]),
+    ], ids=["underscore", "two-char-delimiter", "one-column", "header", "one-row",
+            "line-break-delimiter"])
+    def test_matrices(self, tmp_path, text, delimiter, skip_header, want):
+        values = _read_csv(_write(tmp_path, text), delimiter, skip_header)
+        assert values.shape == np.shape(want) and np.array_equal(values, want)
+
+    @pytest.mark.parametrize("text, skip_header", [("", False), ("a,b\n", True)])
+    def test_a_file_without_data_rows_raises_and_warns_nothing(self, tmp_path, text, skip_header):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                _read_csv(_write(tmp_path, text), ",", skip_header)
+
+    @pytest.mark.parametrize("text, kwargs, want, readers", [
+        ("1,2\n3,4\n", {}, [[1, 2], [3, 4]], ["loadtxt"]),
+        ("1,2\r3,4", {}, [[1, 2], [3, 4]], ["loadtxt"]),
+        ("\n1,2\r\n3,4", {"skip_header": True}, [[1, 2], [3, 4]], ["loadtxt"]),
+        ("1_0,2\n3,4\n", {}, [[10, 2], [3, 4]], ["loadtxt", "_parse_blocks"]),
+        ("1,2\n\n", {}, "line 2: expected 2 fields, found 1", ["loadtxt", "_parse_blocks"]),
+        ("\n1,2", {}, "line 1: non-numeric field ''", ["_parse_blocks"]),
+        ("1\x1c,2", {}, "line 1: non-numeric field '1\\x1c'", ["_parse_blocks"]),
+        ("a,b\n1,2\n", {"column": "b"}, [2], ["_parse_blocks"]),
+    ], ids=["clean", "cr-no-final-break", "blank-header", "underscore", "blank-line",
+            "blank-first-line", "separator", "column"])
+    def test_clean_files_go_through_numpy_and_the_rest_through_the_block_parser(
+            self, tmp_path, monkeypatch, text, kwargs, want, readers):
+        calls = []
+        for module, name in [(np, "loadtxt"), (core, "_parse_blocks")]:
+            def spy(*args, _real=getattr(module, name), _name=name, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, name, spy)
+        if isinstance(want, str):
+            with pytest.raises(CsvFormatError) as exc:
+                _read_csv(_write(tmp_path, text), ",", **kwargs)
+            assert str(exc.value).endswith(want)
+        else:
+            assert _read_csv(_write(tmp_path, text), ",", **kwargs).tolist() == want
+        assert calls == readers
+
+    def test_load_csv_keeps_the_readers_array_read_only(self, tmp_path, monkeypatch):
+        made = []
+
+        def read(*args):
+            made.append(_read_csv(*args))
+            return made[-1]
+
+        monkeypatch.setattr(core, "_read_csv", read)
+        m = load_csv(_write(tmp_path, "1,2\n3,4\n"))
+        assert m.points is made[0] and not m.points.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_files(), delimiter=st.sampled_from([",", ";", "\t", " ", "-", ";;"]),
+           skip_header=st.booleans())
+    @example(text="1,2\n\n3,4", delimiter=",", skip_header=False)  # numpy alone: two rows
+    def test_the_one_reader_equals_the_block_parser(self, tmp_path_factory, text, delimiter,
+                                                    skip_header):
+        p = tmp_path_factory.mktemp("diff") / "d.csv"
+        p.write_bytes(text.replace(",", delimiter).encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(_read_csv, p, delimiter, skip_header)
+        assert not caught
+        assert got == _outcome(_blocks, p, delimiter, skip_header)
 
 
 # Finite float64 values, with the edge cases that a 17-digit format must
