@@ -627,12 +627,13 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
 
     The matrix keeps the neighbor lists of its last map (``_neighbors``)
     if every query is a point index and the (Q, k_max) lists fit
-    ``_KEEP_BYTES``: the blocks copy their kernel rows out, and the
-    read-only copies are stored in one assignment once every block has
-    succeeded, so a failed map leaves the previous lists. A map of the same
-    indices in the same order at a k_max no larger searches nothing: its
-    blocks read the kept lists' first k_max columns, bitwise what the
-    kernel would return, since knn(k) is a prefix of knn(k+1).
+    ``_KEEP_BYTES``: the kernel writes each block's rows straight into
+    the kept arrays, which are made read-only and stored in one assignment
+    once every block has succeeded, so a failed map leaves the previous
+    lists. A map of the same indices in the same order at a k_max no
+    larger searches nothing: its blocks read the kept lists' first k_max
+    columns, bitwise what the kernel would return, since knn(k) is a
+    prefix of knn(k+1).
     """
     threads = _check_integer("threads", threads)
     ks = np.asarray(ks, dtype=np.int64)
@@ -657,12 +658,13 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
         if hit:
             idx, dist = kept[1][span, :k_max], kept[2][span, :k_max]
         else:
-            shape = (len(block), k_max)
-            out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
+            if keep is not None:
+                out = keep[0][span], keep[1][span]
+            else:
+                shape = (len(block), k_max)
+                out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
             # Looked up per call, so one patch of neighbors._knn_kernel reaches every search.
             idx, dist = neighbors._knn_kernel(data, k_max, q, names[span], out)
-            if keep is not None:
-                keep[0][span], keep[1][span] = idx, dist
         u = _directions(data.points, q, idx, dist) if need_u else None
         for t, (values, flags) in _estimates(u, dist, tags, ks, ged_pair).items():
             est[t][0][span], est[t][1][span] = values, flags

@@ -149,11 +149,10 @@ class DataMatrix:
     Row order defines the point index; all reported results key on it.
 
     The first neighbor search on a matrix builds its kNN screen (see
-    ``neighbors._screen``): a read-only (D+2, n) array, float32 unless
-    ``neighbors._screen_dtype`` keeps float64 for the points' norms, so
-    (D+2)/(2D) or (D+2)/D times the size of the points, with its center
-    and largest squared norm. The matrix keeps it for its lifetime, so
-    every later search reuses it.
+    ``neighbors._screen``): a read-only (D+2, n) float32 array, (D+2)/(2D)
+    times the size of the points, with its center, scale and bound
+    constants. The matrix keeps it for its lifetime, so every later search
+    reuses it.
 
     The matrix also keeps the neighbor lists of its last query map of
     in-set points that fit a small budget (``_neighbors``, see

@@ -5,26 +5,26 @@ Distances are Euclidean; the query point and its exact duplicates
 by ascending point index, so knn(k) is a prefix of knn(k+1).
 
 Every k-nearest-neighbor search goes through one blocked kernel,
-``_knn_kernel``: ``knn``, ``knn_many`` and the query map behind
-``estimate_point``, tables and trails (``angle_id._estimate_many``) call
-it, each naming its query rows for the kernel's errors. It screens a
-block of queries against all points with one matrix product (the
-expansion |x|^2 - 2 x.y + |y|^2, on coordinates centered at the points'
-mean), keeps every point that a rounding bound cannot rule out, and
-re-ranks those candidates with the same difference-based distances and
-(distance, index) order as a full sort of all n distances. The (D+2, n)
-screen matrix, its center and largest squared norm are built by the first
-search of a DataMatrix and kept in it (``_screen``), so ``knn`` per point,
-``estimate_point``, tables and trails never build them again. The screen
-is float32 unless the points' largest centered squared norm M leaves
-float32's range (4M overflows it) or eps32 M falls below its smallest
-normal (``_screen_dtype``); then it is float64. A float32 screen halves
-the product's output and every pass over a screened row, and its
-rounding bound is derived for float32 in the kernel's proof comment.
-Every row gets one planned cut (``_plan``): about 2(k+1) candidates
-from a strided sample where rows are long, else the whole row cut at
-rank k + 1. A row keeps its cut only if k of its candidates are provably
-no farther than it; the rows that fail, such as those with duplicates of
+``_knn_kernel``: ``knn`` and the query map behind ``estimate_point``,
+tables and trails (``angle_id._estimate_many``) call it, each naming its
+query rows for the kernel's errors. It screens a block of queries
+against all points with one float32 matrix product (the expansion
+|x|^2 - 2 x.y + |y|^2, on coordinates centered at the points' mean and
+scaled by a power of two), keeps every point that a rounding bound
+cannot rule out, and re-ranks those candidates with the same
+difference-based distances and (distance, index) order as a full sort of
+all n distances. The (D+2, n) screen matrix and the values the bound
+reads with it are built by the first search of a DataMatrix and kept in
+it (``_screen``), so ``knn`` per point, ``estimate_point``, tables and
+trails never build them again. The scale 2**shift puts the points'
+largest centered coordinate in [1/2, 1), so every input fits float32's
+range; it is exact, and the screen only has to order distances. The
+rounding bound is derived for float32, in scaled units, in the kernel's
+proof comment.
+Every row gets one planned cut (``_plan``): about 2(k+1) candidates from
+a strided sample where rows are long, else the whole row cut at rank
+k + 1. A row keeps its cut only if k of its candidates are provably no
+farther than it; the rows that fail, such as those with duplicates of
 their query, take the one exact fallback and are collected again. The
 re-rank recomputes every candidate's distance in float64 from the
 points, puts each row's candidate distances, in ascending index order,
@@ -36,8 +36,8 @@ distances fall within its first k + 1 places, the only rows whose first
 k an unstable sort could misorder. So no row's order depends on the
 other rows of its block. The screen only narrows the candidates, so the
 neighbor lists are bitwise those of the full sort for any block size,
-thread count, plan or screen dtype. The kernel's re-rank is the only
-code here that orders neighbors; the tests keep the full sort
+thread count, plan or scale. The kernel's re-rank is the only code here
+that orders neighbors; the tests keep the full sort
 (``tests/test_neighbors.py::_sorted_candidates``) as its oracle.
 
 A DataMatrix also keeps the neighbor lists of its last query map of point
@@ -156,9 +156,9 @@ def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
 
 # Bytes of a (B, n) float64 block of screened squared distances; it sets
 # the number B of query rows that the kernel screens with one matrix
-# product, whatever the screen's dtype. With a float32 screen, 2 MiB (1 MiB
-# of float32 values) ran nested-cube tables at k = 100 about 10 % faster
-# than 1 MiB on a 2-core Xeon, and no search slower.
+# product. With the float32 screen, 2 MiB (1 MiB of float32 values) ran
+# nested-cube tables at k = 100 about 10 % faster than 1 MiB on a 2-core
+# Xeon, and no search slower.
 _BLOCK_BYTES = 1 << 21
 
 
@@ -170,19 +170,6 @@ def _block_rows(n: int) -> int:
 # 256 KiB, and never one column.
 _BUILD_BYTES = 1 << 18
 _BUILD_MIN_COLUMNS = 4
-
-
-def _screen_dtype(max_sq: np.float64) -> type:
-    """The screen's dtype for points whose largest centered squared norm is ``max_sq``.
-
-    float32, which halves the screen and every pass over a screened row,
-    unless 4 max_sq overflows it or its eps * max_sq falls below its
-    smallest normal: then float64. Where either holds, the kernel's float32
-    bound would be inf for every row or would not hold (see its proof).
-    """
-    f32 = np.finfo(np.float32)
-    fits = f32.smallest_normal <= f32.eps * max_sq and 4.0 * max_sq <= f32.max
-    return np.float32 if fits else np.float64
 
 
 def _plan(n: int, k: int, dim: int) -> tuple[int, int]:
@@ -207,21 +194,20 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     Every later call of the thread reuses it, a smaller shape as a prefix;
     it is replaced only when a larger one is needed, and freed when the
     thread ends. A name holds one dtype: asking it for another raises
-    TypeError, so an array whose dtype varies takes one name per dtype.
-    The callers write every entry of a view before reading it, so no
-    result depends on what a buffer held before. The buffers:
+    TypeError. The callers write every entry of a view before reading it,
+    so no result depends on what a buffer held before. The buffers:
 
     - the kernel's "block" and "mask" of the (B, n) screened values and
       the cut's copy "part" (B rows of ceil(n / stride) values for the
-      planned cut, of n for the fallback), "block64" and "part64" for a
-      float64 screen: at most 9 bytes per entry of the largest block with
-      a float32 screen and 17 with a float64 one, 2.25 MiB or 4.25 MiB
-      for n <= 262 144 under the 2 MiB block budget;
+      planned cut, of n for the fallback): at most 9 bytes per entry of
+      the largest block, 2.25 MiB for n <= 262 144 under the 2 MiB block
+      budget;
     - the candidates' rows "cand_rows" and distances "cand_dists" and the
       re-rank's gathers "diff" and "query_rows" (16 (D+1) bytes per
       candidate), its padded rows "pad" (8 bytes per slot) and the
       positions "take" of each row's k nearest (8 bytes each);
-    - the estimation core's neighbor lists "idx" and "dist", directions
+    - the estimation core's neighbor lists "idx" and "dist" (of maps
+      that keep none, ``angle_id._estimate_many``), directions
       "directions", distance increments "rise" and "terms", and the Gram
       chunks "products" (at most 512 KiB, ``angle_id._CHUNK``) and
       "transposed", a chunk's directions copied transposed (2 / (D + 1)
@@ -249,7 +235,7 @@ def _gather(a: np.ndarray, indices: np.ndarray, axis: int, name: str) -> np.ndar
     return a.take(indices, axis, out=_workspace(name, shape, a.dtype), mode="clip")
 
 
-def _screen(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.float64]:
+def _screen(data: DataMatrix) -> tuple:
     """``data``'s kNN screen (``_build_screen``), built by its first search and kept.
 
     It lives in ``data._screen`` for the matrix's lifetime, so every later
@@ -263,48 +249,64 @@ def _screen(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.float64]:
     return data._screen
 
 
-def _build_screen(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
-    """The (D+2, n) screen matrix of ``pts``, its center and its largest squared norm.
+def _build_screen(pts: np.ndarray) -> tuple:
+    """The (D+2, n) float32 screen of ``pts`` and the values its bound reads with it.
 
-    Rows 0..D-1 hold the points centered at their mean, row D their
-    squared norms and row D+1 ones, so one product with the centered query
-    rows (-2 q, 1, |q|^2) screens |q|^2 - 2 q.p + |p|^2. The entries are
-    computed in float64 and rounded to ``_screen_dtype``; the center and
-    the largest norm stay float64. Both arrays are read-only.
+    Returns (screen, center, shift, max_sq, tiny, big). Rows 0..D-1 of the
+    screen hold the points centered at their mean, ``center``, and scaled
+    by 2**shift, row D their squared norms and row D+1 ones, so one
+    product with the scaled centered query rows (-2 q, 1, |q|^2) screens
+    |q|^2 - 2 q.p + |p|^2 in units scaled by 2**(2 shift). The shift puts
+    the largest centered coordinate, the reach, in [1/2, 1); it is 0 where
+    the reach is 0 or not finite (the mean overflowed). The entries are
+    computed in float64 and rounded to float32. ``max_sq`` is the largest
+    scaled squared norm, ``tiny`` float32's smallest subnormal plus
+    float64's and ``big`` the smaller of float32's and float64's largest
+    values, float64's in scaled units: so the kernel's bound covers the
+    float64 re-rank's underflow and overflow as well (see its proof). Both
+    arrays are read-only.
 
-    No whole float64 copy of the matrix is made: each coordinate's mean
-    is taken over a contiguous copy of its column, and the centered rows
-    are computed in float64 column chunks of about ``_BUILD_BYTES``, once
-    for the norms, whose maximum picks the dtype, and once more to round
-    them into the screen. Every entry is bitwise that of the whole (D+2, n)
-    float64 matrix: the row means and the per-column ``einsum`` of a chunk
-    of two or more columns round as on the whole rows (a test pins this
-    on the running numpy). A contiguous (D, 1) chunk may sum in another
-    order, so the chunks split the n columns evenly at a width of at least
+    No whole float64 copy of the matrix is made: each coordinate's mean,
+    minimum and maximum are taken over a contiguous copy of its column,
+    and the scaled centered rows are computed in one pass of float64
+    column chunks of about ``_BUILD_BYTES``, for the norms and the screen.
+    Every entry is bitwise that of the whole (D+2, n) float64 matrix: the
+    row means and the per-column ``einsum`` of a chunk of two or more
+    columns round as on the whole rows (a test pins this on the running
+    numpy). A contiguous (D, 1) chunk may sum in another order, so the
+    chunks split the n columns evenly at a width of at least
     ``_BUILD_MIN_COLUMNS``: each holds two or more, or all n.
     """
     n, dim = pts.shape
     sq = np.empty(n)
-    center = np.empty(dim)
+    center, top, bottom = np.empty(dim), np.empty(dim), np.empty(dim)
     chunks = -(-n // max(_BUILD_MIN_COLUMNS, _BUILD_BYTES // (8 * dim)))
     bounds = [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
     buf = np.empty((dim, -(-n // chunks)))
+    screen = np.empty((dim + 2, n), np.float32)
+    f32, f64 = np.finfo(np.float32), np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(dim):  # sq holds each column in turn, then the norms
             np.copyto(sq, pts[:, j])
-            center[j] = sq.mean()
+            center[j], top[j], bottom[j] = sq.mean(), sq.max(), sq.min()
+        # Rounding is monotone, so this is the largest |fl(p_j - center_j)|:
+        # inf or NaN, never dropped, where a mean overflowed.
+        reach = np.maximum(top - center, center - bottom).max()
+        shift = -int(np.frexp(reach)[1]) if 0.0 < reach < np.inf else 0
         for lo, hi in bounds:
             c = np.subtract(pts[lo:hi].T, center[:, None], out=buf[:, :hi - lo])
+            np.ldexp(c, shift, out=c)
             np.einsum("ij,ij->j", c, c, out=sq[lo:hi])
+            screen[:dim, lo:hi] = c
         max_sq = sq.max()
-        screen = np.empty((dim + 2, n), _screen_dtype(max_sq))
-        for lo, hi in bounds:
-            screen[:dim, lo:hi] = np.subtract(pts[lo:hi].T, center[:, None], out=buf[:, :hi - lo])
+        # np.ldexp gives inf where math.ldexp would raise OverflowError.
+        tiny = float(f32.smallest_subnormal) + float(np.ldexp(f64.smallest_subnormal, 2 * shift))
+        big = min(float(f32.max), float(np.ldexp(f64.max, 2 * shift)))
     screen[dim] = sq
     screen[dim + 1] = 1.0
     screen.setflags(write=False)
     center.setflags(write=False)
-    return screen, center, max_sq
+    return screen, center, shift, max_sq, tiny, big
 
 
 def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
@@ -327,24 +329,20 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     k = _check_integer("k", k)
     pts = data.points
     n, dim = pts.shape
-    screen, center, max_sq = _screen(data)
+    screen, center, shift, max_sq, tiny, big = _screen(data)
     rows, (stride, rank) = _block_rows(n), _plan(n, k, dim)
     if out is None:
         out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
     idx, dist = out
-    dtype = screen.dtype
-    info = np.finfo(dtype)
-    eps, tiny, big = float(info.eps), float(info.smallest_subnormal), float(info.max)
-    # A thread may search matrices of both screen dtypes: one name per dtype.
-    block, part = ("block", "part") if dtype == np.float32 else ("block64", "part64")
+    eps32 = float(np.finfo(np.float32).eps)
     shape = (min(rows, len(queries)), n)
-    buf, mask = _workspace(block, shape, dtype), _workspace("mask", shape, bool)
+    buf, mask = _workspace("block", shape, np.float32), _workspace("mask", shape, bool)
 
     def collect(q, a, c, delta):
         """Row, column and distance of each value of ``a`` at most its cut."""
         bound = c + 2.0 * delta
         with np.errstate(over="ignore"):
-            top = bound.astype(dtype)
+            top = bound.astype(np.float32)
         np.nextafter(top, np.inf, out=top, where=top < bound)  # rounded up
         col = np.flatnonzero(np.less_equal(a, top[:, None], out=mask[:len(a)]))
         r = np.floor_divide(col, n, out=_workspace("cand_rows", col.shape, np.int64))
@@ -356,8 +354,8 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         fallback reuses "part"), or inf, keeping every point, where rank reaches their count."""
         width = -(-n // stride)
         if rank >= width:
-            return np.full(len(a), np.inf, dtype)
-        copy = _workspace(part, (len(a), width), dtype)
+            return np.full(len(a), np.inf, np.float32)
+        copy = _workspace("part", (len(a), width), np.float32)
         np.copyto(copy, a[:, ::stride])
         copy.partition(rank - 1, axis=1)
         return copy[:, rank - 1].copy()
@@ -366,67 +364,67 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         q = queries[lo:lo + rows]
         a = buf[:len(q)]
         ext = np.empty((len(q), dim + 2))
-        # Screen. Let u = 2**-53, eps and tiny be float64's unit roundoff,
-        # epsilon (2u) and smallest subnormal, p' and q' the centered
-        # points, rounded, and M = |q'|^2 + max |p'|^2. Centering moves
-        # each coordinate of q - p by at most u(|q'_j| + |p'_j|), so
-        # |q' - p'|^2 is within 4u M of |q - p|^2. The norms carry D-term
-        # rounding (D u M together). The re-rank's s = fl(sum fl(p-q)^2)
-        # is within (D+2)u |q-p|^2 <= 2(D+2)u M of |q-p|^2.
+        # Screen, in units scaled by 2**shift (``_build_screen``): distances
+        # and norms below are the true ones times 2**shift, their squares
+        # times 2**(2 shift), which is exact as real numbers; the re-rank's
+        # float64 values enter the same way. Let u = 2**-53, eps and tiny64
+        # be float64's unit roundoff, epsilon (2u) and smallest subnormal,
+        # u32 = 2**-24, eps32 and tiny32 = 2**-149 float32's, p' and q' the
+        # centered points, rounded and scaled, and M = |q'|^2 + max |p'|^2.
+        # Scaling rounds only into float64's subnormals, by tiny64/2 in
+        # scaled units, far below the float32 rounding of a coordinate.
+        # Centering moves each coordinate of q - p by at most u(|q'_j| +
+        # |p'_j|), so |q' - p'|^2 is within 4u M of |q - p|^2. The norms
+        # carry D-term rounding (D u M together). The re-rank's s = fl(sum
+        # fl(p-q)^2) is within (D+2)u |q-p|^2 <= 2(D+2)u M of |q-p|^2, and
+        # its squares that underflow add at most D 2**(2 shift) tiny64.
         #
-        # A float64 screen: the (D+2)-term product, in any order and fused
-        # or not, is within (D+2)u times its terms' magnitudes, at most
-        # 2M, so a is within (3D+4)u M of |q' - p'|^2. Products that
-        # underflow add at most half the smallest subnormal each, 4D in
-        # all. So |a - s| <= e = (2.5D+6) eps M + 2D tiny, and delta =
-        # 4(D+4)(eps M + tiny) exceeds e by at least (1.5D+10) eps M, room
-        # for second-order terms and for the 3 eps M below.
-        #
-        # A float32 screen (``_screen_dtype``): let u32 = 2**-24, eps32
-        # and tiny32 = 2**-149 float32's. The screen holds p'_j and the
-        # float64 |p'|^2 rounded to float32, and the query row (-2q', 1,
-        # |q'|^2) is rounded to float32 as well. That moves the D products
-        # by at most (2 u32 + u32^2) sum 2|q'_j p'_j| <= (1 + u32/2) eps32
-        # M and the two norms by u32 M. The (D+2)-term float32 product is
+        # The screen holds p'_j and the float64 |p'|^2 rounded to float32,
+        # and the query row (-2q', 1, |q'|^2) is rounded to float32 as
+        # well. That moves the D products by at most (2 u32 + u32^2) sum
+        # 2|q'_j p'_j| <= (1 + u32/2) eps32 M and the two norms by u32 M.
+        # The (D+2)-term float32 product, in any order and fused or not, is
         # within (D+2) u32 times its terms' magnitudes, at most 2M(1 +
         # 2 u32): a is within (D + 3.5) eps32 M of |q' - p'|^2, to first
         # order. The float64 steps above add (3D+8)u M <= 0.25 eps32 M
         # (D < 2**26). Float32 underflow adds at most tiny32 per product
         # (D in all) and tiny32/2 per norm rounded into the subnormals; a
         # coordinate rounded into them is off by tiny32/2, which moves the
-        # products by at most 1.5 tiny32 sqrt(D M) < 2**-73 sqrt(D) eps32
-        # M, since the dtype rule keeps eps32 max |p'|^2 >= 2**-126, so M
-        # >= 2**-103. So |a - s| <= e32 = (D+4) eps32 M + (D+1) tiny32,
-        # and delta = 4(D+4)(eps32 M + tiny32) exceeds e32 by at least
-        # 3(D+4) eps32 M, room for second-order terms and for the 3 eps M
-        # below, with float64's eps. The rule also keeps 4 max |p'|^2
-        # within float32.
+        # products by at most 1.5 tiny32 sqrt(D M) <= 2**-124 sqrt(D) eps32
+        # M, since the scale puts max |p'_j| in [1/2, 1), so M >= 1/4, or
+        # else every p' = 0 and the products are exact. So |a - s| <= e =
+        # (D+4) eps32 M + (D+1) tiny32 + D 2**(2 shift) tiny64, and delta
+        # = 4(D+4)(eps32 M + tiny), tiny = tiny32 + 2**(2 shift) tiny64,
+        # exceeds e by at least 3(D+4) eps32 M, room for second-order terms
+        # and for the 3 eps M below.
         #
-        # Either dtype: rows whose 4M overflows the screen's dtype get
-        # delta = inf and screen as zeros: every point is a candidate.
-        # Elsewhere every term and partial sum of the product stays below
-        # 2M(1 + 2 u32), so none overflows.
+        # Rows whose 4M exceeds big, the smaller of float32's largest value
+        # and float64's in scaled units, get delta = inf and screen as
+        # zeros: every point is a candidate. Elsewhere every term and
+        # partial sum of the product stays below 2M(1 + 2 u32), and every
+        # squared distance of the re-rank below 2M(1 + 4u), so none
+        # overflows.
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(q, center, out=ext[:, :dim])
+            np.ldexp(ext[:, :dim], shift, out=ext[:, :dim])
             sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
             ext[:, :dim] *= -2.0
             ext[:, dim] = 1.0
             ext[:, dim + 1] = sq_q
-            np.matmul(ext.astype(dtype, copy=False), screen, out=a)
-            scale = sq_q + max_sq
-            delta = np.where(4.0 * scale <= big, 4.0 * (dim + 4) * (eps * scale + tiny), np.inf)
+            np.matmul(ext.astype(np.float32), screen, out=a)
+            norms = sq_q + max_sq
+            delta = np.where(4.0 * norms <= big, 4.0 * (dim + 4) * (eps32 * norms + tiny), np.inf)
         a[np.isinf(delta)] = 0.0
         # Cut. Each row keeps every point with a <= c + 2 delta, that bound
-        # summed in float64 and rounded up to the screen's dtype, c the
-        # rank-th smallest of every stride-th value of the row (``_plan``),
-        # or inf where rank reaches their count. Check: a row keeps c only
-        # if at least k candidates have s > 0 and a <= c, both compared
-        # exactly. Their s are at most c + e, so the k-th nonzero s is
-        # too. A true neighbor has s at most that, or up to 2 eps s <= 4
-        # eps M more when sqrt rounds it into a tie with the k-th
-        # distance, so a <= s + e <= c + 2 delta, with eps M to spare for
-        # summing the bound. This holds for any stride and rank; they only
-        # decide speed. (e is e32 on a float32 screen, eps always float64's.)
+        # summed in float64 and rounded up to float32, c the rank-th
+        # smallest of every stride-th value of the row (``_plan``), or inf
+        # where rank reaches their count. Check: a row keeps c only if at
+        # least k candidates have s > 0 and a <= c, both compared exactly.
+        # Their s are at most c + e, so the k-th nonzero s is too. A true
+        # neighbor has s at most that, or up to 2 eps s <= 4 eps M more
+        # when sqrt rounds it into a tie with the k-th distance, so a <= s
+        # + e <= c + 2 delta, with eps M to spare for summing the bound.
+        # This holds for any stride and rank; they only decide speed.
         #
         # Fallback, for the rows that fail. Every s == 0 (the query, its
         # duplicates) has a <= e <= delta, and every a >= -e, so c + 2
@@ -519,15 +517,6 @@ def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -
     diff -= _gather(q, r, 0, "query_rows")
     d = np.einsum("ij,ij->i", diff, diff, out=_workspace("cand_dists", (len(r),)))
     return np.sqrt(d, out=d)
-
-
-def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact k nearest neighbors of every row of ``queries``, a (Q, D) array.
-
-    One search of ``_knn_kernel``, whose docstring gives the outputs and
-    errors; a short row is named by its position in ``queries``.
-    """
-    return _knn_kernel(data, k, queries, range(len(queries)))
 
 
 def knn(data: DataMatrix, query, k: int) -> NeighborList:

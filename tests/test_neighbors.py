@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from angleid import analysis, angle_id, neighbors, synth
 from angleid.core import ESTIMATOR_TAGS, DataMatrix, InsufficientNeighborsError, write_csv
-from angleid.neighbors import (
-    DirectionBundle,
-    NeighborList,
-    direction_bundle,
-    knn,
-    knn_many,
-)
+from angleid.neighbors import DirectionBundle, NeighborList, direction_bundle, knn
 
 
 def _brute_force(points, q, exclude_index=None):
@@ -269,6 +263,16 @@ def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.
     return sel, dist[sel]
 
 
+def knn_many(data: DataMatrix, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's exact k nearest neighbors of every row of ``queries``, a (Q, D) array.
+
+    One search of ``neighbors._knn_kernel``, looked up per call so that
+    the ``no_search`` guard reaches it; a short row is named by its
+    position in ``queries``.
+    """
+    return neighbors._knn_kernel(data, k, queries, range(len(queries)))
+
+
 def _full_sort(data, queries, k):
     """The full-sort oracle: the first k entries of _sorted_candidates per query row."""
     idx, dist = [], []
@@ -343,21 +347,23 @@ def _kernel_case(name):
         points = np.repeat(centers, 25, axis=0) + 1e-8 * rng.standard_normal((10000, 3))
         return points, points[[0, 12, 24, 5000, 9999, 4321]], 50
     base = rng.standard_normal((2000, 3))
-    if name == "scale_1e-15":  # float32 near the dtype rule's lower edge, M about 2**-96
+    # Unscaled, M would be about 2**-96 at 1e-15, in float32's subnormals
+    # at 1e-20 and beyond float32's range at an offset of 1e20.
+    if name == "scale_1e-15":
         return base * 1e-15, base[::50] * 1e-15, 31
-    if name == "scale_1e-20":  # float32's subnormals: a float64 screen
+    if name == "scale_1e-20":
         return base * 1e-20, base[::50] * 1e-20, 31
-    if name == "offset_1e20":  # 4 M overflows float32: a float64 screen
+    if name == "offset_1e20":
         points = (base + [5.0, -3.0, 1.0]) * 1e20
         return points, points[::50], 31
     if name == "far_query_f32":
-        # One query row whose squared norm overflows float32 but not float64.
+        # One query row whose scaled squared norm overflows float32 but not float64.
         return base, np.vstack([base[:3], [1e20, -1e20, 3.0], base[3:7]]), 31
     if name == "scale_1e150":  # delta stays finite
         return base * 1e150, base[::50] * 1e150, 31
-    if name == "scale_1e160":  # squared norms overflow: delta = inf, NaN screens
+    if name == "scale_1e160":  # squared distances overflow float64: delta = inf
         return base * 1e160, base[::50] * 1e160, 31
-    if name == "scale_1e306":  # the points' mean overflows as well
+    if name == "scale_1e306":  # the points' mean overflows as well: no scale, NaN screens
         points = np.abs(base) * 1e306
         return points, points[::50], 31
     # One query row whose squared norm overflows, among finite ones.
@@ -429,16 +435,6 @@ class TestKnnMany:
             grids = self.test_matches_full_sort_on_grids_with_duplicates_and_ties
             grids.hypothesis.inner_test(self, draw)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 6), st.integers(1, 10))
-    def test_every_plan_matches_full_sort_under_the_float64_screen(self, draw, stride, rank):
-        # The same forced plans on the same grids with the float64 screen,
-        # which such grids take only where every point coincides.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
-            plans = self.test_every_plan_matches_full_sort_on_the_same_grids
-            plans.hypothesis.inner_test(self, draw, stride, rank)
-
     def test_far_from_origin_and_tiny_or_huge_scales(self):
         rng = np.random.default_rng(9)
         base = rng.standard_normal((300, 3))
@@ -449,6 +445,30 @@ class TestKnnMany:
             k_max = min(_sorted_candidates(data, q)[0].size for q in queries)
             for k in sorted({1, 7, 50, k_max}):
                 _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
+
+    @pytest.mark.parametrize("j", [-500, -60, 60, 500])
+    def test_a_power_of_two_rescaling_changes_no_output(self, tmp_path, j):
+        # The screen's scale absorbs 2**j exactly, and the estimators read
+        # distances only through ratios: the same neighbor lists, distances
+        # exactly 2**j times, and the same table bytes. k = 31 on the ball
+        # takes the sampled plan; the grid has ties and copies of queries.
+        # Their squared distances stay normal in float64 at 2**-1000.
+        axes = np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij")
+        grid = np.stack(axes, axis=-1).reshape(-1, 3)
+        for points, k in ((synth.sample_ball(2000, 3, seed=3).points, 31),
+                          (np.vstack([grid, grid[::7]]), 20)):
+            data, scaled = DataMatrix(points), DataMatrix(np.ldexp(points, j))
+            rows = list(range(0, len(points), 37))
+            idx, dist = knn_many(data, data.points[rows], k)
+            got = knn_many(scaled, scaled.points[rows], k)
+            assert np.array_equal(got[0], idx) and got[1].tobytes() == np.ldexp(dist, j).tobytes()
+            tables = []
+            for matrix in (data, scaled):
+                table = angle_id.estimate_table(matrix, k, ESTIMATOR_TAGS, queries=rows,
+                                                with_diagnostics=True)
+                write_csv(table, tmp_path / "t.csv")
+                tables.append((tmp_path / "t.csv").read_bytes())
+            assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("case", [
         "ball", "duplicates_at_a_query", "rule_below", "rule_at", "lattice_ties",
@@ -474,70 +494,34 @@ class TestKnnMany:
         for i in range(len(queries)):
             _assert_bitwise(knn_many(data, queries[i:i + 1], k), (want[0][i:i + 1], want[1][i:i + 1]))
 
-    def test_a_screen_error_at_its_bound_keeps_the_sampled_path_exact(self, monkeypatch):
-        # The kernel bounds the screen error |a - s| by e = (2.5D + 6) eps M
-        # + 2D tiny; real products stay far below it, so here the product is
-        # patched to be off by -e for every point but one "victim", off by
-        # +e. Integer coordinates with zero mean make the unpatched product
-        # exact (a == s): at D = 2 with far points at distance 2**26, M =
-        # 2**52, e = 11 and delta = 24. k = 31 and n >= 16(k+1)D take the
-        # sampled path. The query at the origin has 80 copies, so its cut is
-        # c = -e and no nonzero distance screens at or below it: the row must
-        # take the exact fallback. Its 31 nearest are 30 copies of (1, 0) and the
-        # victim (5, 2), s = 29, screened at 40, above c + 2 delta = 37. The
-        # decoy (6, 1), s = 37, screens at 26, so a check loosened to
-        # a <= c + 2 delta would accept the row with the decoy in its place.
-        k, far = 31, 2.0**26
-        near = [[0.0, 0.0]] * 80 + [[1.0, 0.0]] * 30 + [[5.0, 2.0], [6.0, 1.0], [-41.0, -3.0]]
-        axes = [[far, 0.0], [-far, 0.0], [0.0, far], [0.0, -far]] * 230
-        points = np.array(near + axes)
-        victim, dim, n = 110, 2, len(points)
-        assert not points.sum(axis=0).any() and n >= 16 * (k + 1) * dim
-        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
-        e = (2.5 * dim + 6) * eps * far**2 + 2 * dim * tiny
-        err = np.full(n, -e)
-        err[victim] = e
-
-        class ScreenOff:
-            """numpy as the kernel sees it, but the screen product is off by ``err``."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def matmul(self, a, b, out):
-                np.matmul(a, b, out=out)
-                out += err
-                return out
-
-        data, query = DataMatrix(points), np.zeros((1, dim))
-        want = _full_sort(data, query, k)
-        assert sorted(want[0][0]) == list(range(80, 111))
-        monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
-        monkeypatch.setattr(neighbors, "np", ScreenOff())
-        _assert_bitwise(knn_many(data, query, k), want)
-
     def test_a_float32_screen_error_at_its_bound_keeps_the_sampled_path_exact(self, monkeypatch):
-        # The float32 twin of the test above. The kernel bounds a float32
-        # screen's error |a - s| by e32 = (D + 4) eps32 M + (D + 1) tiny32.
-        # Far points at distance 2**12 give M = 2**24, e32 = 12 and delta =
-        # 48, and every screened value below stays an integer under 2**24,
-        # exact in float32, so the unpatched product is exact. The query at
-        # the origin has 80 copies, so its sampled cut is c = -e32 and it
-        # must take the fallback. Its 31 nearest are 30 copies of (1, 0) and
-        # the victim (9, 2), s = 85, screened at 97, above c + 2 delta = 84.
-        # The decoy (7, 6) ties with it but comes later, and screens at 73,
-        # so a check loosened to a <= c + 2 delta would accept the row with
-        # the decoy in its place. The fallback's cut is the decoy's 73, so
-        # it collects the victim only while delta >= e32.
-        k, far = 31, 2.0**12
+        # The kernel bounds the screen's error |a - s| by e32 = (D + 4)
+        # eps32 M + (D + 1) tiny32 + D 2**(2 shift) tiny64, in units scaled
+        # by 2**shift; real products stay far below it, so here the product
+        # is patched to be off by -e32 for every point but one "victim",
+        # off by +e32. Integer coordinates with zero mean and far points at
+        # distance 2**12 give shift = -13 and M = 1/4, so e32 = 12 and delta
+        # = 48 in units of 2**-26, and every screened value below stays an
+        # integer under 2**24 in those units, exact in float32: the
+        # unpatched product is exact. The query at the origin has 80
+        # copies, so its sampled cut is c = -e32 and it must take the
+        # fallback. Its 31 nearest are 30 copies of (1, 0) and the victim
+        # (9, 2), s = 85, screened at 97, above c + 2 delta = 84. The decoy
+        # (7, 6) ties with it but comes later, and screens at 73, so a check
+        # loosened to a <= c + 2 delta would accept the row with the decoy
+        # in its place. The fallback's cut is the decoy's 73, so it collects
+        # the victim only while delta >= e32.
+        k, far, shift = 31, 2.0**12, -13
         near = [[0.0, 0.0]] * 80 + [[1.0, 0.0]] * 30 + [[9.0, 2.0], [7.0, 6.0], [-46.0, -8.0]]
         axes = [[far, 0.0], [-far, 0.0], [0.0, far], [0.0, -far]] * 230
         points = np.array(near + axes)
         victim, dim, n = 110, 2, len(points)
         assert not points.sum(axis=0).any() and n >= 16 * (k + 1) * dim
-        f32 = np.finfo(np.float32)
-        e = (dim + 4) * float(f32.eps) * far**2 + (dim + 1) * float(f32.smallest_subnormal)
-        assert e == 12.0
+        f32, f64 = np.finfo(np.float32), np.finfo(np.float64)
+        m = math.ldexp(far, shift) ** 2
+        e = ((dim + 4) * float(f32.eps) * m + (dim + 1) * float(f32.smallest_subnormal)
+             + dim * math.ldexp(float(f64.smallest_subnormal), 2 * shift))
+        assert m == 0.25 and e == math.ldexp(12.0, 2 * shift)
         err = np.full(n, -e)
         err[victim] = e
 
@@ -557,28 +541,58 @@ class TestKnnMany:
         assert sorted(want[0][0]) == list(range(80, 111))
         monkeypatch.setattr(neighbors, "np", ScreenOff())
         _assert_bitwise(knn_many(data, query, k), want)
-        assert data._screen[0].dtype == np.float32
+        assert data._screen[2] == shift
 
-    @pytest.mark.parametrize("case, dtype", [
-        ("ball", np.float32), ("clusters_1e-8_apart", np.float32), ("scale_1e-15", np.float32),
-        ("far_query_f32", np.float32), ("far_query", np.float32), ("scale_1e-20", np.float64),
-        ("offset_1e20", np.float64), ("scale_1e150", np.float64), ("scale_1e160", np.float64),
-        ("scale_1e306", np.float64),
-    ])
-    def test_each_case_takes_the_screen_dtype_its_norms_allow(self, case, dtype):
+    @pytest.mark.parametrize("case", [
+        "ball", "clusters_1e-8_apart", "scale_1e-15", "far_query_f32", "far_query",
+        "scale_1e-20", "offset_1e20", "scale_1e150", "scale_1e160", "scale_1e306"])
+    def test_each_case_builds_float32_with_its_largest_scaled_coordinate_in_half_to_one(self,
+                                                                                        case):
         points, queries, k = _kernel_case(case)
         data = DataMatrix(points)
         knn_many(data, queries[:1], k)
-        assert data._screen[0].dtype == dtype
+        screen, center, shift = data._screen[:3]
+        assert screen.dtype == np.float32
+        with np.errstate(over="ignore"):
+            reach = np.abs(points - center).max()
+        if case == "scale_1e306":  # the mean overflows: no scale
+            assert reach == np.inf and shift == 0
+        else:
+            assert 0.5 <= np.ldexp(reach, shift) < 1.0
 
-    def test_the_dtype_rule_at_its_edges(self):
-        f32 = np.finfo(np.float32)
-        low, high = 2.0**-103, float(f32.max) / 4.0  # eps32 * low is float32's smallest normal
-        for max_sq, dtype in [(1.0, np.float32), (low, np.float32), (high, np.float32),
-                              (np.nextafter(low, 0.0), np.float64),
-                              (np.nextafter(high, np.inf), np.float64), (0.0, np.float64),
-                              (np.inf, np.float64), (np.nan, np.float64)]:
-            assert neighbors._screen_dtype(np.float64(max_sq)) is dtype, max_sq
+    def test_the_scale_rule_at_its_edges(self):
+        # One column each: reach 0, a subnormal reach, a reach near
+        # float64's maximum, and means that overflow to inf and to NaN.
+        max32, tiny32 = float(np.finfo(np.float32).max), 2.0**-149
+        max64, tiny64 = float(np.finfo(np.float64).max), 2.0**-1074
+        halves = [max64, max64, -max64, -max64, 0.0, 0.0, 0.0, 0.0]  # (inf + -inf) + 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.mean(halves))  # numpy's pairwise sum of eight
+        for column, shift, max_sq, tiny, big in [
+                ([3.0] * 5, 0, 0.0, tiny32 + tiny64, max32),
+                ([0.0, 5 * tiny64, -5 * tiny64], 1071, 0.625**2, np.inf, max32),
+                ([0.0, max64], -1023, 1.0 - 2.0**-52, tiny32, 2.0**-1022),
+                ([max64, max64], 0, np.inf, tiny32 + tiny64, max32),
+                (halves, 0, np.nan, tiny32 + tiny64, max32)]:
+            got = neighbors._build_screen(np.array(column)[:, None])
+            assert got[0].dtype == np.float32 and got[2] == shift, column
+            assert np.array_equal(got[3], max_sq, equal_nan=True), column
+            assert (got[4], got[5]) == (tiny, big), column
+
+    @pytest.mark.parametrize("case", [
+        "ball", "duplicates_at_a_query", "every_row_in_a_cluster", "rule_below_with_copies",
+        "lattice_ties", "clusters_1e-8_apart", "scale_1e-15", "far_query_f32"])
+    def test_each_case_matches_full_sort_rescaled_by_two_to_the_400(self, case):
+        # At 2**-400 and 2**400 every squared distance of these cases stays
+        # a normal float64, so the screen's shift alone moves: lists with
+        # copies, ties at the k-th place and rows that fall back stay exact.
+        points, queries, k = _kernel_case(case)
+        shift = neighbors._build_screen(points)[2]
+        for j in (-400, 400):
+            data = DataMatrix(np.ldexp(points, j))
+            _assert_bitwise(knn_many(data, np.ldexp(queries, j), k),
+                            _full_sort(data, np.ldexp(queries, j), k))
+            assert data._screen[0].dtype == np.float32 and data._screen[2] == shift - j
 
     def test_a_query_whose_norm_overflows_float32_screens_every_point(self, monkeypatch):
         points, queries, k = _kernel_case("far_query_f32")
@@ -588,20 +602,8 @@ class TestKnnMany:
         monkeypatch.setattr(neighbors, "_distances",
                             lambda pts, q, r, col: rows.append(r.copy()) or distances(pts, q, r, col))
         _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
-        assert data._screen[0].dtype == np.float32
         counts = np.bincount(np.concatenate(rows), minlength=len(queries))
         assert counts[3] == data.n and (np.delete(counts, 3) < data.n // 10).all()
-
-    @pytest.mark.parametrize("case", [
-        "ball", "duplicates_at_a_query", "every_row_in_a_cluster", "rule_below_with_copies",
-        "lattice_ties", "clusters_1e-8_apart", "scale_1e-15", "far_query_f32"])
-    def test_the_float64_screen_matches_full_sort_where_float32_is_picked(self, monkeypatch,
-                                                                           case):
-        monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
-        points, queries, k = _kernel_case(case)
-        data = DataMatrix(points)
-        _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
-        assert data._screen[0].dtype == np.float64
 
     def test_the_fallback_collects_only_the_rows_that_failed(self, monkeypatch):
         # One block of 36 rows: the 3 whose queries have copies fail the
@@ -905,15 +907,19 @@ class TestWorkspace:
         with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, a fresh workspace
             pool.submit(run).result()
 
-    def test_float32_and_float64_screens_alternate_in_one_thread(self):
+    def test_screens_of_very_different_scales_alternate_in_one_thread(self):
         ball = synth.sample_ball(3000, 2, seed=6)
-        far = DataMatrix(ball.points * 1e20)  # 4 M overflows float32: a float64 screen
-        cases = [(ball, ball.points[::59], 31), (far, far.points[::59], 31)]
+        # 4 M of the unscaled far points would overflow float32, and the
+        # tiny ones would sit in its subnormals: each screen takes its own shift.
+        far, tiny = DataMatrix(ball.points * 1e20), DataMatrix(ball.points * 1e-20)
+        cases = [(data, data.points[::59], 31) for data in (ball, far, tiny)]
         wants = [_full_sort(*case) for case in cases]
         for _ in range(2):
             for case, want in zip(cases, wants):
                 _assert_bitwise(knn_many(*case), want)
-        assert ball._screen[0].dtype == np.float32 and far._screen[0].dtype == np.float64
+        shifts = [data._screen[2] for data in (ball, far, tiny)]
+        assert shifts[1] < shifts[0] < shifts[2]
+        assert all(data._screen[0].dtype == np.float32 for data in (ball, far, tiny))
 
     def test_two_threads_searching_different_data_at_once_match_full_sort(self):
         sampled = synth.sample_ball(3000, 2, seed=6)
@@ -975,7 +981,7 @@ class TestScreenCache:
         assert data._screen is None
         knn_many(data, data.points[:4], 10)
         screen = data._screen
-        assert builds == [1] and len(screen) == 3
+        assert builds == [1] and len(screen) == 6
         assert not screen[0].flags.writeable and not screen[1].flags.writeable
         knn(data, 7, 12)
         angle_id.estimate_point(data, 3, 20)
@@ -1006,46 +1012,51 @@ class TestScreenCache:
             _assert_bitwise(knn_many(fresh, queries, 12), _full_sort(fresh, queries, 12))
         assert moved._screen[1].tobytes() != data._screen[1].tobytes()  # its own center
 
-    # (n, D, scale): float32 screens, float64 ones where 4M overflows float32
-    # or eps32 M is subnormal (one point: M = 0), one and two points, D = 1.
+    # (n, D, scale): scales far above and below 1, one point (reach 0, so
+    # no scale) and two, D = 1.
     BUILDS = {"ball": (3001, 3, 1.0), "huge": (2000, 3, 1e30), "tiny": (2000, 3, 1e-30),
               "one": (1, 4, 1.0), "two": (2, 4, 1.0), "line": (1001, 1, 1.0),
               "wide": (777, 40, 1e3)}
 
     @pytest.mark.parametrize("case", sorted(BUILDS))
     @pytest.mark.parametrize("columns", [None, 1, 5])
-    @pytest.mark.parametrize("force64", [False, True])
+    @pytest.mark.parametrize("j", [-600, 0, 600])
     def test_the_chunked_build_is_bitwise_the_whole_float64_one(self, monkeypatch, case, columns,
-                                                                force64):
+                                                                j):
+        # j rescales the points by 2**j first: the shift absorbs it exactly,
+        # so the screen and its norms are bitwise those of the unscaled points.
         n, dim, scale = self.BUILDS[case]
         rng = np.random.default_rng(n + dim)
-        pts = scale * (rng.standard_normal((n, dim)) + rng.uniform(-50.0, 50.0, dim))
+        base = scale * (rng.standard_normal((n, dim)) + rng.uniform(-50.0, 50.0, dim))
+        pts = np.ldexp(base, j)
         if columns:  # a budget of 1 column (the minimum, 4, holds) or 5
             monkeypatch.setattr(neighbors, "_BUILD_BYTES", 8 * dim * columns)
-        if force64:
-            monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
         got, want = neighbors._build_screen(pts), _whole_build(pts)
-        float32 = case in ("ball", "two", "line", "wide") and not force64
-        assert got[0].dtype == want[0].dtype == (np.float32 if float32 else np.float64)
+        assert got[0].dtype == want[0].dtype == np.float32
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+        assert got[2] == want[2] and (got[2] == 0) == (case == "one")
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
         assert not got[0].flags.writeable and not got[1].flags.writeable
+        unscaled = _whole_build(base)
+        assert got[0].tobytes() == unscaled[0].tobytes()
+        assert got[1].tobytes() == np.ldexp(unscaled[1], j).tobytes()
+        assert got[2] == (unscaled[2] - j if case != "one" else 0)
+        assert np.float64(got[3]).tobytes() == np.float64(unscaled[3]).tobytes()
 
-    @pytest.mark.parametrize("force64", [False, True])
-    def test_a_first_build_holds_little_beyond_the_kept_screen(self, monkeypatch, force64):
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_a_first_build_holds_little_beyond_the_kept_screen(self, scale):
         # The size of the 8-D lattice. A whole float64 matrix rounded to
-        # float32 afterwards peaked at three times the kept screen.
-        pts = np.random.default_rng(13).standard_normal((65536, 8))
-        if force64:
-            monkeypatch.setattr(neighbors, "_screen_dtype", lambda max_sq: np.float64)
+        # float32 afterwards peaked at three times the kept screen. At
+        # 1e150 the chunks are scaled in place, with no further copy.
+        pts = scale * np.random.default_rng(13).standard_normal((65536, 8))
         tracemalloc.start()
         try:
             screen = neighbors._build_screen(pts)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert screen.dtype == (np.float64 if force64 else np.float32)
+        assert screen.dtype == np.float32
         assert screen.nbytes <= peak  # numpy reports its arrays to tracemalloc
         # Besides the screen: the float64 norms and one float64 column chunk.
         assert peak <= screen.nbytes + 8 * len(pts) + neighbors._BUILD_BYTES + (1 << 16)
@@ -1080,19 +1091,22 @@ class TestScreenCache:
         assert len(builds) == 20  # one per matrix
 
 
-def _whole_build(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
-    """The screen of ``pts`` from one whole (D+2, n) float64 matrix, rounded to its dtype at
-    the end: ``neighbors._build_screen`` before its column chunks, kept as its oracle."""
+def _whole_build(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.float64]:
+    """The screen of ``pts`` from one whole (D+2, n) float64 matrix, scaled and rounded to
+    float32 at the end, with its center, shift and largest scaled squared norm:
+    ``neighbors._build_screen`` before its column chunks, kept as its oracle."""
     dim = pts.shape[1]
     screen = np.empty((dim + 2, len(pts)))
     screen[:dim] = pts.T
     with np.errstate(over="ignore", invalid="ignore"):
         center = screen[:dim].mean(axis=1)
         screen[:dim] -= center[:, None]
+        reach = np.abs(screen[:dim]).max()
+        shift = -int(np.frexp(reach)[1]) if 0.0 < reach < np.inf else 0
+        screen[:dim] = np.ldexp(screen[:dim], shift)
         np.einsum("ij,ij->j", screen[:dim], screen[:dim], out=screen[dim])
     screen[dim + 1] = 1.0
-    max_sq = screen[dim].max()
-    return screen.astype(neighbors._screen_dtype(max_sq), copy=False), center, max_sq
+    return screen.astype(np.float32), center, shift, screen[dim].max()
 
 
 def _spy_workspace(monkeypatch) -> list:
@@ -1128,10 +1142,13 @@ class TestWorkspaceBuffers:
         make, k = self.CASES[case]
         data = make()
         seen = _spy_workspace(monkeypatch)
+        # No map keeps its neighbor lists, so every table searches and the
+        # kernel writes its lists to "idx" and "dist".
+        monkeypatch.setattr(angle_id, "_KEEP_BYTES", 0)
 
-        def run(rows, matrix=data):
+        def run(rows):
             seen.clear()
-            angle_id.estimate_table(matrix, k, ESTIMATOR_TAGS, queries=range(rows),
+            angle_id.estimate_table(data, k, ESTIMATOR_TAGS, queries=range(rows),
                                     with_diagnostics=True)
             return {name: (addr, shape) for _, name, addr, shape, _ in seen}
 
@@ -1141,9 +1158,7 @@ class TestWorkspaceBuffers:
                      "transposed", "products", "rise", "terms", "pad"}
             assert names <= set(first)
             held = {name: getattr(neighbors._local, name) for name in first}
-            # The same addresses and shapes. A copy of the matrix searches again:
-            # the matrix itself keeps these neighbor lists and would not.
-            assert run(rows, dataclasses.replace(data)) == first
+            assert run(rows) == first  # the same addresses and shapes
             smaller = run(rows // 4)
             for name, (addr, shape) in smaller.items():
                 assert addr == first[name][0] and math.prod(shape) <= math.prod(first[name][1])
