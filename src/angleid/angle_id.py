@@ -51,8 +51,7 @@ from .core import (
     _integers,
 )
 from . import neighbors
-from .neighbors import (DirectionBundle, _block_rows, _directions, _gather, _resolve_query,
-                        _workspace)
+from .neighbors import DirectionBundle, _directions, _gather, _resolve_query, _workspace
 # Not called here: the benchmark tracer (bench/spans.py) patches these names.
 from .neighbors import direction_bundle, knn  # noqa: F401
 
@@ -612,15 +611,12 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     with (Q, len(ks)) arrays, as ``_estimates`` does, and the (Q,) mean
     cosines at the largest k (None without ``with_diagnostics``).
 
-    The queries are cut into blocks of ``_estimate_rows`` rows, rounded
-    down to whole kernel blocks (``neighbors._block_rows``) where that
-    holds more than one, and capped at ceil(Q / threads) so every thread
-    gets work. A part-filled kernel block costs as many numpy calls as a
-    whole one: without the rounding, the 8-D lattice table at k = 500 ran
-    17 % slower at threads=2 on a 2-core host (3-row blocks, 2 + 1 kernel rows).
-    Each block is one kernel search, then ``_directions`` and
-    ``_estimates`` on the calling thread's workspace buffers
-    (``neighbors._workspace``), and writes its rows of the outputs. With
+    The queries are cut into blocks of ``_estimate_rows`` rows, capped at
+    ceil(Q / threads) so every thread gets work. Each block is one kernel
+    search, which splits it evenly into blocks of its own
+    (``neighbors._block``), then ``_directions`` and ``_estimates`` on the
+    calling thread's workspace buffers (``neighbors._workspace``), and
+    writes its rows of the outputs. With
     ``threads > 1`` the blocks run in a thread pool, drained in block
     order, so a neighbor shortage names the first short query (the kernel
     names a block's first short row). No result depends on the block size.
@@ -644,10 +640,7 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     if not hit and 16 * len(queries) * k_max <= _KEEP_BYTES and None not in key:
         keep = np.empty((len(queries), k_max), np.int64), np.empty((len(queries), k_max))
     need_u = with_diagnostics or any(t in ANGLE_TAGS for t in tags)
-    rows, knn_rows = _estimate_rows(k_max, data.dim, need_u), _block_rows(data.n)
-    if rows > knn_rows:
-        rows -= rows % knn_rows
-    rows = min(rows, -(-len(queries) // threads))
+    rows = min(_estimate_rows(k_max, data.dim, need_u), -(-len(queries) // threads))
     size = (len(queries), len(ks))
     est = {t: (np.empty(size), np.empty(size, np.uint8)) for t in tags}
     mean_cosines = np.empty(len(queries)) if with_diagnostics else None

@@ -152,7 +152,9 @@ class DataMatrix:
     ``neighbors._screen``): a read-only (D+2, n) float32 array, (D+2)/(2D)
     times the size of the points, with its center, scale and bound
     constants. The matrix keeps it for its lifetime, so every later search
-    reuses it.
+    reuses it, and with it a contiguous copy of the screen's every s-th
+    column for the last sampling stride s a search used (``_sample``, see
+    ``neighbors._sampled``), at most half the screen's size.
 
     The matrix also keeps the neighbor lists of its last query map of
     in-set points that fit a small budget (``_neighbors``, see
@@ -160,11 +162,12 @@ class DataMatrix:
     indices and distances. A later map of the same indices, in the same
     order, at a k no larger reads their prefixes instead of searching, so
     ABID and then MLE trails of one point set search once.
-    ``dataclasses.replace`` gives a matrix with neither.
+    ``dataclasses.replace`` gives a matrix with none of these.
     """
 
     points: np.ndarray
     _screen: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _sample: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _neighbors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ Every k-nearest-neighbor search goes through one blocked kernel,
 ``_knn_kernel``: ``knn`` and the query map behind ``estimate_point``,
 tables and trails (``angle_id._estimate_many``) call it, each naming its
 query rows for the kernel's errors. It screens a block of queries
-against all points with one float32 matrix product (the expansion
+against the points with float32 matrix products (the expansion
 |x|^2 - 2 x.y + |y|^2, on coordinates centered at the points' mean and
 scaled by a power of two), keeps every point that a rounding bound
 cannot rule out, and re-ranks those candidates with the same
@@ -21,11 +21,16 @@ largest centered coordinate in [1/2, 1), so every input fits float32's
 range; it is exact, and the screen only has to order distances. The
 rounding bound is derived for float32, in scaled units, in the kernel's
 proof comment.
-Every row gets one planned cut (``_plan``): about 2(k+1) candidates from
-a strided sample where rows are long, else the whole row cut at rank
-k + 1. A row keeps its cut only if k of its candidates are provably no
-farther than it; the rows that fail, such as those with duplicates of
-their query, take the one exact fallback and are collected again. The
+Every row gets one planned cut (``_plan``). Where rows are long, the
+kernel works in two passes: pass 1 multiplies the block by every
+stride-th column of the screen (kept in the matrix, ``_sampled``) and
+cuts each row near its 2(k+1)-th smallest value; pass 2 multiplies the
+block by column tiles of the whole screen and collects each tile's
+candidates while it is in cache. Elsewhere one full-row product is cut
+at rank k + 1 and collected. ``_block`` sizes the blocks and tiles from
+one budget. A row keeps its cut only if k of its candidates are provably
+no farther than it; the rows that fail, such as those with duplicates of
+their query, rerun as the whole-row plan past those duplicates. The
 re-rank recomputes every candidate's distance in float64 from the
 points, puts each row's candidate distances, in ascending index order,
 into one row of a padded (B, widest row) array and sorts every row on
@@ -36,8 +41,8 @@ distances fall within its first k + 1 places, the only rows whose first
 k an unstable sort could misorder. So no row's order depends on the
 other rows of its block. The screen only narrows the candidates, so the
 neighbor lists are bitwise those of the full sort for any block size,
-thread count, plan or scale. The kernel's re-rank is the only code here
-that orders neighbors; the tests keep the full sort
+tile width, thread count, plan or scale. The kernel's re-rank is the
+only code here that orders neighbors; the tests keep the full sort
 (``tests/test_neighbors.py::_sorted_candidates``) as its oracle.
 
 A DataMatrix also keeps the neighbor lists of its last query map of point
@@ -49,16 +54,16 @@ trails of ABID and then MLE on one point set, or a table after them,
 search once.
 
 Each thread keeps one workspace (``_workspace``) for the per-block arrays
-of all its searches and estimation blocks: the screen block and its
-copies, the candidates' rows and distances, the re-rank's gathers and
-padded rows, and the estimation core's neighbor lists, directions, Gram
-chunks and distance increments. With glibc's malloc, arrays of 128 KiB or
-more made afresh per block can go back to the OS when freed, and the next
-block pages them in again, as can the top of the heap once smaller
-temporaries leave 128 KiB of it free; how often depends on thresholds
-that glibc adjusts as the process runs. For repeated trails on the 6-D
-lattice that churn, with a screen matrix built per call, cost about a
-third of the time.
+of all its searches and estimation blocks: the pass-1 product, the
+whole-row cut's copy, the pass-2 tile and its mask, the re-rank's gathers,
+distances and padded rows, and the estimation core's neighbor lists,
+directions, Gram chunks and distance increments. With glibc's malloc,
+arrays of 128 KiB or more made afresh per block can go back to the OS
+when freed, and the next block pages them in again, as can the top of the
+heap once smaller temporaries leave 128 KiB of it free; how often depends
+on thresholds that glibc adjusts as the process runs. For repeated trails
+on the 6-D lattice that churn, with a screen matrix built per call, cost
+about a third of the time.
 """
 
 from __future__ import annotations
@@ -154,16 +159,42 @@ def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
     return q, None
 
 
-# Bytes of a (B, n) float64 block of screened squared distances; it sets
-# the number B of query rows that the kernel screens with one matrix
-# product. With the float32 screen, 2 MiB (1 MiB of float32 values) ran
-# nested-cube tables at k = 100 about 10 % faster than 1 MiB on a 2-core
-# Xeon, and no search slower.
-_BLOCK_BYTES = 1 << 21
+# The kernel's one budget (``_block``): a block's query rows, their
+# pass-1 float32 values and their candidates' buffers take at most this
+# many bytes, and a pass-2 tile's float32 values at most half of it
+# unless the block's whole product fits in it. On nested cubes at k = 100
+# (n = 25 000, D = 5) that is 20 rows of 4 167 values and tiles of 6 250
+# columns, 1.38 MB of buffers in all: 55 us per query on a 2-core Xeon.
+# Tiles of a quarter of the budget were slower there: under 4 097
+# columns, numpy 2.4's compare against each row's bound ran about 3
+# times slower per value.
+_BLOCK_BYTES = 1 << 20
 
 
-def _block_rows(n: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n))
+def _block(n: int, stride: int, rank: int, dim: int, queries: int) -> tuple[int, int]:
+    """Query rows per kernel block and columns per pass-2 tile, for ``queries`` rows and the
+    cut (stride, rank).
+
+    A row costs its ceil(n / stride) float32 pass-1 values and its about
+    stride * rank candidates, 16 (D + 6) bytes each: the re-rank's two
+    gathered rows, distance and padded slot, and the collection's row,
+    column, value and merge order. The queries split evenly into the
+    fewest blocks whose rows fit ``_BLOCK_BYTES``. A block whose whole
+    (rows, n) float32 product fits it is one tile, which spares the
+    merge of the tiles' candidates: on the 8-D lattice at k = 500 (4 rows
+    of 65 536) that ran the kernel 3 % faster than two tiles. Elsewhere
+    the n columns split into the fewest even tiles whose float32 values
+    fit half of it. A whole-row plan (stride 1) has no tiles; its cut's
+    copy and its mask come on top, 5 bytes per value.
+    """
+    per_row = 4 * -(-n // stride) + stride * rank * 16 * (dim + 6)
+    rows = max(1, _BLOCK_BYTES // per_row)
+    if queries:
+        rows = -(-queries // -(-queries // rows))
+    if 4 * rows * n <= _BLOCK_BYTES:
+        return rows, n
+    tile = max(1, _BLOCK_BYTES // (8 * rows))
+    return rows, -(-n // -(-n // tile))
 
 
 # The screen build's float64 column chunks (``_build_screen``): about
@@ -197,15 +228,18 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     TypeError. The callers write every entry of a view before reading it,
     so no result depends on what a buffer held before. The buffers:
 
-    - the kernel's "block" and "mask" of the (B, n) screened values and
-      the cut's copy "part" (B rows of ceil(n / stride) values for the
-      planned cut, of n for the fallback): at most 9 bytes per entry of
-      the largest block, 2.25 MiB for n <= 262 144 under the 2 MiB block
-      budget;
-    - the candidates' rows "cand_rows" and distances "cand_dists" and the
-      re-rank's gathers "diff" and "query_rows" (16 (D+1) bytes per
-      candidate), its padded rows "pad" (8 bytes per slot) and the
-      positions "take" of each row's k nearest (8 bytes each);
+    - the kernel's pass-1 product "block" (B rows of ceil(n / stride)
+      float32 values), the whole-row plan's cut copy "part" (B rows of n),
+      the sampled plan's pass-2 tile "tile" and the mask of the values
+      collected, of the tile or of the whole rows (``_block`` sizes B and
+      the tile: B rows' pass-1 values and candidates fit ``_BLOCK_BYTES``,
+      a tile's float32 values half of it, or all of it where one tile
+      holds the whole product; a whole-row block holds 9 bytes per value,
+      2.25 MiB for n <= 262 144);
+    - the re-rank's gathers "diff" and "query_rows" and distances
+      "cand_dists" (8 (2D+1) bytes per candidate), its padded rows "pad"
+      (8 bytes per slot) and the positions "take" of each row's k nearest
+      (8 bytes each);
     - the estimation core's neighbor lists "idx" and "dist" (of maps
       that keep none, ``angle_id._estimate_many``), directions
       "directions", distance increments "rise" and "terms", and the Gram
@@ -247,6 +281,22 @@ def _screen(data: DataMatrix) -> tuple:
             if data._screen is None:
                 object.__setattr__(data, "_screen", _build_screen(data.points))
     return data._screen
+
+
+def _sampled(data: DataMatrix, stride: int) -> np.ndarray:
+    """Every stride-th column of ``data``'s screen, contiguous and read-only: pass 1's matrix.
+
+    The matrix keeps the columns of the last stride asked (``data._sample``),
+    so a search per point copies them once, not once per call. Another
+    stride replaces them.
+    """
+    kept = data._sample  # read once: a concurrent search may store another stride
+    if kept is None or kept[0] != stride:
+        columns = np.ascontiguousarray(_screen(data)[0][:, ::stride])
+        columns.setflags(write=False)
+        kept = stride, columns
+        object.__setattr__(data, "_sample", kept)
+    return kept[1]
 
 
 def _build_screen(pts: np.ndarray) -> tuple:
@@ -318,52 +368,78 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     and its exact duplicates excluded), distances ``_distances``, in
     (distance, index) order, bitwise the first k of the tests' full sort
     ``_sorted_candidates``. It writes them to ``out``, a pair of such
-    arrays, if given, else to new ones. It screens ``_block_rows`` queries
-    at a time against the matrix's cached screen (``_screen``) into the
+    arrays, if given, else to new ones. It screens blocks of queries
+    (``_block``) against the matrix's cached screen (``_screen``) into the
     calling thread's workspace (``_workspace``), and no result depends on
-    that block size. It raises InsufficientNeighborsError for the first row
-    with fewer than k nonzero distances, with that row's entry of ``names``
-    (Q labels) as ``point``. It reads only shared arrays and writes only
-    its thread's buffers and ``out``, so threads may call it at once.
+    the block size or the tile width. It raises InsufficientNeighborsError
+    for the first row with fewer than k nonzero distances, with that row's
+    entry of ``names`` (Q labels) as ``point``. It reads only shared arrays
+    and writes only its thread's buffers and ``out``, so threads may call
+    it at once.
     """
     k = _check_integer("k", k)
     pts = data.points
     n, dim = pts.shape
     screen, center, shift, max_sq, tiny, big = _screen(data)
-    rows, (stride, rank) = _block_rows(n), _plan(n, k, dim)
+    stride, rank = _plan(n, k, dim)
+    rows, tile = _block(n, stride, rank, dim, len(queries))
     if out is None:
         out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
     idx, dist = out
     eps32 = float(np.finfo(np.float32).eps)
-    shape = (min(rows, len(queries)), n)
-    buf, mask = _workspace("block", shape, np.float32), _workspace("mask", shape, bool)
 
-    def collect(q, a, c, delta):
-        """Row, column and distance of each value of ``a`` at most its cut."""
+    def below(a, top, lo):
+        """Row, column (offset by ``lo``) and value of each entry of ``a`` at most its row's top."""
+        pos = np.flatnonzero(np.less_equal(a, top[:, None], out=_workspace("mask", a.shape, bool)))
+        r = pos // a.shape[1]
+        values = a.ravel().take(pos)
+        pos -= r * a.shape[1]  # flat positions to columns, in place
+        pos += lo
+        return r, pos, values
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def collect(q, stride, rank):
+        """Each row's cut c, and the row, column and screened value of each of its
+        candidates, in (row, column) order: every point with a value at most c + 2 delta."""
+        ext = np.empty((len(q), dim + 2))
+        np.subtract(q, center, out=ext[:, :dim])
+        np.ldexp(ext[:, :dim], shift, out=ext[:, :dim])
+        sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
+        ext[:, :dim] *= -2.0
+        ext[:, dim] = 1.0
+        ext[:, dim + 1] = sq_q
+        ext = ext.astype(np.float32)
+        norms = sq_q + max_sq
+        delta = np.where(4.0 * norms <= big, 4.0 * (dim + 4) * (eps32 * norms + tiny), np.inf)
+        flat = np.isinf(delta)  # rows screened as zeros
+        flat = flat if flat.any() else None
+        sample = screen if stride == 1 else _sampled(data, stride)
+        a = np.matmul(ext, sample, out=_workspace("block", (len(q), sample.shape[1]), np.float32))
+        if flat is not None:
+            a[flat] = 0.0
+        c = _cut(a, stride, rank)
         bound = c + 2.0 * delta
-        with np.errstate(over="ignore"):
-            top = bound.astype(np.float32)
+        top = bound.astype(np.float32)
         np.nextafter(top, np.inf, out=top, where=top < bound)  # rounded up
-        col = np.flatnonzero(np.less_equal(a, top[:, None], out=mask[:len(a)]))
-        r = np.floor_divide(col, n, out=_workspace("cand_rows", col.shape, np.int64))
-        col -= r * n  # flat positions to columns, in place
-        return r, col, _distances(pts, q, r, col)
-
-    def cut(a, stride, rank):
-        """Each row's rank-th smallest of every stride-th value of ``a``, as a copy (the
-        fallback reuses "part"), or inf, keeping every point, where rank reaches their count."""
-        width = -(-n // stride)
-        if rank >= width:
-            return np.full(len(a), np.inf, np.float32)
-        copy = _workspace("part", (len(a), width), np.float32)
-        np.copyto(copy, a[:, ::stride])
-        copy.partition(rank - 1, axis=1)
-        return copy[:, rank - 1].copy()
+        if stride == 1:
+            return (c, *below(a, top, 0))
+        pieces = []
+        for lo in range(0, n, tile):
+            t = _workspace("tile", (len(q), min(tile, n - lo)), np.float32)
+            np.matmul(ext, screen[:, lo:lo + t.shape[1]], out=t)
+            if flat is not None:
+                t[flat] = 0.0
+            pieces.append(below(t, top, lo))
+        if len(pieces) == 1:
+            return (c, *pieces[0])
+        r, col, values = map(np.concatenate, zip(*pieces))
+        del pieces  # free the tiles' arrays before the sorted copies are made
+        order = np.argsort(r, kind="stable")  # tile by tile, each in (row, column) order
+        r = np.repeat(np.arange(len(q)), np.bincount(r, minlength=len(q)))  # r.take(order)
+        return c, r, col.take(order), values.take(order)
 
     for lo in range(0, len(queries), rows):
         q = queries[lo:lo + rows]
-        a = buf[:len(q)]
-        ext = np.empty((len(q), dim + 2))
         # Screen, in units scaled by 2**shift (``_build_screen``): distances
         # and norms below are the true ones times 2**shift, their squares
         # times 2**(2 shift), which is exact as real numbers; the re-rank's
@@ -404,55 +480,57 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         # partial sum of the product stays below 2M(1 + 2 u32), and every
         # squared distance of the re-rank below 2M(1 + 4u), so none
         # overflows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(q, center, out=ext[:, :dim])
-            np.ldexp(ext[:, :dim], shift, out=ext[:, :dim])
-            sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
-            ext[:, :dim] *= -2.0
-            ext[:, dim] = 1.0
-            ext[:, dim + 1] = sq_q
-            np.matmul(ext.astype(np.float32), screen, out=a)
-            norms = sq_q + max_sq
-            delta = np.where(4.0 * norms <= big, 4.0 * (dim + 4) * (eps32 * norms + tiny), np.inf)
-        a[np.isinf(delta)] = 0.0
-        # Cut. Each row keeps every point with a <= c + 2 delta, that bound
-        # summed in float64 and rounded up to float32, c the rank-th
-        # smallest of every stride-th value of the row (``_plan``), or inf
-        # where rank reaches their count. Check: a row keeps c only if at
-        # least k candidates have s > 0 and a <= c, both compared exactly.
-        # Their s are at most c + e, so the k-th nonzero s is too. A true
-        # neighbor has s at most that, or up to 2 eps s <= 4 eps M more
-        # when sqrt rounds it into a tie with the k-th distance, so a <= s
-        # + e <= c + 2 delta, with eps M to spare for summing the bound.
-        # This holds for any stride and rank; they only decide speed.
+        #
+        # Two products, in two passes (``collect``). Pass 1 multiplies the
+        # query rows by the screen's every stride-th column (``_plan``) and
+        # cuts: c is each row's rank-th smallest value, or inf where rank
+        # reaches their count. Pass 2 multiplies them by column tiles of
+        # the whole screen (``_block``) and keeps, while each tile is in
+        # cache, every point with a <= c + 2 delta, that bound summed in
+        # float64 and rounded up to float32, with its value a. The two
+        # products have different shapes and may round a column
+        # differently, but each value is within e of its s, whatever c is.
+        # Candidates come tile by tile, so a stable sort by row restores
+        # the (row, column) order of the re-rank. A whole-row plan (stride
+        # 1) cuts a copy of its pass-1 product and collects from the
+        # product itself. Check: a row keeps its collection only if at
+        # least k candidates have s > 0 and a <= c, both compared exactly
+        # on the values the collection read. Their s are at most c + e, so
+        # the k-th nonzero s is too. A true neighbor has s at most that, or
+        # up to 2 eps s <= 4 eps M more when sqrt rounds it into a tie with
+        # the k-th distance, so its a <= s + e <= c + 2 delta, with eps M
+        # to spare for summing the bound. This holds for any c, so the
+        # stride, the rank and the cut's own rounding only decide speed.
         #
         # Fallback, for the rows that fail. Every s == 0 (the query, its
-        # duplicates) has a <= e <= delta, and every a >= -e, so c + 2
-        # delta >= delta: the first collection holds every zero, and z,
-        # the most zeros of these rows, is read off it. Among the m = k + z
-        # smallest a of such a row, at least k have s > 0 and s <= c + e,
-        # c now the m-th smallest a, so the check holds unmade. A larger m
-        # keeps it true, so these rows are cut together and collected
-        # again; the rows that kept their cut keep their first collection,
-        # and the two merge in (row, column) order. With m >= n, c = inf
-        # and every point is a candidate.
-        c = cut(a, stride, rank)
-        r, col, d = collect(q, a, c, delta)
-        sure = (d > 0.0) & (a.ravel().take(r * n + col) <= c.take(r))
+        # duplicates) has a <= e <= delta, and c >= -delta (any value a
+        # product gives is at least -e), so c + 2 delta >= delta: the
+        # first collection holds every zero, and z, the most zeros of
+        # these rows, is read off it. These rows rerun as the whole-row plan at rank m = k + z,
+        # in blocks of their own, cut and collected on one full-row
+        # product: among the m smallest a of such a row, at least k have
+        # s > 0 and s <= c + e, c now the m-th smallest a, so the check
+        # holds unmade. The rows that kept their cut keep their first
+        # collection, and the two merge in (row, column) order. With m >=
+        # n, c = inf and every point is a candidate.
+        c, r, col, values = collect(q, stride, rank)
+        d = _distances(pts, q, r, col)
+        sure = (d > 0.0) & (values <= c.take(r))
         redo = np.flatnonzero(np.bincount(r[sure], minlength=len(q)) < k)
         if redo.size:
             z = int(np.bincount(r[d == 0.0], minlength=len(q))[redo].max())
-            sub = a if redo.size == len(q) else a[redo]
             keep = np.ones(len(q), bool)
             keep[redo] = False
             keep = keep[r]
-            r, col, d = r[keep], col[keep], d[keep]  # copies: collect reuses the buffers
-            r2, col2, d2 = collect(q[redo], sub, cut(sub, 1, k + z), delta[redo])
-            r = np.concatenate([r, redo[r2]])
-            order = np.argsort(r, kind="stable")  # two runs, each in (row, column) order
-            r = r[order]
-            col = np.concatenate([col, col2])[order]
-            d = np.concatenate([d, d2])[order]
+            parts = [(r[keep], col[keep], d[keep])]  # copies: collect reuses the buffers
+            step = _block(n, 1, k + z, dim, redo.size)[0]
+            for s in range(0, redo.size, step):
+                sub = redo[s:s + step]
+                _, r2, col2, _ = collect(q[sub], 1, k + z)
+                parts.append((sub[r2], col2, _distances(pts, q[sub], r2, col2).copy()))
+            r, col, d = map(np.concatenate, zip(*parts))
+            order = np.argsort(r, kind="stable")  # runs, each in (row, column) order
+            r, col, d = r[order], col[order], d[order]
         # Re-rank: zero distances excluded, the rest in (distance, index)
         # order, as the tests' full sort _sorted_candidates. The
         # candidates come by ascending row, then column, and each row's
@@ -481,6 +559,25 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         col.take(take, out=idx[lo:lo + rows], mode="clip")
         d.take(take, out=dist[lo:lo + rows], mode="clip")
     return idx, dist
+
+
+def _cut(a: np.ndarray, stride: int, rank: int) -> np.ndarray:
+    """Each row's rank-th smallest value of ``a``, a block's pass-1 product, or inf where rank
+    reaches the row's length.
+
+    A sampled block is partitioned in place. Whole rows (stride 1), which
+    the collection reads next, are partitioned as a copy, this thread's
+    workspace buffer "part". The kernel is exact for any first cut of at
+    least -delta (see its proof); the fallback's must be this one.
+    """
+    if rank >= a.shape[1]:
+        return np.full(len(a), np.inf, np.float32)
+    part = a
+    if stride == 1:
+        part = _workspace("part", a.shape, np.float32)
+        np.copyto(part, a)
+    part.partition(rank - 1, axis=1)
+    return part[:, rank - 1].copy()
 
 
 def _rank(pad: np.ndarray, k: int) -> np.ndarray:

@@ -206,8 +206,8 @@ class TestTrailContract:
     @pytest.mark.parametrize("name", sorted(TRAIL_DATA))
     def test_csv_bytes_do_not_depend_on_threads(self, tmp_path, monkeypatch, name):
         data = TRAIL_DATA[name]()
-        # Blocks of 4 queries, so the thread pool has several to share.
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * 4)
+        # Kernel blocks of 4 queries within each thread's block of queries.
+        monkeypatch.setattr(neighbors, "_block", lambda n, stride, rank, dim, queries: (4, n))
         points = list(range(0, data.n, 5))
         for tag in ESTIMATOR_TAGS:
             files = set()

@@ -289,6 +289,18 @@ def _assert_bitwise(got, want):
     assert got[1].dtype == np.float64 and got[1].tobytes() == want[1].tobytes()
 
 
+def _force_block(mp, rows: int, tile: int | None = None) -> None:
+    """Make the kernel screen ``rows`` queries per block, in pass-2 tiles of ``tile`` columns.
+
+    Without ``tile``, the tiles are as wide as ``neighbors._block`` makes
+    them for blocks of ``rows`` queries. The fallback's blocks take
+    ``rows`` as well.
+    """
+    block = neighbors._block
+    mp.setattr(neighbors, "_block", lambda n, stride, rank, dim, queries:
+               (rows, tile or block(n, stride, rank, dim, rows)[1]))
+
+
 def _kernel_case(name):
     """Points, query rows and k for the kernel's planned cuts and their fallback.
 
@@ -424,16 +436,78 @@ class TestKnnMany:
                      if _sorted_candidates(data, q)[0].size == distinct)
         assert (exc.value.point, exc.value.available) == (first, distinct)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 6), st.integers(1, 10))
-    def test_every_plan_matches_full_sort_on_the_same_grids(self, draw, stride, rank):
-        # The kernel is exact for any first cut (neighbors._plan), so the
-        # grid property above must hold with the plan forced to any stride
-        # and rank: the small grids otherwise only take the whole-row plan.
+    @settings(max_examples=250, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 10), st.integers(1, 12),
+           st.one_of(st.sampled_from([1, 3, 7]), st.integers(2, 80)),
+           st.sampled_from(["grids", "copies", "huge_rows"]))
+    def test_every_plan_block_and_tile_matches_full_sort(self, draw, stride, rank, rows, tile,
+                                                        source):
+        # The kernel is exact for any first cut (neighbors._plan), any
+        # number of query rows per block and any pass-2 tile width
+        # (neighbors._block), so the grid property above must hold with all
+        # three forced: the small grids otherwise take the whole-row plan in
+        # one block. A width that does not divide n leaves a narrower last
+        # tile. "copies" is a 3-D grid with copies of some points, whose
+        # rows take the fallback, and "huge_rows" adds query rows at 1e306,
+        # whose delta is inf, so every point is their candidate.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "_plan", lambda n, k, dim: (stride, rank))
-            grids = self.test_matches_full_sort_on_grids_with_duplicates_and_ties
-            grids.hypothesis.inner_test(self, draw)
+            _force_block(mp, rows, tile)
+            if source == "grids":
+                grids = self.test_matches_full_sort_on_grids_with_duplicates_and_ties
+                grids.hypothesis.inner_test(self, draw)
+                return
+            axes = np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij")
+            grid = np.stack(axes, axis=-1).reshape(-1, 3)
+            data = DataMatrix(np.vstack([grid, grid[::5], grid[::9]]))
+            queries = data.points
+            if source == "huge_rows":
+                queries = np.vstack([queries, [[1e306, -1e306, 2.0], [3e306, 0.0, 0.0]]])
+            picks = st.lists(st.integers(0, len(queries) - 1), min_size=1, max_size=9)
+            queries = queries[draw.draw(picks, label="queries")]
+            distinct = min(_sorted_candidates(data, q)[0].size for q in queries)
+            k = draw.draw(st.integers(1, distinct), label="k")
+            _assert_bitwise(knn_many(data, queries, k), _full_sort(data, queries, k))
+
+    @pytest.mark.parametrize("cut", ["zero", "inf", "below", "above", "random"])
+    @pytest.mark.parametrize("case", [
+        "ball", "duplicates_at_a_query", "every_row_in_a_cluster", "lattice_ties",
+        "clusters_1e-8_apart", "scale_1e-20", "offset_1e20", "far_query_f32", "scale_1e160",
+        *(f"{name}/whole_row" for name in (
+            "ball", "duplicates_at_a_query", "lattice_ties", "rule_below_with_copies"))])
+    def test_any_first_cut_keeps_the_kernel_exact(self, monkeypatch, case, cut):
+        # The two passes are products of different shapes, so a column's
+        # pass-1 and pass-2 values may round differently; the proof's check
+        # reads only the values it collected, so the first cut c decides
+        # speed alone. Here each row's c is 0, inf, its true value times
+        # 1 -/+ 2**-20, or a random value of the row's pass-1 product. The
+        # fallback's cut (stride 1, rank k + z > k) stays exact: the
+        # "name/whole_row" cases force a whole-row first cut at rank k // 2.
+        case, _, whole_row = case.partition("/")
+        points, queries, k = _kernel_case(case)
+        data = DataMatrix(points)
+        want = _full_sort(data, queries, k)
+        plan = (1, k // 2) if whole_row else neighbors._plan(data.n, k, data.dim)
+        monkeypatch.setattr(neighbors, "_plan", lambda n, k, dim: plan)
+        true_cut, rng, changed = neighbors._cut, np.random.default_rng(17), []
+
+        def patched(a, stride, rank):
+            c = true_cut(a, stride, rank)
+            if (stride, rank) != plan:  # the fallback's
+                return c
+            changed.append(len(c))
+            if cut in ("zero", "inf"):
+                return np.full_like(c, 0.0 if cut == "zero" else np.inf)
+            if cut in ("below", "above"):
+                return c * np.float32(1.0 - 2.0**-20 if cut == "below" else 1.0 + 2.0**-20)
+            return a[np.arange(len(a)), rng.integers(0, a.shape[1], len(a))]
+
+        monkeypatch.setattr(neighbors, "_cut", patched)
+        for block in (None, 1, 4):
+            if block is not None:
+                _force_block(monkeypatch, block)
+            _assert_bitwise(knn_many(data, queries, k), want)
+        assert changed
 
     def test_far_from_origin_and_tiny_or_huge_scales(self):
         rng = np.random.default_rng(9)
@@ -489,28 +563,30 @@ class TestKnnMany:
         want = _full_sort(data, queries, k)
         for block in (None, 1, 3):
             if block is not None:
-                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * block)
+                _force_block(monkeypatch, block)
             _assert_bitwise(knn_many(data, queries, k), want)
         for i in range(len(queries)):
             _assert_bitwise(knn_many(data, queries[i:i + 1], k), (want[0][i:i + 1], want[1][i:i + 1]))
 
     def test_a_float32_screen_error_at_its_bound_keeps_the_sampled_path_exact(self, monkeypatch):
-        # The kernel bounds the screen's error |a - s| by e32 = (D + 4)
-        # eps32 M + (D + 1) tiny32 + D 2**(2 shift) tiny64, in units scaled
-        # by 2**shift; real products stay far below it, so here the product
-        # is patched to be off by -e32 for every point but one "victim",
-        # off by +e32. Integer coordinates with zero mean and far points at
-        # distance 2**12 give shift = -13 and M = 1/4, so e32 = 12 and delta
-        # = 48 in units of 2**-26, and every screened value below stays an
-        # integer under 2**24 in those units, exact in float32: the
-        # unpatched product is exact. The query at the origin has 80
+        # The kernel bounds the screen's error |a - s| by e32 = (D + 4) eps32
+        # M + (D + 1) tiny32 + D 2**(2 shift) tiny64, in units scaled by
+        # 2**shift; real products stay far below it, so here the product is
+        # patched to be off by -e32 for every point but one "victim", off by
+        # +e32, in every product: the sampled columns, the tiles and the
+        # fallback's whole rows find the victim by its coordinates in the
+        # screen's columns they multiply. Integer coordinates with zero mean
+        # and far points at distance 2**12 give shift = -13 and M = 1/4, so
+        # e32 = 12 and delta = 48 in units of 2**-26, and every screened value
+        # below stays an integer under 2**24 in those units, exact in float32:
+        # the unpatched product is exact. The query at the origin has 80
         # copies, so its sampled cut is c = -e32 and it must take the
         # fallback. Its 31 nearest are 30 copies of (1, 0) and the victim
         # (9, 2), s = 85, screened at 97, above c + 2 delta = 84. The decoy
         # (7, 6) ties with it but comes later, and screens at 73, so a check
-        # loosened to a <= c + 2 delta would accept the row with the decoy
-        # in its place. The fallback's cut is the decoy's 73, so it collects
-        # the victim only while delta >= e32.
+        # loosened to a <= c + 2 delta would accept the row with the decoy in
+        # its place. The fallback's cut is the decoy's 73, so it collects the
+        # victim only while delta >= e32.
         k, far, shift = 31, 2.0**12, -13
         near = [[0.0, 0.0]] * 80 + [[1.0, 0.0]] * 30 + [[9.0, 2.0], [7.0, 6.0], [-46.0, -8.0]]
         axes = [[far, 0.0], [-far, 0.0], [0.0, far], [0.0, -far]] * 230
@@ -522,18 +598,17 @@ class TestKnnMany:
         e = ((dim + 4) * float(f32.eps) * m + (dim + 1) * float(f32.smallest_subnormal)
              + dim * math.ldexp(float(f64.smallest_subnormal), 2 * shift))
         assert m == 0.25 and e == math.ldexp(12.0, 2 * shift)
-        err = np.full(n, -e)
-        err[victim] = e
+        x, y = (math.ldexp(v, shift) for v in points[victim])
 
         class ScreenOff:
-            """numpy as the kernel sees it, but the screen product is off by ``err``."""
+            """numpy as the kernel sees it, but the screen product is off by -e, +e at the victim."""
 
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def matmul(self, a, b, out):
                 np.matmul(a, b, out=out)
-                out += err
+                out += np.where((b[0] == x) & (b[1] == y), e, -e)
                 return out
 
         data, query = DataMatrix(points), np.zeros((1, dim))
@@ -620,11 +695,15 @@ class TestKnnMany:
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         data = synth.sample_ball(500, 3, seed=5)
-        queries = data.points[::13]  # 39 rows: 7 blocks of 5 and a remainder of 4
+        queries = data.points[::13]  # 39 rows
         want = _full_sort(data, queries, 25)
-        for rows in (1, 5, len(queries)):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * rows)
-            assert neighbors._block_rows(data.n) == rows
+        assert neighbors._plan(data.n, 25, 3) == (1, 26)
+        per_row = 4 * data.n + 26 * 16 * (3 + 6)  # whole rows, 26 candidates each
+        # Budgets for 1, 5, 12 and 39 rows: 39 blocks of 1; 8 blocks, 7 of
+        # 5 and one of 4; 4 even blocks of 10, 10, 10 and 9; one block.
+        for fit, rows in ((1, 1), (5, 5), (12, 10), (39, 39)):
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", per_row * fit)
+            assert neighbors._block(data.n, 1, 26, 3, len(queries))[0] == rows
             _assert_bitwise(knn_many(data, queries, 25), want)
 
     @pytest.mark.parametrize("case", ["copies_and_kth_ties", "inf_at_scale_1e160"])
@@ -665,7 +744,7 @@ class TestKnnMany:
         assert data.n < 16 * (k + 1) * data.dim
         for block in (1, 3, None):
             if block is not None:
-                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * block)
+                _force_block(monkeypatch, block)
             _assert_bitwise(knn_many(data, queries, k), want)
             for i in range(len(rows)):
                 one = knn_many(data, queries[i:i + 1], k)
@@ -747,7 +826,7 @@ class TestReRank:
         stable.clear()
         for block in (1, 2, None):
             if block is not None:
-                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * block)
+                _force_block(monkeypatch, block)
             _assert_bitwise(knn_many(data, queries, k), want)
         assert any(stable)  # the repair of tied rows ran
 
@@ -755,8 +834,8 @@ class TestReRank:
 class TestBlockedTables:
     def test_threads_give_identical_csv_bytes(self, tmp_path, monkeypatch):
         data = synth.sample_ball(1500, 4, seed=12)
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n * 5)
-        queries = list(range(0, 1500, 40))  # 38 queries: 7 blocks of 5 and one of 3
+        _force_block(monkeypatch, 5)
+        queries = list(range(0, 1500, 40))  # 37 queries: kernel blocks of 5 and one of 2
         queries.pop()
         assert len(queries) == 37
         tables, trail_files = set(), set()
@@ -782,17 +861,13 @@ class TestBlockedTables:
         monkeypatch.setattr(angle_id, "ThreadPoolExecutor", Pool)
         data = synth.sample_ball(1500, 4, seed=12)
         queries = list(range(0, 1480, 40))
-        # Kernel blocks of 5 queries, then one kernel block for all 37.
-        for block_bytes in (8 * data.n * 5, neighbors._BLOCK_BYTES):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
-            for threads in (2, 3, 4):
-                units.clear()
-                angle_id.estimate_table(data, 20, ESTIMATOR_TAGS, queries=queries,
-                                        threads=threads)
-                analysis.trails(data, [5, 12, 20], "mle", point_subset=queries, threads=threads)
-                for sizes in units:
-                    assert len(sizes) == threads and sum(sizes) == 37, (threads, sizes)
-                assert len(units) == 2
+        for threads in (2, 3, 4):
+            units.clear()
+            angle_id.estimate_table(data, 20, ESTIMATOR_TAGS, queries=queries, threads=threads)
+            analysis.trails(data, [5, 12, 20], "mle", point_subset=queries, threads=threads)
+            for sizes in units:
+                assert len(sizes) == threads and sum(sizes) == 37, (threads, sizes)
+            assert len(units) == 2
 
     def test_errors_keep_query_order(self):
         # Points 0-3 coincide, so each has a single distinct neighbor, point 4.
@@ -816,7 +891,7 @@ class TestBlockedTables:
         queries = distinct[:28] + [5] + distinct[28:] + [9, 8, 7, 6, 4, 3, 2, 1, 0]
         # One-row kernel blocks in three-row blocks: query 5 is the second
         # row of the tenth block, and every later block is short as well.
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * data.n)
+        _force_block(monkeypatch, 1)
         monkeypatch.setattr(angle_id, "_CHUNK", 3 * k)
         for tags in (("abid", "mle"), ("mle",)):
             with pytest.raises(InsufficientNeighborsError) as exc:
@@ -959,14 +1034,18 @@ class TestWorkspace:
         def sampled():
             ball = synth.sample_ball(3000, 2, seed=6)  # k = 31 takes the sampled rule, step 2
             knn_many(ball, ball.points[:5], 31)
-            return neighbors._local.part.size
+            sizes = {name: getattr(neighbors._local, name).size for name in ("block", "tile", "mask")}
+            return sizes, hasattr(neighbors._local, "part")
 
         # A fresh thread starts without a workspace.
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(run).result()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            # The copy holds ceil(n / step) values per row, never n: no row fell back.
-            assert pool.submit(sampled).result() == 5 * 1500
+            # Pass 1 holds ceil(n / step) values per row, never n; the one
+            # tile and its mask hold whole rows. No row fell back, so no
+            # cut copied its block.
+            sizes = {"block": 5 * 1500, "tile": 5 * 3000, "mask": 5 * 3000}
+            assert pool.submit(sampled).result() == (sizes, False)
 
 
 
@@ -991,6 +1070,24 @@ class TestScreenCache:
         assert all(a is b for a, b in zip(data._screen, screen))
         want = build(data.points)
         assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(screen, want))
+
+    def test_a_matrix_keeps_the_sampled_columns_of_its_last_stride(self):
+        data = synth.sample_ball(20000, 2, seed=12)
+        assert [neighbors._plan(data.n, k, 2)[0] for k in (10, 50, 100)] == [1, 3, 6]
+        knn(data, 0, 10)  # the whole-row plan samples nothing
+        assert data._sample is None
+        knn(data, 0, 50)
+        kept = data._sample
+        for q in range(1, 5):  # later searches per point copy nothing
+            _assert_bitwise(knn_many(data, data.points[q:q + 1], 50),
+                            _full_sort(data, data.points[q:q + 1], 50))
+        assert data._sample is kept
+        stride, columns = kept
+        assert stride == 3 and columns.shape == (4, 6667) and not columns.flags.writeable
+        assert columns.tobytes() == data._screen[0][:, ::3].tobytes()
+        knn(data, 3, 100)  # another stride replaces them
+        assert data._sample[0] == 6 and data._sample[1].shape == (4, 3334)
+        assert dataclasses.replace(data)._sample is None
 
     def test_matrices_of_equal_shape_never_share_a_screen(self):
         a = synth.sample_ball(2000, 2, seed=10)
@@ -1090,6 +1187,30 @@ class TestScreenCache:
             sys.setswitchinterval(interval)
         assert len(builds) == 20  # one per matrix
 
+    def test_threads_searching_one_matrix_at_different_strides_match_full_sort(self):
+        # The matrix keeps the sampled columns of one stride (``_sampled``),
+        # so threads at different k replace each other's while they search.
+        data = synth.sample_ball(20000, 2, seed=13)
+        queries = data.points[::997]
+        ks = [50, 100, 200, 10]  # strides 3, 6 and 12, and the whole-row plan
+        assert [neighbors._plan(data.n, k, 2)[0] for k in ks] == [3, 6, 12, 1]
+        wants = [_full_sort(data, queries, k) for k in ks]
+        start = threading.Barrier(len(ks), timeout=30)
+
+        def search(i):
+            start.wait()
+            for _ in range(15):
+                _assert_bitwise(knn_many(data, queries, ks[i]), wants[i])
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, between the read and the store too
+        try:
+            with ThreadPoolExecutor(max_workers=len(ks)) as pool:
+                assert list(pool.map(search, range(len(ks)), timeout=120)) == [0, 1, 2, 3]
+        finally:
+            sys.setswitchinterval(interval)
+
 
 def _whole_build(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.float64]:
     """The screen of ``pts`` from one whole (D+2, n) float64 matrix, scaled and rounded to
@@ -1154,9 +1275,12 @@ class TestWorkspaceBuffers:
 
         def buffers(rows):
             first = run(rows)
-            names = {"block", "mask", "diff", "query_rows", "idx", "dist", "directions",
-                     "transposed", "products", "rise", "terms", "pad"}
-            assert names <= set(first)
+            # The whole-row plan cuts a copy of its block, "part"; the
+            # sampled plan collects from pass-2 tiles, "tile".
+            plan, other = ("part", "tile") if case == 0 else ("tile", "part")
+            names = {"block", plan, "mask", "diff", "query_rows", "cand_dists", "pad", "take",
+                     "idx", "dist", "directions", "transposed", "products", "rise", "terms"}
+            assert names <= set(first) and other not in first
             held = {name: getattr(neighbors._local, name) for name in first}
             assert run(rows) == first  # the same addresses and shapes
             smaller = run(rows // 4)
@@ -1169,6 +1293,27 @@ class TestWorkspaceBuffers:
             first = pool.submit(buffers, 24).result()
         assert first["directions"][1] == (24, k, data.dim)
         assert first["idx"][1] == first["dist"][1] == (24, k)
+
+    def test_a_table_cubes_batch_holds_no_more_kernel_buffers_than_before(self):
+        # 100 queries of the 25 000 x 5 nested cubes at k = 100, the
+        # benchmark's batch: the sampled plan in 20-row blocks and 4 tiles.
+        # The kernel's buffers of the one-pass kernel that screened 10-row
+        # (10, n) blocks totalled 1 652 920 bytes here.
+        data = synth.generate(synth.GeneratorSpec(
+            "nested_cubes", seed=1, params={"max_dim": 5, "n_per_cube": 5000})).matrix
+        assert data.points.shape == (25000, 5)
+        assert neighbors._block(25000, *neighbors._plan(25000, 100, 5), 5, 100) == (20, 6250)
+        rows = list(range(0, 25000, 250))
+
+        def run():  # a fresh thread: only the kernel's buffers
+            knn_many(data, data.points[rows], 100)
+            return {name: buf.nbytes for name, buf in vars(neighbors._local).items()}
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            held = pool.submit(run).result()
+        assert set(held) == {"block", "tile", "mask", "diff", "query_rows", "cand_dists", "pad",
+                             "take"}
+        assert sum(held.values()) <= 1_652_920, held
 
     def test_each_pool_thread_gets_its_own_buffers(self, monkeypatch):
         data = synth.sample_ball(2000, 3, seed=8)
