@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_K, DataMatrix, DegenerateInputError, _frozen, _integers, _write_csv
+from .core import (MIN_K, DataMatrix, DegenerateInputError, _check_integer, _frozen, _integers,
+                   _write_csv)
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -91,7 +92,7 @@ class TrailMatrix:
 
     ``estimates[i, j]`` is the estimate for point ``point_indices[i]`` at
     neighborhood size ``k_values[j]``; ``estimates`` is a read-only copy of
-    the input.
+    the input (``trails`` hands over its own array, ``_adopt``).
     """
 
     k_values: tuple[int, ...]
@@ -110,10 +111,28 @@ class TrailMatrix:
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "point_indices", tuple(map(int, self.point_indices)))
 
+    @classmethod
+    def _adopt(cls, k_values: tuple[int, ...], estimates: np.ndarray, estimator: str,
+               point_indices: tuple[int, ...]) -> TrailMatrix:
+        """A matrix that keeps ``estimates`` itself, made read-only, with no copy or check.
+
+        Only for what ``trails`` made and checked: strictly increasing k
+        values and point indices as tuples of int, and a fresh float64
+        (n_points, n_k) array that no caller holds.
+        """
+        estimates.setflags(write=False)
+        out = object.__new__(cls)
+        for name, value in zip(("k_values", "estimates", "estimator", "point_indices"),
+                               (k_values, estimates, estimator, point_indices)):
+            object.__setattr__(out, name, value)
+        return out
+
     def column(self, k: int) -> np.ndarray:
-        if k not in self.k_values:
+        """The estimates at ``k``, an integer under the package's rule (not a bool or a float)."""
+        j = _check_integer("k", k)
+        if j not in self.k_values:
             raise ValueError(f"k = {k!r} is not among the trail's k values {self.k_values}")
-        return self.estimates[:, self.k_values.index(k)]
+        return self.estimates[:, self.k_values.index(j)]
 
 
 def trails(
@@ -155,7 +174,7 @@ def trails(
     ks = _check_k_values(k_values, tags, ged_pair)
     rows, names = angle_id._query_rows(data, point_subset, "point_subset")
     est, _ = angle_id._estimate_many(data, rows, names, tags, ks, ged_pair, threads)
-    return TrailMatrix(tuple(ks), est[estimator][0], estimator, tuple(names))
+    return TrailMatrix._adopt(tuple(ks), est[estimator][0], estimator, tuple(names))
 
 
 def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = None) -> list[int]:

@@ -102,9 +102,9 @@ class CosineSquareStats:
 # (512 KiB): the query rows of an estimation block (``_estimate_rows``) are
 # sized by it. Larger blocks were no faster on the benchmark's workloads
 # and raise the peak memory. ``_outer_sums`` walks k in chunks of at most
-# that many products. The per-block arrays of that size live in the
-# thread's workspace (``neighbors._workspace``), so no block pages them in
-# again.
+# that many products and a zero pad row. The per-block arrays of that size
+# live in the thread's workspace (``neighbors._workspace``), so no block
+# pages them in again.
 _CHUNK = 1 << 16
 
 # Bytes of the neighbor lists, 16 per (query, neighbor), that a query map
@@ -159,57 +159,68 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # Only the upper triangle a <= b of each outer product is summed; the
     # off-diagonal entries count twice in the Frobenius norm. The products
-    # go in chunks of at most _CHUNK: whole rows where one row's fit, else
-    # runs of one row's directions. A chunk's R rows of kc directions are
-    # copied transposed, (D, R, kc), and the products c of the P pairs lie
-    # as (P, R, kc): numpy's take gathers each pair's first factor as a
-    # whole (R, kc) block, the second factors of pairs (i, i..D-1) are the
-    # contiguous blocks i..D-1, and the running sums run along the
-    # contiguous last axis. S(k) then sums the weighted squares over the
-    # pairs in index order: one add per pair of whole (R, kc) blocks where
-    # the requested k give the chunk at least _LANES (row, k) lanes, else
-    # one cumsum per lane over a transposed copy of the requested columns.
-    # Either adds in the order of the row-wise cumsum, so S(k) is bitwise
-    # the same on both paths.
+    # go in chunks of at most _CHUNK: the whole block where it fits, else
+    # an even number of whole rows where two rows' fit, else runs of two
+    # rows' directions. A chunk's R rows of kc directions are copied
+    # transposed, (D, kc, L) with the rows innermost: L = R, or R + 1 with
+    # a zero pad row where R is odd (a whole odd block, or a block's last
+    # row), so a chunk holds at most one row over the budget. The products
+    # c of the P pairs lie as (P, kc, L): numpy's take gathers each pair's
+    # first factor as a whole (kc, L) block, and the second factors of
+    # pairs (i, i..D-1) are the contiguous blocks i..D-1. The running sums
+    # run along k over a complex128 view of c whose lanes hold two
+    # adjacent rows: a complex add is the two rows' own float64 adds, so
+    # one cumsum advances two rows per dependent add, and each row's sums
+    # are bitwise its float64 cumsum (TestRowReductions pins this). S(k)
+    # then sums the weighted squares over the pairs in index order: one add
+    # per pair of whole (kc, L) blocks where the requested k give the chunk
+    # at least _LANES (row, k) lanes, else one cumsum per lane over a
+    # transposed copy of the requested columns. Either adds in the order of
+    # the row-wise cumsum, so S(k) is bitwise the same on both paths.
     dim = u.shape[2]
     a, starts, weight = _triu(dim)
     pairs, k_max = a.size, int(ks[-1])
-    rows = _CHUNK // (k_max * pairs)
-    step = k_max if rows else max(1, _CHUNK // pairs)
-    rows = max(1, rows)
+    fit = _CHUNK // (k_max * pairs)  # whole rows within the budget
+    rows = len(u) if fit >= len(u) else fit // 2 * 2
+    step = k_max if rows else max(1, _CHUNK // (2 * pairs))
+    rows = max(2, rows)
     out = np.empty((len(u), ks.size))
     for r in range(0, len(u), rows):
         total = None
         for lo in range(0, k_max, step):
             v = u[r:r + rows, lo:min(lo + step, k_max)]
-            vt = _workspace("transposed", (dim,) + v.shape[:2])
-            np.copyto(vt, v.transpose(2, 0, 1))
+            n, kc = v.shape[:2]
+            vt = _workspace("transposed", (dim, kc, n + n % 2))
+            np.copyto(vt[..., :n], v.transpose(2, 1, 0))
+            vt[..., n:] = 0.0  # the pad row, if any
             c = _gather(vt, a, 0, "products")
             for i, s in enumerate(starts):  # pairs (i, i..D-1) are c[s:s + D - i]
                 c[s:s + dim - i] *= vt[i:]
             if total is not None:
-                c[..., 0] += total
-            np.cumsum(c, axis=2, out=c)  # c[..., j]: sum of the first lo + j + 1 products
-            total = c[..., -1].copy()  # not a view: the next chunk overwrites this buffer
-            j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + v.shape[1], side="right")
+                c[:, 0] += total
+            lanes = c.view(np.complex128)
+            np.cumsum(lanes, axis=1, out=lanes)  # c[:, j]: sum of the first lo + j + 1 products
+            total = c[:, -1].copy()  # not a view: the next chunk overwrites this buffer
+            j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + kc, side="right")
             if j0 == j1:
                 continue
             cols = _columns(ks[j0:j1], lo + 1)
             o = out[r:r + rows, j0:j1]
             if o.size >= _LANES:
                 np.square(c, out=c)
-                c *= weight[:, None, None]
+                for i, s in enumerate(starts[:-1]):  # weight 2 off the diagonal; 1 is a no-op
+                    c[s + 1:s + dim - i] *= 2.0
                 for p in range(1, pairs):
                     c[0] += c[p]
-                o[...] = c[0][:, cols]
+                o[...] = c[0][cols, :n].T
             else:
                 # "transposed" is spent: it takes gathered columns, or else the copy.
                 if isinstance(cols, slice):
-                    sel, spare = c[..., cols], "transposed"
+                    sel, spare = c[:, cols], "transposed"
                 else:
-                    sel, spare = _gather(c, cols, 2, "transposed"), "products"
+                    sel, spare = _gather(c, cols, 1, "transposed"), "products"
                 t = _workspace(spare, o.shape + (pairs,))
-                np.copyto(t, sel.transpose(1, 2, 0))
+                np.copyto(t, sel[..., :n].transpose(2, 1, 0))
                 np.square(t, out=t)
                 t *= weight
                 o[...] = _row_sums(t)

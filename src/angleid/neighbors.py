@@ -243,11 +243,14 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     - the estimation core's neighbor lists "idx" and "dist" (of maps
       that keep none, ``angle_id._estimate_many``), directions
       "directions", distance increments "rise" and "terms", and the Gram
-      chunks "products" (at most 512 KiB, ``angle_id._CHUNK``) and
-      "transposed", a chunk's directions copied transposed (2 / (D + 1)
-      of that), which the requested k's gathered or copied columns reuse
-      once they are spent (``angle_id._outer_sums``; at most as large as
-      "products"); these budgets hold wherever one query row fits them.
+      chunks "products" (at most 512 KiB, ``angle_id._CHUNK``, and a
+      zero pad row over it where a chunk's rows are odd) and
+      "transposed", a chunk's directions copied transposed with the rows
+      innermost (2 / (D + 1) of that), which the requested k's gathered
+      or copied columns reuse once they are spent
+      (``angle_id._outer_sums``; at most as large as "products"); these
+      budgets hold wherever one query row fits them, and the Gram chunks'
+      wherever two rows' products of one direction do.
     """
     size = math.prod(shape)
     buf = getattr(_local, name, None)

@@ -140,11 +140,62 @@ class TestTrails:
         with pytest.raises(ValueError, match=r"^k = 15 is not among the trail's k values \(10, 20\)$"):
             tm.column(15)
 
+    def test_column_takes_k_by_the_integer_rule(self):
+        # Bools and floats are refused with the rule's message (test_integer_rule.py).
+        tm = TrailMatrix((1, 2, 3, 10, 20), np.arange(5.0)[None], "abid", (3,))
+        for k in (True, 2.0, np.float64(10)):
+            with pytest.raises(ValueError, match=r"^k must be a positive integer, got "):
+                tm.column(k)
+        for k in (10, np.int64(10), np.int32(10), np.uint8(10)):
+            assert tm.column(k).tolist() == [3.0]
+        with pytest.raises(ValueError, match=r"^k = np\.int64\(15\) is not among the trail's"):
+            tm.column(np.int64(15))
+
     def test_csv_output(self, tmp_path):
         tm = TrailMatrix((5, 9), np.array([[1.5, 2.5]]), "abid", (3,))
         p = tmp_path / "t.csv"
         write_trails_csv(tm, p)
         assert p.read_text() == "index,k5,k9\n3,1.5,2.5\n"
+
+
+class TestTrustedTrailMatrix:
+    """``trails`` adopts its fresh arrays and checked tuples (``TrailMatrix._adopt``)."""
+
+    @pytest.mark.parametrize("tag", ["abid", "mle"])
+    @pytest.mark.parametrize("subset", [None, [7, 3, 3, 40]])
+    def test_trails_keep_their_estimates_read_only_and_unshared(self, tag, subset):
+        data = sample_ball(60, 4, seed=12)
+        tm = trails(data, np.arange(5, 21), tag, point_subset=subset)
+        est = tm.estimates
+        assert not est.flags.writeable and est.dtype == np.float64
+        with pytest.raises(ValueError):
+            est[0, 0] = 1.0
+        held = list(vars(neighbors._local).values())
+        if data._neighbors is not None:
+            held += list(data._neighbors[1:])
+        assert not any(np.shares_memory(est, buf) for buf in held)
+        for values in (tm.k_values, tm.point_indices):
+            assert type(values) is tuple and all(type(v) is int for v in values)
+        assert tm.k_values == tuple(range(5, 21))
+        assert tm.point_indices == tuple(range(60) if subset is None else subset)
+
+    def test_trails_csv_bytes_equal_a_user_built_matrix(self, tmp_path):
+        data = sample_ball(60, 4, seed=13)
+        tm = trails(data, [5, 8, 13, 21], "abid", point_subset=[2, 9, 31])
+        user = TrailMatrix(list(tm.k_values), tm.estimates.tolist(), tm.estimator,
+                           list(tm.point_indices))
+        write_trails_csv(tm, tmp_path / "a.csv")
+        write_trails_csv(user, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_a_user_built_matrix_keeps_every_check(self):
+        est = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TrailMatrix((20, 10), est, "abid", (0,))
+        with pytest.raises(ValueError, match=r"^estimates must be \(n_points, n_k\)$"):
+            TrailMatrix((10, 20), est, "abid", (0, 1))
+        tm = TrailMatrix((10, 20), est, "abid", (0,))
+        assert not tm.estimates.flags.writeable and not np.shares_memory(tm.estimates, est)
 
 
 def _grid_with_duplicates() -> DataMatrix:

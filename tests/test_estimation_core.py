@@ -226,9 +226,10 @@ def test_the_outer_sums_do_not_depend_on_their_k_chunks(monkeypatch):
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     ks = list(range(4, 91))
     want = angle_id._sq_sums(u, ks)
-    # 10 products per direction: _outer_sums takes runs of _CHUNK // 10 directions
-    # of one row where a row's 900 products exceed _CHUNK, else whole rows.
-    for chunk in (10, 10 * 7, 10 * 33, 900, 900 * 3):  # runs of 1, 7, 33; rows of 1, 3
+    # 10 products per direction: _outer_sums takes the whole block where its
+    # 2 700 products fit _CHUNK, else an even number of whole rows where two
+    # rows' 1 800 fit, else runs of _CHUNK // 20 directions of two rows.
+    for chunk in (10, 10 * 7, 10 * 33, 900, 900 * 3):  # runs of 1, 3, 16, 45; the whole block
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
     for r in range(3):
@@ -244,17 +245,19 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
     ks = np.arange(10, 401)
     chunks = []
     gather = angle_id._gather
-    # The products are gathered from each chunk's (D, R, kc) transposed directions.
+    # The products are gathered from each chunk's (D, kc, L) transposed
+    # directions, L the chunk's rows and a zero pad row where they are odd.
     monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: (
         name == "products" and chunks.append(a.shape[1:])) or gather(a, indices, axis, name))
     monkeypatch.setattr(angle_id, "_CHUNK", 7 * 400 * 21)  # the whole block in one chunk
     whole = angle_id._sq_sums(u, ks)
-    assert chunks == [(7, 400)]
-    # _outer_sums takes whole rows where one row's products fit _CHUNK, else
-    # runs of one row's directions: rows of 2 (the last alone), and runs of
-    # 37 directions, 10 per row and a last one of 30.
-    for chunk, want in ((2 * 400 * 21, [(2, 400)] * 3 + [(1, 400)]),
-                        (37 * 21, ([(1, 37)] * 10 + [(1, 30)]) * 7)):
+    assert chunks == [(400, 8)]
+    # Where the block does not fit _CHUNK, _outer_sums takes an even number
+    # of whole rows where two rows' products fit, else runs of two rows'
+    # directions: rows of 2 (the last alone, padded), and runs of 18
+    # directions, 22 per pair of rows and a last one of 4.
+    for chunk, want in ((2 * 400 * 21, [(400, 2)] * 4),
+                        (37 * 21, ([(18, 2)] * 22 + [(4, 2)]) * 4)):
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         chunks.clear()
         assert angle_id._sq_sums(u, ks).tobytes() == whole.tobytes()
@@ -265,21 +268,24 @@ def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
     # numpy's take copies a strided input before it gathers, so a gather
     # from a strided chunk would make a temporary per chunk. _outer_sums
     # gathers the products' first factors from a contiguous transposed copy
-    # of each chunk, whole (R, kc) blocks along its first axis, and k values
-    # that are not a run from the contiguous products; a run is a slice.
+    # of each chunk, whole (kc, L) blocks along its first axis, and the k
+    # values that are not a run from the contiguous products, along their
+    # k axis; a run is a slice.
     rng = np.random.default_rng(10)
     u = rng.standard_normal((7, 90, 4))
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     # Every k, and every third k, whose columns are gathered from the products.
-    cases = [(np.arange(4, 91), []), (np.arange(4, 91, 3), [(True, 2, "transposed")])]
+    cases = [(np.arange(4, 91), []), (np.arange(4, 91, 3), [(True, 1, "transposed")])]
     wants = [angle_id._sq_sums(u, ks) for ks, _ in cases]
     gathers = []
     gather = angle_id._gather
     monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: gathers.append(
         (a.flags.c_contiguous, axis, name)) or gather(a, indices, axis, name))
     for (ks, selected), want in zip(cases, wants):
-        # 10 products per direction: runs of 7 directions, rows of 3, the whole block.
-        for chunk in (10 * 7, 10 * 90 * 3, 10 * 90 * 7):
+        # 10 products per direction: runs of 7 directions of two rows (runs of
+        # 3 would hold one requested k each, a slice), rows of 2, the whole
+        # block (its 7 rows and a pad row).
+        for chunk in (2 * 10 * 7, 10 * 90 * 3, 10 * 90 * 7):
             monkeypatch.setattr(angle_id, "_CHUNK", chunk)
             gathers.clear()
             assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
@@ -300,7 +306,7 @@ def test_both_pair_sums_give_the_same_outer_sums(monkeypatch, dim):
     results = []
     for lanes in (0, 1 << 62):  # every chunk on the add path, then on the cumsum path
         monkeypatch.setattr(angle_id, "_LANES", lanes)
-        for chunk in (1 << 16, 7 * dim * (dim + 1) // 2):  # one chunk, runs of 7 directions
+        for chunk in (1 << 16, 7 * dim * (dim + 1) // 2):  # whole rows, runs of 3 directions
             monkeypatch.setattr(angle_id, "_CHUNK", chunk)
             got = angle_id._outer_sums(u, every)
             assert angle_id._outer_sums(u, some).tobytes() == got[:, ::4].tobytes()
@@ -309,6 +315,57 @@ def test_both_pair_sums_give_the_same_outer_sums(monkeypatch, dim):
                 assert single.tobytes() == got[:, j:j + 1].tobytes(), (lanes, chunk, j)
             results.append(got.tobytes())
     assert len(set(results)) == 1
+
+
+def _float_lane_outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The oracle of ``_outer_sums``: S(k) at k >= D in float64 lanes, one row per pass.
+
+    This is the arithmetic of ``_outer_sums`` before it paired rows into
+    complex128 lanes: per row, the running sums along k of the upper
+    triangle's products u_a u_b, their squares, the weights (1 on the
+    diagonal, 2 off it) and the pairs added in index order.
+    """
+    a, b = np.triu_indices(u.shape[2])
+    weight = np.where(a == b, 1.0, 2.0)
+    out = np.empty((len(u), ks.size))
+    for r, v in enumerate(u[:, :ks[-1]]):
+        c = np.cumsum(v[:, a] * v[:, b], axis=0)[ks - 1]  # (len(ks), pairs)
+        c = np.square(c) * weight
+        out[r] = np.cumsum(c, axis=1)[:, -1]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sq_sums_equal_the_float_lane_oracle(data):
+    rows = data.draw(st.integers(1, 9), label="B")
+    k_max = data.draw(st.integers(1, 400), label="k_max")
+    dim = data.draw(st.integers(1, 20), label="D")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = rng.standard_normal((rows, k_max, dim))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    if data.draw(st.booleans(), label="run"):
+        lo = data.draw(st.integers(1, k_max), label="first k")
+        ks = np.arange(lo, data.draw(st.integers(lo, k_max), label="last k") + 1)
+    else:  # gathered columns
+        ks = np.array(sorted(data.draw(st.sets(st.integers(1, k_max), min_size=1, max_size=50))))
+    pairs = dim * (dim + 1) // 2
+    chunk = data.draw(st.one_of(
+        st.just(angle_id._CHUNK),
+        st.integers(1, 10).map(lambda r: r * k_max * pairs),  # whole rows
+        st.integers(1, 2 * k_max).map(lambda s: s * pairs),  # runs of directions
+    ), label="_CHUNK")
+    lanes = data.draw(st.sampled_from([0, angle_id._LANES, 1 << 62]), label="_LANES")
+    gram = ks < dim
+    want = np.empty((rows, ks.size))
+    if gram.any():
+        want[:, gram] = angle_id._gram_sums(u, ks[gram])
+    if not gram.all():
+        want[:, ~gram] = _float_lane_outer_sums(u, ks[~gram])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(angle_id, "_CHUNK", chunk)
+        mp.setattr(angle_id, "_LANES", lanes)
+        assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
 
 
 class TestRowReductions:
@@ -338,6 +395,35 @@ class TestRowReductions:
                 got = np.log1p(block)
                 for r in range(5):
                     assert got[r].tobytes() == np.log1p(np.array(x[r, :k])).tobytes(), (k, r)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 8, 11])
+    def test_cumsum_of_complex_lanes_is_each_lanes_float64_cumsum(self, lanes):
+        # _outer_sums runs its running sums along k over a complex128 view
+        # whose lanes hold two rows each; every row's sums must be bitwise
+        # its own float64 cumsum, whatever the values and the layout.
+        rng = np.random.default_rng(lanes)
+        x = rng.standard_normal((3, 301, 2 * lanes))
+        x *= 10.0 ** rng.integers(-5, 5, (3, 1, 2 * lanes))
+        x[0, :, 0] = rng.uniform(0.5, 1.0, 301) * 1e300  # overflows to inf part-way
+        x[1, :, -1] = rng.integers(-3, 4, 301) * 5e-324  # subnormals, with exact zeros
+        x[2, :, 0] = -0.0
+        spots = rng.integers(0, x.size, 60)
+        x.flat[spots] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 2.0**-1060, -1.7e300], 60)
+        z = x.view(np.complex128)
+        k_outer = np.ascontiguousarray(z.transpose(1, 0, 2)).transpose(1, 0, 2)
+        blocks = [z, z[:, 1::2], z[:, ::-1], k_outer]
+        if lanes > 1:
+            blocks.append(z[:, :, ::2])
+        with np.errstate(all="ignore"):
+            for block in blocks:
+                for axis in (0, 1):
+                    got = np.cumsum(block, axis=axis)
+                    for part in ("real", "imag"):
+                        n = block.shape[axis]
+                        rows = np.moveaxis(getattr(block, part), axis, -1).reshape(-1, n)
+                        sums = np.moveaxis(getattr(got, part), axis, -1).reshape(-1, n)
+                        for row, row_sums in zip(rows, sums):
+                            assert row_sums.tobytes() == np.cumsum(row).tobytes(), axis
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13])
     def test_direction_sums_are_the_per_neighborhood_ones(self, dim):

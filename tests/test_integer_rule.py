@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from angleid import synth, theory
-from angleid.analysis import trails
+from angleid.analysis import TrailMatrix, trails
 from angleid.angle_id import CosineSquareStats, abid_via_fixed_point, estimate_table, required_k
 from angleid.neighbors import direction_bundle, knn
 
@@ -22,6 +22,7 @@ _NL = knn(_DATA, 0, 5)
 _BUNDLE = direction_bundle(_DATA, 0, _NL)
 # Four equal directions (mean squared cosine 1): the fixed point is reached in one step.
 _STATS = CosineSquareStats(4, 12.0, 1.0)
+_TRAIL = TrailMatrix((1, 2, 3), np.zeros((1, 3)), "abid", (0,))
 
 # (id, parameter name, minimum, call with the value under test)
 _USERS = [
@@ -53,6 +54,7 @@ _USERS = [
     ("trails_threads", "threads", 1,
      lambda v: trails(_DATA, [3, 5], "abid", point_subset=[0], threads=v)),
     ("neighbor_prefix", "k", 1, lambda v: _NL.prefix(v)),
+    ("trail_column", "k", 1, lambda v: _TRAIL.column(v)),
     ("bundle_prefix", "k", 1, lambda v: _BUNDLE.prefix(v)),
     ("required_k_d", "d", 1, lambda v: required_k(v, 1.0)),
     ("fixed_point_max_iter", "max_iter", 1, lambda v: abid_via_fixed_point(_STATS, max_iter=v)),
