@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MIN_K, DataMatrix, DegenerateInputError, _check_integer, _frozen, _integers,
-                   _write_csv)
+from .core import (MIN_K, DataMatrix, DegenerateInputError, _adopt, _check_integer, _frozen,
+                   _integers, _write_csv)
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -91,8 +91,9 @@ class TrailMatrix:
     """Per-point estimate trails across neighborhood sizes.
 
     ``estimates[i, j]`` is the estimate for point ``point_indices[i]`` at
-    neighborhood size ``k_values[j]``; ``estimates`` is a read-only copy of
-    the input (``trails`` hands over its own array, ``_adopt``).
+    neighborhood size ``k_values[j]``; ``estimates`` is read-only. A
+    caller's input is copied and checked; ``trails`` hands over its own
+    checked values (``core._adopt``).
     """
 
     k_values: tuple[int, ...]
@@ -110,22 +111,6 @@ class TrailMatrix:
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "point_indices", tuple(map(int, self.point_indices)))
-
-    @classmethod
-    def _adopt(cls, k_values: tuple[int, ...], estimates: np.ndarray, estimator: str,
-               point_indices: tuple[int, ...]) -> TrailMatrix:
-        """A matrix that keeps ``estimates`` itself, made read-only, with no copy or check.
-
-        Only for what ``trails`` made and checked: strictly increasing k
-        values and point indices as tuples of int, and a fresh float64
-        (n_points, n_k) array that no caller holds.
-        """
-        estimates.setflags(write=False)
-        out = object.__new__(cls)
-        for name, value in zip(("k_values", "estimates", "estimator", "point_indices"),
-                               (k_values, estimates, estimator, point_indices)):
-            object.__setattr__(out, name, value)
-        return out
 
     def column(self, k: int) -> np.ndarray:
         """The estimates at ``k``, an integer under the package's rule (not a bool or a float)."""
@@ -174,7 +159,8 @@ def trails(
     ks = _check_k_values(k_values, tags, ged_pair)
     rows, names = angle_id._query_rows(data, point_subset, "point_subset")
     est, _ = angle_id._estimate_many(data, rows, names, tags, ks, ged_pair, threads)
-    return TrailMatrix._adopt(tuple(ks), est[estimator][0], estimator, tuple(names))
+    return _adopt(TrailMatrix, k_values=tuple(ks), estimates=est[estimator][0],
+                  estimator=estimator, point_indices=tuple(names))
 
 
 def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = None) -> list[int]:

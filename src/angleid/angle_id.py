@@ -29,7 +29,7 @@ import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil, inf, isfinite
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
     InsufficientNeighborsError,
     MIN_K,
     _FLAG_SETS,
+    _adopt,
     _check_indices,
     _check_integer,
     _integers,
@@ -81,11 +82,20 @@ class CosineSquareStats:
     ``mean_cosine`` is the plain mean over the same pairs (0 when k == 1),
     kept as a diagnostic: values near 1 indicate a query point far away
     from its neighborhood.
+
+    ``k`` must be an integer >= 0 under the package's rule and both floats
+    finite, or a ValueError is raised; ``cosine_square_stats`` hands over
+    its own (``core._adopt``).
     """
 
     k: int
     off_diag_sq_sum: float
     mean_cosine: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", _check_integer("k", self.k, 0))
+        if not (isfinite(self.off_diag_sq_sum) and isfinite(self.mean_cosine)):
+            raise ValueError("off_diag_sq_sum and mean_cosine must be finite")
 
     @property
     def mean_sq_cosine_with_diagonal(self) -> float:
@@ -286,11 +296,12 @@ def cosine_square_stats(bundle: DirectionBundle) -> CosineSquareStats:
     InsufficientNeighborsError(1, 0), as ``abid`` does at k = 0.
     """
     u = bundle.directions[None]
-    k = bundle.source_k
+    k = len(bundle.directions)  # source_k as an int, whatever integer type a caller gave
     if not k:
         raise InsufficientNeighborsError(MIN_K["abid"], 0)
     off = _off_diag(_sq_sums(u, [k]), np.array([float(k)]))
-    return CosineSquareStats(k, float(off[0, 0]), float(_mean_cosines(u)[0]))
+    return _adopt(CosineSquareStats, k=k, off_diag_sq_sum=float(off[0, 0]),
+                  mean_cosine=float(_mean_cosines(u)[0]))
 
 
 def _estimate(tag: str, values: np.ndarray, flags: np.ndarray, k: int) -> IdEstimate:

@@ -25,6 +25,7 @@ from .core import (
     DataMatrix,
     load_csv,
     write_csv,
+    _adopt,
     _check_delimiter as _delimiter_rule,
     _read_csv,
     _rng,
@@ -167,7 +168,7 @@ def _load_queries(args) -> tuple[DataMatrix, list[int] | None]:
     if args.label_column:
         if data.dim < 2:
             raise UsageError("--label-column needs at least 2 input columns")
-        data = DataMatrix(data.points[:, :-1])
+        data = _adopt(DataMatrix, points=data.points[:, :-1])
     count, n, seed = args.points, data.n, args.subsample_seed
     if count is None or count >= n:
         return data, None

@@ -142,6 +142,24 @@ def _frozen(values, dtype) -> np.ndarray:
     return out
 
 
+def _adopt(cls, **fields):
+    """An instance of the dataclass ``cls`` that keeps ``fields`` as given, with no copy or check.
+
+    The one trusted constructor: each field not given takes its default,
+    and each array field is made read-only in place. Only for values that
+    already hold every invariant ``cls.__post_init__`` checks, such as a
+    kernel's fresh rows or views of a valid object's read-only arrays;
+    objects a caller builds go through the checks.
+    """
+    out = object.__new__(cls)
+    for f in dataclass_fields(cls):
+        value = fields.get(f.name, f.default)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(out, f.name, value)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
     """n points in D-dimensional real space, immutable after construction.
@@ -180,20 +198,6 @@ class DataMatrix:
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite (no NaN/Inf)")
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _adopt(cls, points: np.ndarray) -> DataMatrix:
-        """A matrix that keeps ``points`` itself, made read-only, with no copy or check.
-
-        Only for arrays that ``core`` made and no caller holds, such as
-        ``_read_csv``'s: float64, (n, D) with n, D >= 1, every value finite.
-        """
-        points.setflags(write=False)
-        out = object.__new__(cls)
-        for f in dataclass_fields(cls):
-            object.__setattr__(out, f.name, f.default)
-        object.__setattr__(out, "points", points)
-        return out
 
     @property
     def n(self) -> int:
@@ -342,7 +346,7 @@ def load_csv(path, delimiter: str = ",", skip_header: bool = False) -> DataMatri
     1-based line for ragged rows or non-numeric or non-finite fields.
     The matrix keeps the reader's array without copying it again.
     """
-    return DataMatrix._adopt(_read_csv(path, delimiter, skip_header))
+    return _adopt(DataMatrix, points=_read_csv(path, delimiter, skip_header))
 
 
 def write_csv(obj, path, delimiter: str = ",") -> None:

@@ -74,7 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, InsufficientNeighborsError, _check_indices, _check_integer, _frozen
+from .core import (DataMatrix, InsufficientNeighborsError, _adopt, _check_indices, _check_integer,
+                   _frozen)
 
 __all__ = ["NeighborList", "DirectionBundle", "knn", "direction_bundle"]
 
@@ -85,7 +86,8 @@ class NeighborList:
 
     ``query_index`` is None for out-of-set query vectors. Distances are
     non-decreasing and strictly positive; indices never repeat and never
-    equal the query index. Both arrays are read-only copies of the inputs.
+    equal the query index. Both arrays are read-only; a caller's arrays are
+    copied and checked.
     """
 
     query_index: int | None
@@ -117,14 +119,15 @@ class NeighborList:
         k = _check_integer("k", k)
         if k > self.k:
             raise InsufficientNeighborsError(k, self.k, point=self.query_index)
-        return NeighborList(self.query_index, self.indices[:k], self.distances[:k])
+        return _adopt(NeighborList, query_index=self.query_index, indices=self.indices[:k],
+                      distances=self.distances[:k])
 
 
 @dataclass(frozen=True, eq=False)
 class DirectionBundle:
     """Unit direction vectors from a query point to each of its neighbors.
 
-    ``directions`` is a read-only copy of the input.
+    ``directions`` is read-only; a caller's array is copied and checked.
     """
 
     directions: np.ndarray
@@ -135,7 +138,7 @@ class DirectionBundle:
         if dirs.ndim != 2 or dirs.shape[0] != self.source_k:
             raise ValueError("directions must be a (k, D) array matching source_k")
         norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # a NaN norm fails too
             raise ValueError("directions must have unit Euclidean norm (within 1e-12)")
         object.__setattr__(self, "directions", dirs)
 
@@ -143,7 +146,7 @@ class DirectionBundle:
         k = _check_integer("k", k)
         if k > self.source_k:
             raise InsufficientNeighborsError(k, self.source_k)
-        return DirectionBundle(self.directions[:k], k)
+        return _adopt(DirectionBundle, directions=self.directions[:k], source_k=k)
 
 
 def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
@@ -628,7 +631,7 @@ def knn(data: DataMatrix, query, k: int) -> NeighborList:
     """
     q, qidx = _resolve_query(data, query)
     idx, dist = _knn_kernel(data, k, q[None, :], [qidx])
-    return NeighborList(qidx, idx[0], dist[0])
+    return _adopt(NeighborList, query_index=qidx, indices=idx[0], distances=dist[0])
 
 
 def direction_bundle(data: DataMatrix, query, nl: NeighborList) -> DirectionBundle:

@@ -159,7 +159,7 @@ class TestTrails:
 
 
 class TestTrustedTrailMatrix:
-    """``trails`` adopts its fresh arrays and checked tuples (``TrailMatrix._adopt``)."""
+    """``trails`` adopts its fresh arrays and checked tuples (``core._adopt``)."""
 
     @pytest.mark.parametrize("tag", ["abid", "mle"])
     @pytest.mark.parametrize("subset", [None, [7, 3, 3, 40]])

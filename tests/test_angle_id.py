@@ -82,6 +82,17 @@ class TestCosineSquareStats:
             errors.append((exc.value.required, exc.value.available, exc.value.point))
         assert errors == [(1, 0, None)] * 2
 
+    @pytest.mark.parametrize("off, mean", [(np.nan, 0.0), (np.inf, 0.0), (2.0, np.nan),
+                                           (2.0, -np.inf)])
+    def test_a_user_built_statistic_must_be_finite(self, off, mean):
+        with pytest.raises(ValueError, match="^off_diag_sq_sum and mean_cosine must be finite$"):
+            CosineSquareStats(3, off, mean)
+
+    def test_a_numpy_k_is_kept_as_an_int(self):
+        s = CosineSquareStats(np.int64(3), 2.0, 1 / 3)
+        assert type(s.k) is int and type(abid(s).k) is int
+        assert abid(s) == abid(CosineSquareStats(3, 2.0, 1 / 3))
+
     @pytest.mark.parametrize("k,dim", [(2, 1), (5, 3), (20, 4), (50, 10), (10, 40)])
     def test_gram_path_matches_double_loop(self, k, dim):
         rng = np.random.default_rng(k * 100 + dim)

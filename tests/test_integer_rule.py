@@ -58,6 +58,8 @@ _USERS = [
     ("bundle_prefix", "k", 1, lambda v: _BUNDLE.prefix(v)),
     ("required_k_d", "d", 1, lambda v: required_k(v, 1.0)),
     ("fixed_point_max_iter", "max_iter", 1, lambda v: abid_via_fixed_point(_STATS, max_iter=v)),
+    # k = 0 is built, and abid refuses it as too few neighbors (test_angle_id).
+    ("stats_k", "k", 0, lambda v: CosineSquareStats(v, 0.0, 0.0)),
 ]
 
 
@@ -93,4 +95,11 @@ def test_only_core_makes_random_generators():
     # Every seed goes through core's ``_rng``, so a new generator cannot skip the seed rule.
     src = Path(__file__).resolve().parents[1] / "src" / "angleid"
     users = sorted(p.name for p in src.glob("*.py") if "default_rng" in p.read_text())
+    assert users == ["core.py"]
+
+
+def test_only_core_makes_objects_without_their_checks():
+    # ``core._adopt`` is the one trusted constructor, so a new type cannot skip its checks unseen.
+    src = Path(__file__).resolve().parents[1] / "src" / "angleid"
+    users = sorted(p.name for p in src.glob("*.py") if "object.__new__" in p.read_text())
     assert users == ["core.py"]

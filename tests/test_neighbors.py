@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angleid import analysis, angle_id, neighbors, synth
+from angleid import analysis, angle_id, cli, neighbors, synth
 from angleid.core import ESTIMATOR_TAGS, DataMatrix, InsufficientNeighborsError, write_csv
 from angleid.neighbors import DirectionBundle, NeighborList, direction_bundle, knn
 
@@ -211,6 +211,11 @@ class TestDirectionBundle:
         head = DirectionBundle(np.eye(3), 3).prefix(np.int64(2))
         assert type(head.source_k) is int and head.source_k == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_direction_whose_norm_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match=r"^directions must have unit Euclidean norm \(within 1e-12\)$"):
+            DirectionBundle(np.array([[bad, 0.0], [1.0, 0.0]]), 2)
+
 
 class TestNeighborListValidation:
     def test_rejects_zero_distance(self):
@@ -249,6 +254,67 @@ class TestNeighborListValidation:
         nl = NeighborList(None, np.arange(5), np.arange(1.0, 6.0))
         with pytest.raises(ValueError, match=f"^k must be a positive integer, got {re.escape(repr(k))}$"):
             nl.prefix(k)
+
+
+class TestAdoptedObjects:
+    """``knn`` and both ``prefix`` methods adopt what the kernel or a valid object made
+    (``core._adopt``): read-only, with no copy and no check, and equal to the checked object."""
+
+    def test_knn_and_prefixes_are_read_only(self):
+        data = synth.sample_ball(200, 3, seed=4)
+        nl = knn(data, 5, 12)
+        bundle = direction_bundle(data, 5, nl)
+        arrays = [nl.indices, nl.distances, nl.prefix(7).indices, nl.prefix(7).distances,
+                  nl.prefix(7).prefix(3).distances, bundle.prefix(4).directions]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_knn_shares_no_kept_or_workspace_buffer(self):
+        data = synth.sample_ball(300, 4, seed=5)
+        angle_id.estimate_table(data, 10, estimators=["abid", "mle"], queries=[3, 1, 4])
+        nl = knn(data, 3, 10)
+        assert data._neighbors is not None  # the table's lists are kept
+        held = list(vars(neighbors._local).values()) + list(data._neighbors[1:])
+        for a in (nl.indices, nl.distances):
+            assert not any(np.shares_memory(a, buf) for buf in held)
+        want = nl.indices.copy(), nl.distances.copy()
+        knn(data, 7, 10)
+        angle_id.estimate_table(data, 10, queries=[3, 1, 4])
+        assert np.array_equal(nl.indices, want[0]) and np.array_equal(nl.distances, want[1])
+
+    @pytest.mark.parametrize("query", [0, 17, np.array([0.1, -0.2, 0.3])])
+    def test_prefixes_equal_the_objects_a_user_builds(self, query):
+        data = synth.sample_ball(120, 3, seed=6)
+        nl = knn(data, query, 20)
+        bundle = direction_bundle(data, query, nl)
+        for j in (1, 8, 20):
+            for got, i in [(nl.prefix(j), j), *((nl.prefix(j).prefix(i), i) for i in (1, j))]:
+                user = NeighborList(nl.query_index, nl.indices[:i], nl.distances[:i])
+                assert got.query_index == user.query_index and got.k == user.k == i
+                assert type(got.query_index) is type(user.query_index)
+                _assert_bitwise((got.indices, got.distances), (user.indices, user.distances))
+            got, user = bundle.prefix(j), DirectionBundle(bundle.directions[:j], j)
+            assert type(got.source_k) is int and got.source_k == user.source_k == j
+            assert got.directions.tobytes() == user.directions.tobytes()
+
+    def test_label_column_bytes_equal_the_unlabeled_files(self, tmp_path):
+        # The CLI keeps a view of the checked matrix without its last column; the
+        # output must equal that of a file that never had the label column.
+        labeled, plain = tmp_path / "labeled.csv", tmp_path / "plain.csv"
+        data = synth.jittered_lattice(3, seed=2)
+        labels = np.arange(data.n) % 3
+        write_csv(DataMatrix(np.column_stack([data.points, labels])), labeled)
+        write_csv(data, plain)
+        for extra in ([], ["--with-diagnostics"], ["--threads", "2", "--points", "40"]):
+            outs = []
+            for src, flags in ((labeled, ["--label-column"]), (plain, [])):
+                out = tmp_path / f"{src.stem}.out.csv"
+                args = ["estimate", "--input", src, "--k", 12, *flags, *extra, "-o", out]
+                assert cli.main([str(a) for a in args]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
 
 def _sorted_candidates(data: DataMatrix, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
