@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MIN_K, DataMatrix, DegenerateInputError, _adopt, _check_integer, _frozen,
-                   _integers, _write_csv)
+from .core import (MIN_K, DataMatrix, DegenerateInputError, _adopt, _check_ged_pair,
+                   _check_integer, _frozen, _integers, _write_csv)
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
 from .neighbors import direction_bundle, knn  # noqa: F401
-from . import angle_id
 
 __all__ = [
     "Histogram",
@@ -155,6 +154,8 @@ def trails(
     ValueError is raised before any neighbor search (an index outside
     [0, n) raises an IndexError).
     """
+    from . import angle_id  # here, so a histogram alone never loads the estimators
+
     tags = angle_id._check_tags([estimator])
     ks = _check_k_values(k_values, tags, ged_pair)
     rows, names = angle_id._query_rows(data, point_subset, "point_subset")
@@ -181,7 +182,7 @@ def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = Non
         raise ValueError(f"k values must be >= 1, got {ks[0]}")
     if not all(map(operator.lt, ks, ks[1:])):  # sorted: a step that does not rise repeats
         raise ValueError(f"k values must be distinct, got {ks}")
-    angle_id._check_ged_pair(ged_pair, ks[0])
+    _check_ged_pair(ged_pair, ks[0])
     for tag in estimators:
         if ks[0] < MIN_K[tag]:
             raise ValueError(f"estimator {tag} needs k >= {MIN_K[tag]}, got k = {ks[0]}")

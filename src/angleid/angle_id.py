@@ -47,9 +47,9 @@ from .core import (
     MIN_K,
     _FLAG_SETS,
     _adopt,
+    _check_ged_pair,
     _check_indices,
     _check_integer,
-    _integers,
 )
 from . import neighbors
 from .neighbors import DirectionBundle, _directions, _gather, _resolve_query, _workspace
@@ -278,9 +278,11 @@ def _mean_cosines(u: np.ndarray) -> np.ndarray:
     k = u.shape[1]
     if k == 1:
         return np.zeros(len(u))
-    s = u.sum(axis=1)
-    # A 1-d dot per row: a batched product need not round like it.
-    dots = np.array([float(r @ r) for r in s])
+    # One stacked product of each row with itself: on C-contiguous rows
+    # numpy's matmul takes the same 1-d dot per row as ``r @ r`` does, so
+    # it rounds like it (a test pins this); on strided rows it need not.
+    s = np.ascontiguousarray(u.sum(axis=1))
+    dots = np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0]
     return np.clip((dots - k) / (k * k - k), -1.0, 1.0)
 
 
@@ -498,20 +500,6 @@ def _check_ks(tags, ks, ged_pair, point=None) -> None:
     for tag in tags:
         if ks[0] < MIN_K[tag]:
             raise InsufficientNeighborsError(MIN_K[tag], int(ks[0]), point)
-
-
-def _check_ged_pair(pair, k: int) -> None:
-    """A ValueError unless ``pair`` is None or two integers 1 <= k1 < k2 <= k."""
-    if pair is None:
-        return
-    try:
-        k1, k2 = _integers(list(pair))
-    except (TypeError, ValueError):  # not integers, not iterable, or not two
-        raise ValueError(f"ged_pair must be two integers, got {pair!r}") from None
-    if not 1 <= k1 < k2:
-        raise ValueError(f"ged_pair needs 1 <= k1 < k2, got ({k1}, {k2})")
-    if k2 > k:
-        raise ValueError(f"ged_pair ({k1}, {k2}) needs k >= {k2}, got k = {k}")
 
 
 def _angle(tag: str, off: np.ndarray, kf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

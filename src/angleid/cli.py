@@ -11,13 +11,16 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import warnings
 
 import numpy as np
 
-from . import analysis, angle_id, synth, theory
+# analysis, angle_id and theory are imported by the commands that call
+# them, so each command loads only its own modules.
+from . import synth
 from .core import (
     ESTIMATOR_TAGS,
     AngleIdError,
@@ -58,7 +61,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Every object the run made moves to the permanent generation, so the
+    # interpreter's final collections skip them; shutdown still closes
+    # files, flushes streams and runs atexit handlers.
+    gc.freeze()
+    sys.exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,6 +214,8 @@ def _spec_from_args(args) -> synth.GeneratorSpec:
 
 
 def cmd_estimate(args) -> int:
+    from . import analysis, angle_id
+
     ged_pair = None
     if args.ged_pair is not None:
         ged_pair = tuple(_parse_list(args.ged_pair, "--ged-pair", int))
@@ -242,6 +252,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    from . import analysis
+
     if not 0 < args.bin_width < math.inf:
         raise UsageError(f"--bin-width must be positive and finite, got {args.bin_width}")
     if not math.isfinite(args.origin):
@@ -276,6 +288,8 @@ def _read_column(path, column: str, delimiter: str) -> np.ndarray:
 
 
 def cmd_trails(args) -> int:
+    from . import analysis
+
     if args.k_values is not None:
         ks = _parse_list(args.k_values, "--k-values", int)
     else:
@@ -323,6 +337,7 @@ def run_self_checks(d: int, samples: int, ks_samples: int, seed: int):
     law on ball samples, the KS fit of sphere-pair cosines against the
     closed-form cdf, and the Legendre duplication residual grid.
     """
+    from . import theory
     from .synth import sample_ball, sample_sphere
 
     ball = sample_ball(2 * samples, d, seed).points

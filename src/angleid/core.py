@@ -135,6 +135,20 @@ def _check_indices(name: str, values, n: int) -> list[int]:
             raise IndexError(f"query index {idx} out of range for n={n}")
 
 
+def _check_ged_pair(pair, k: int) -> None:
+    """A ValueError unless ``pair`` is None or two integers 1 <= k1 < k2 <= k."""
+    if pair is None:
+        return
+    try:
+        k1, k2 = _integers(list(pair))
+    except (TypeError, ValueError):  # not integers, not iterable, or not two
+        raise ValueError(f"ged_pair must be two integers, got {pair!r}") from None
+    if not 1 <= k1 < k2:
+        raise ValueError(f"ged_pair needs 1 <= k1 < k2, got ({k1}, {k2})")
+    if k2 > k:
+        raise ValueError(f"ged_pair ({k1}, {k2}) needs k >= {k2}, got k = {k}")
+
+
 def _frozen(values, dtype) -> np.ndarray:
     """``values`` as a new read-only ``dtype`` array, shared with no caller."""
     out = np.array(values, dtype=dtype)

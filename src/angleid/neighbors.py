@@ -84,10 +84,11 @@ __all__ = ["NeighborList", "DirectionBundle", "knn", "direction_bundle"]
 class NeighborList:
     """Ordered neighbor indices and distances for one query.
 
-    ``query_index`` is None for out-of-set query vectors. Distances are
-    non-decreasing and strictly positive; indices never repeat and never
-    equal the query index. Both arrays are read-only; a caller's arrays are
-    copied and checked.
+    ``query_index`` is None for out-of-set query vectors, otherwise an
+    integer >= 0 under the package's rule (not a bool or a float).
+    Distances are non-decreasing and strictly positive; indices never
+    repeat and never equal the query index. Both arrays are read-only; a
+    caller's arrays are copied and checked.
     """
 
     query_index: int | None
@@ -95,6 +96,9 @@ class NeighborList:
     distances: np.ndarray
 
     def __post_init__(self):
+        if self.query_index is not None:
+            query = _check_integer("query_index", self.query_index, 0)
+            object.__setattr__(self, "query_index", query)
         idx = _frozen(self.indices, np.int64)
         dist = _frozen(self.distances, np.float64)
         if idx.shape != dist.shape or idx.ndim != 1:
@@ -128,19 +132,23 @@ class DirectionBundle:
     """Unit direction vectors from a query point to each of its neighbors.
 
     ``directions`` is read-only; a caller's array is copied and checked.
+    ``source_k``, its row count, is an integer >= 0 under the package's
+    rule (not a bool).
     """
 
     directions: np.ndarray
     source_k: int
 
     def __post_init__(self):
+        k = _check_integer("source_k", self.source_k, 0)
         dirs = _frozen(self.directions, np.float64)
-        if dirs.ndim != 2 or dirs.shape[0] != self.source_k:
+        if dirs.ndim != 2 or dirs.shape[0] != k:
             raise ValueError("directions must be a (k, D) array matching source_k")
         norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
         if not np.all(np.abs(norms - 1.0) <= 1e-12):  # a NaN norm fails too
             raise ValueError("directions must have unit Euclidean norm (within 1e-12)")
         object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "source_k", k)
 
     def prefix(self, k: int) -> "DirectionBundle":
         k = _check_integer("k", k)

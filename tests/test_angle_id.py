@@ -112,6 +112,19 @@ class TestCosineSquareStats:
             assert 0.0 < s.mean_sq_cosine_with_diagonal <= 1.0
 
 
+@pytest.mark.parametrize("dim", [*range(1, 40), 64, 128, 256, 784])
+def test_mean_cosines_round_like_one_dot_per_row(dim):
+    # ``_mean_cosines`` takes one stacked matmul over the C-contiguous rows of
+    # u.sum(axis=1); this numpy must round each row like the 1-d ``r @ r``.
+    rng = np.random.default_rng(dim)
+    u = rng.standard_normal((100, 4, dim))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    dots = np.array([float(r @ r) for r in u.sum(axis=1)])
+    want = np.clip((dots - 4) / 12, -1.0, 1.0)
+    for rows in range(1, len(u) + 1):
+        assert angle_id._mean_cosines(u[:rows]).tobytes() == want[:rows].tobytes(), rows
+
+
 def _unit_rows(kind: str, k_max: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "orthonormal":

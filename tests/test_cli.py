@@ -564,3 +564,54 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "invalid choice: 'frobnicate'" in proc.stderr
+
+    # ``entry`` freezes the run's objects out of the final collections
+    # (``gc.freeze``) before it exits: a fresh process must still write every
+    # byte, message and exit code that ``main`` does in process.
+    @staticmethod
+    def _fresh(package_env, *args) -> tuple[int, str, str]:
+        # Buffered standard streams, as on a host without PYTHONUNBUFFERED,
+        # so output lost at exit would show.
+        proc = subprocess.run([sys.executable, "-m", "angleid", *map(str, args)],
+                              capture_output=True, text=True, env=package_env(PYTHONUNBUFFERED=""))
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @staticmethod
+    def _in_process(capsys, *args) -> tuple[int, str, str]:
+        code = run(*args)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_a_fresh_process_writes_what_main_writes(self, tmp_path, capsys, package_env):
+        runs = {}
+        for way, call in (("main", lambda *a: self._in_process(capsys, *a)),
+                          ("fresh", lambda *a: self._fresh(package_env, *a))):
+            work = tmp_path / way
+            work.mkdir()
+            steps = [
+                ("generate", "--shape", "ball", "--d", 3, "--n", 400, "--seed", 5,
+                 "-o", work / "ball.csv"),
+                ("estimate", "--input", work / "ball.csv", "--k", 20, "--estimators", "abid,mle",
+                 "--with-diagnostics", "--threads", 2, "-o", work / "est.csv"),
+                ("histogram", "--input", work / "est.csv", "--column", "abid",
+                 "--bin-width", 0.25, "-o", work / "hist.csv"),
+            ]
+            results = [call(*step) for step in steps]
+            files = [(work / name).read_bytes() for name in ("ball.csv", "est.csv", "hist.csv")]
+            runs[way] = results, files
+        assert [code for code, _, _ in runs["fresh"][0]] == [0, 0, 0]
+        assert all(runs["fresh"][1])
+        assert runs["fresh"] == runs["main"]
+
+    def test_a_fresh_process_exits_with_mains_error_codes(self, tmp_path, capsys, package_env):
+        cases = {
+            1: ("generate", "--shape", "ball", "--n", 10, "-o", tmp_path / "x.csv"),
+            2: ("estimate", "--input", tmp_path / "missing.csv", "--k", 5,
+                "-o", tmp_path / "e.csv"),
+            3: ("validate", "--d", 2, "--samples", 100, "--ks-samples", 100, "--seed", 1),
+        }
+        for code, args in cases.items():
+            fresh = self._fresh(package_env, *args)
+            assert fresh[0] == code, fresh
+            assert fresh == self._in_process(capsys, *args)
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "e.csv").exists()

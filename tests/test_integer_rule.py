@@ -15,7 +15,7 @@ import pytest
 from angleid import synth, theory
 from angleid.analysis import TrailMatrix, trails
 from angleid.angle_id import CosineSquareStats, abid_via_fixed_point, estimate_table, required_k
-from angleid.neighbors import direction_bundle, knn
+from angleid.neighbors import DirectionBundle, NeighborList, direction_bundle, knn
 
 _DATA = synth.sample_ball(40, 3, 0)
 _NL = knn(_DATA, 0, 5)
@@ -60,6 +60,9 @@ _USERS = [
     ("fixed_point_max_iter", "max_iter", 1, lambda v: abid_via_fixed_point(_STATS, max_iter=v)),
     # k = 0 is built, and abid refuses it as too few neighbors (test_angle_id).
     ("stats_k", "k", 0, lambda v: CosineSquareStats(v, 0.0, 0.0)),
+    ("bundle_source_k", "source_k", 0, lambda v: DirectionBundle(np.empty((0, 2)), v)),
+    ("neighbor_query_index", "query_index", 0,
+     lambda v: NeighborList(v, np.array([1]), np.array([1.0]))),
 ]
 
 

@@ -211,6 +211,13 @@ class TestDirectionBundle:
         head = DirectionBundle(np.eye(3), 3).prefix(np.int64(2))
         assert type(head.source_k) is int and head.source_k == 2
 
+    def test_a_numpy_source_k_is_kept_as_an_int(self):
+        # The integer rule (tests/test_integer_rule.py) refuses a bool or a float.
+        bundle = DirectionBundle(np.eye(2), np.int64(2))
+        assert type(bundle.source_k) is int and bundle.source_k == 2
+        with pytest.raises(ValueError, match="^source_k must be an integer >= 0, got True$"):
+            DirectionBundle(np.eye(1), True)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_direction_whose_norm_is_not_finite(self, bad):
         with pytest.raises(ValueError, match=r"^directions must have unit Euclidean norm \(within 1e-12\)$"):
@@ -241,6 +248,14 @@ class TestNeighborListValidation:
     def test_rejects_repeated_index(self):
         with pytest.raises(ValueError, match="^neighbor indices must be distinct$"):
             NeighborList(None, np.array([3, 5, 3]), np.array([1.0, 2.0, 2.0]))
+
+    def test_a_numpy_query_index_is_kept_as_an_int(self):
+        # The integer rule (tests/test_integer_rule.py) refuses a bool, a float or a string.
+        nl = NeighborList(np.int64(2), np.array([3, 4]), np.array([1.0, 2.0]))
+        assert type(nl.query_index) is int and type(nl.prefix(1).query_index) is int
+        for query in (True, 2.5, "a"):
+            with pytest.raises(ValueError, match="^query_index must be an integer >= 0"):
+                NeighborList(query, np.array([3, 4]), np.array([1.0, 2.0]))
 
     def test_prefix(self):
         nl = NeighborList(None, np.array([4, 2, 9]), np.array([1.0, 2.0, 3.0]))
