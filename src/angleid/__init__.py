@@ -13,8 +13,6 @@ submodule (``angleid.theory``, ...), is imported on first use (PEP 562).
 So the CLI loads only the modules of the command it runs.
 """
 
-import importlib
-
 # Each submodule and the public names it gives the package.
 _EXPORTS = {
     "core": (
@@ -71,12 +69,24 @@ __all__ = [*_HOME, "theory"]
 __version__ = "0.1.0"
 
 
+def _submodule(name: str):
+    """The submodule ``name``, imported on first use.
+
+    Through ``__import__``, the interpreter's own import, so that
+    ``python -X importtime`` logs it; ``importlib.import_module`` is not
+    logged there. Importing it binds it here, so this runs once per
+    submodule.
+    """
+    __import__(f"{__name__}.{name}")
+    return globals()[name]
+
+
 def __getattr__(name: str):
-    if name in _SUBMODULES:  # importing it binds it here, so this runs once per submodule
-        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SUBMODULES:
+        return _submodule(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_submodule(_HOME[name]), name)
     globals()[name] = value
     return value
 

@@ -170,18 +170,23 @@ def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = Non
     They must be distinct positive integers; a given ``ged_pair`` must lie
     in [1, k] for the smallest k whatever the estimators, and that k must
     reach each estimator's minimum (``core.MIN_K``), in the order given.
+    The values are converted once, into a set; their types are read only
+    where 0 or 1 is among them, the only values a bool converts to.
     """
     values = list(k_values)
     try:
-        ks = sorted(_integers(values))
+        distinct = set(map(operator.index, values))
+        if not distinct.isdisjoint((0, 1)):
+            _integers(values)  # a TypeError for a bool
     except TypeError:
         raise ValueError(f"k values must be integers, got {values!r}") from None
+    ks = sorted(distinct)
     if not ks:
         raise ValueError("k_values must be non-empty")
     if ks[0] < 1:
         raise ValueError(f"k values must be >= 1, got {ks[0]}")
-    if not all(map(operator.lt, ks, ks[1:])):  # sorted: a step that does not rise repeats
-        raise ValueError(f"k values must be distinct, got {ks}")
+    if len(ks) < len(values):
+        raise ValueError(f"k values must be distinct, got {sorted(map(operator.index, values))}")
     _check_ged_pair(ged_pair, ks[0])
     for tag in estimators:
         if ks[0] < MIN_K[tag]:

@@ -111,10 +111,13 @@ class CosineSquareStats:
 # Elements of the largest array the estimation core builds per block
 # (512 KiB): the query rows of an estimation block (``_estimate_rows``) are
 # sized by it. Larger blocks were no faster on the benchmark's workloads
-# and raise the peak memory. ``_outer_sums`` walks k in chunks of at most
-# that many products and a zero pad row. The per-block arrays of that size
-# live in the thread's workspace (``neighbors._workspace``), so no block
-# pages them in again.
+# and raise the peak memory. ``_outer_sums`` takes a whole block's
+# products in one chunk where they fit twice this many, else chunks of at
+# most this many and a zero pad row: an every-k trails block of 10 rows
+# at k = 400 and D = 6 is one chunk of 84 000 products, which ran
+# ``_sq_sums`` about 14 % faster than rows of 6 and 4. The per-block
+# arrays of that size live in the thread's workspace
+# (``neighbors._workspace``), so no block pages them in again.
 _CHUNK = 1 << 16
 
 # Bytes of the neighbor lists, 16 per (query, neighbor), that a query map
@@ -169,29 +172,35 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # Only the upper triangle a <= b of each outer product is summed; the
     # off-diagonal entries count twice in the Frobenius norm. The products
-    # go in chunks of at most _CHUNK: the whole block where it fits, else
-    # an even number of whole rows where two rows' fit, else runs of two
-    # rows' directions. A chunk's R rows of kc directions are copied
+    # go in chunks: the whole block where its products fit twice _CHUNK,
+    # else an even number of whole rows where two rows' fit _CHUNK, else
+    # runs of two rows' directions within _CHUNK. One chunk per block
+    # spares the calls every chunk makes: an every-k trails block of 10
+    # rows at k = 400 and D = 6 (84 000 products) is one chunk, not rows of
+    # 6 and 4, while the 100-query tables at k = 100, D = 5 keep their
+    # chunks of 42 rows. A chunk's R rows of kc directions are copied
     # transposed, (D, kc, L) with the rows innermost: L = R, or R + 1 with
     # a zero pad row where R is odd (a whole odd block, or a block's last
-    # row), so a chunk holds at most one row over the budget. The products
-    # c of the P pairs lie as (P, kc, L): numpy's take gathers each pair's
-    # first factor as a whole (kc, L) block, and the second factors of
-    # pairs (i, i..D-1) are the contiguous blocks i..D-1. The running sums
-    # run along k over a complex128 view of c whose lanes hold two
-    # adjacent rows: a complex add is the two rows' own float64 adds, so
-    # one cumsum advances two rows per dependent add, and each row's sums
-    # are bitwise its float64 cumsum (TestRowReductions pins this). S(k)
-    # then sums the weighted squares over the pairs in index order: one add
-    # per pair of whole (kc, L) blocks where the requested k give the chunk
-    # at least _LANES (row, k) lanes, else one cumsum per lane over a
-    # transposed copy of the requested columns. Either adds in the order of
-    # the row-wise cumsum, so S(k) is bitwise the same on both paths.
+    # row), so a row chunk holds at most one row over the budget. The
+    # products c of the P pairs lie as (P, kc, L): numpy's take gathers
+    # each pair's first factor as a whole (kc, L) block, and the second
+    # factors of pairs (i, i..D-1) are the contiguous blocks i..D-1. The
+    # running sums run along k over a complex128 view of c whose lanes
+    # hold two adjacent rows: a complex add is the two rows' own float64
+    # adds, so one cumsum advances two rows per dependent add, and each
+    # row's sums are bitwise its float64 cumsum (TestRowReductions pins
+    # this). S(k) then sums the weighted squares over the pairs in index
+    # order: one sum over the pair axis of the whole (P, kc, L) products,
+    # which adds the (kc, L) planes one after another (TestRowReductions
+    # pins this too), where the requested k give the chunk at least _LANES
+    # (row, k) lanes, else one cumsum per lane over a transposed copy of
+    # the requested columns. Either adds in the order of the row-wise
+    # cumsum, so S(k) is bitwise the same on both paths.
     dim = u.shape[2]
     a, starts, weight = _triu(dim)
     pairs, k_max = a.size, int(ks[-1])
-    fit = _CHUNK // (k_max * pairs)  # whole rows within the budget
-    rows = len(u) if fit >= len(u) else fit // 2 * 2
+    whole = len(u) * k_max * pairs <= 2 * _CHUNK
+    rows = len(u) if whole else _CHUNK // (k_max * pairs) // 2 * 2
     step = k_max if rows else max(1, _CHUNK // (2 * pairs))
     rows = max(2, rows)
     out = np.empty((len(u), ks.size))
@@ -216,15 +225,14 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
                 continue
             cols = _columns(ks[j0:j1], lo + 1)
             o = out[r:r + rows, j0:j1]
+            # "transposed" is spent: it takes the pairs' sums, gathered columns, or else the copy.
             if o.size >= _LANES:
                 np.square(c, out=c)
                 for i, s in enumerate(starts[:-1]):  # weight 2 off the diagonal; 1 is a no-op
                     c[s + 1:s + dim - i] *= 2.0
-                for p in range(1, pairs):
-                    c[0] += c[p]
-                o[...] = c[0][cols, :n].T
+                summed = np.add.reduce(c, axis=0, out=_workspace("transposed", c.shape[1:]))
+                o[...] = summed[cols, :n].T
             else:
-                # "transposed" is spent: it takes gathered columns, or else the copy.
                 if isinstance(cols, slice):
                     sel, spare = c[:, cols], "transposed"
                 else:
@@ -278,10 +286,21 @@ def _mean_cosines(u: np.ndarray) -> np.ndarray:
     k = u.shape[1]
     if k == 1:
         return np.zeros(len(u))
+    # The sums over k, bitwise u.sum(axis=1) (a test pins this). numpy sums
+    # a (B, k, D) block one (B, D) plane after another, each add a loop of
+    # D values; it does the same on a k-major copy, in "products" (spent by
+    # now), with loops of B D values. One row is k-major already. At D = 1
+    # numpy sums each contiguous row of u pairwise instead, as fast, and a
+    # k-major copy would not.
+    if len(u) == 1 or u.shape[2] == 1:
+        s = u.sum(axis=1)
+    else:
+        planes = _workspace("products", (k, len(u), u.shape[2]))
+        np.copyto(planes, u.transpose(1, 0, 2))
+        s = planes.sum(axis=0)
     # One stacked product of each row with itself: on C-contiguous rows
     # numpy's matmul takes the same 1-d dot per row as ``r @ r`` does, so
     # it rounds like it (a test pins this); on strided rows it need not.
-    s = np.ascontiguousarray(u.sum(axis=1))
     dots = np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0]
     return np.clip((dots - k) / (k * k - k), -1.0, 1.0)
 

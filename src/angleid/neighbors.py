@@ -177,9 +177,14 @@ def _resolve_query(data: DataMatrix, query) -> tuple[np.ndarray, int | None]:
 # (n = 25 000, D = 5) that is 20 rows of 4 167 values and tiles of 6 250
 # columns, 1.38 MB of buffers in all: 55 us per query on a 2-core Xeon.
 # Tiles of a quarter of the budget were slower there: under 4 097
-# columns, numpy 2.4's compare against each row's bound ran about 3
-# times slower per value.
+# columns (``_TILE``), numpy 2.4's compare against each row's bound ran
+# about 3 times slower per value. So no tile is narrower than min(n,
+# _TILE) columns: blocks take fewer rows instead. On 15 000 uniform 2-D
+# points at k = 63 that gives blocks of 31 rows and tiles of 5 000
+# columns, 28 us per query in the kernel, against 33 us with blocks of 33
+# rows and tiles of 3 750.
 _BLOCK_BYTES = 1 << 20
+_TILE = 4097
 
 
 def _block(n: int, stride: int, rank: int, dim: int, queries: int) -> tuple[int, int]:
@@ -195,17 +200,23 @@ def _block(n: int, stride: int, rank: int, dim: int, queries: int) -> tuple[int,
     merge of the tiles' candidates: on the 8-D lattice at k = 500 (4 rows
     of 65 536) that ran the kernel 3 % faster than two tiles. Elsewhere
     the n columns split into the fewest even tiles whose float32 values
-    fit half of it. A whole-row plan (stride 1) has no tiles; its cut's
-    copy and its mask come on top, 5 bytes per value.
+    fit half of it, but never into tiles narrower than min(n, ``_TILE``)
+    columns: such blocks take at most as many rows as half the budget
+    holds at that width, so their tiles, under 2 ``_TILE`` columns where
+    they are wider than half the budget, fit all of it. A whole-row plan
+    (stride 1) has no tiles; its cut's copy and its mask come on top, 5
+    bytes per value.
     """
     per_row = 4 * -(-n // stride) + stride * rank * 16 * (dim + 6)
     rows = max(1, _BLOCK_BYTES // per_row)
+    if 4 * rows * n > _BLOCK_BYTES:  # tiled
+        rows = min(rows, max(1, _BLOCK_BYTES // (8 * min(n, _TILE))))
     if queries:
         rows = -(-queries // -(-queries // rows))
     if 4 * rows * n <= _BLOCK_BYTES:
         return rows, n
-    tile = max(1, _BLOCK_BYTES // (8 * rows))
-    return rows, -(-n // -(-n // tile))
+    tiles = min(-(-n // max(1, _BLOCK_BYTES // (8 * rows))), max(1, n // _TILE))
+    return rows, -(-n // tiles)
 
 
 # The screen build's float64 column chunks (``_build_screen``): about
@@ -245,8 +256,9 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
       collected, of the tile or of the whole rows (``_block`` sizes B and
       the tile: B rows' pass-1 values and candidates fit ``_BLOCK_BYTES``,
       a tile's float32 values half of it, or all of it where one tile
-      holds the whole product; a whole-row block holds 9 bytes per value,
-      2.25 MiB for n <= 262 144);
+      holds the whole product or where tiles of half of it would be
+      narrower than ``_TILE`` columns; a whole-row block holds 9 bytes per
+      value, 2.25 MiB for n <= 262 144);
     - the re-rank's gathers "diff" and "query_rows" and distances
       "cand_dists" (8 (2D+1) bytes per candidate), its padded rows "pad"
       (8 bytes per slot) and the positions "take" of each row's k nearest
@@ -254,12 +266,14 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     - the estimation core's neighbor lists "idx" and "dist" (of maps
       that keep none, ``angle_id._estimate_many``), directions
       "directions", distance increments "rise" and "terms", and the Gram
-      chunks "products" (at most 512 KiB, ``angle_id._CHUNK``, and a
-      zero pad row over it where a chunk's rows are odd) and
-      "transposed", a chunk's directions copied transposed with the rows
-      innermost (2 / (D + 1) of that), which the requested k's gathered
-      or copied columns reuse once they are spent
-      (``angle_id._outer_sums``; at most as large as "products"); these
+      chunks "products" (a whole block's products within 1 MiB, twice
+      ``angle_id._CHUNK``, else at most 512 KiB and a zero pad row over
+      it where a chunk's rows are odd) and "transposed", a chunk's
+      directions copied transposed with the rows innermost (2 / (D + 1)
+      of that), which the pairs' sums or the requested k's gathered or
+      copied columns reuse once they are spent (``angle_id._outer_sums``;
+      at most as large as "products"); ``angle_id._mean_cosines`` copies
+      a block's directions k-major into the spent "products"; these
       budgets hold wherever one query row fits them, and the Gram chunks'
       wherever two rows' products of one direction do.
     """
@@ -373,6 +387,7 @@ def _build_screen(pts: np.ndarray) -> tuple:
     return screen, center, shift, max_sq, tiny, big
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the screen's overflows (see its proof)
 def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
                 out=None) -> tuple[np.ndarray, np.ndarray]:
     """The exact k nearest neighbors in ``data`` of each row of ``queries``: the one search.
@@ -389,71 +404,23 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
     for the first row with fewer than k nonzero distances, with that row's
     entry of ``names`` (Q labels) as ``point``. It reads only shared arrays
     and writes only its thread's buffers and ``out``, so threads may call
-    it at once.
+    it at once. It runs under one errstate that ignores overflow and
+    invalid values, which screening at extreme scales meets (see the
+    proof below); the caller's state holds again when it returns or
+    raises.
     """
     k = _check_integer("k", k)
     pts = data.points
     n, dim = pts.shape
-    screen, center, shift, max_sq, tiny, big = _screen(data)
     stride, rank = _plan(n, k, dim)
     rows, tile = _block(n, stride, rank, dim, len(queries))
     if out is None:
         out = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
     idx, dist = out
-    eps32 = float(np.finfo(np.float32).eps)
-
-    def below(a, top, lo):
-        """Row, column (offset by ``lo``) and value of each entry of ``a`` at most its row's top."""
-        pos = np.flatnonzero(np.less_equal(a, top[:, None], out=_workspace("mask", a.shape, bool)))
-        r = pos // a.shape[1]
-        values = a.ravel().take(pos)
-        pos -= r * a.shape[1]  # flat positions to columns, in place
-        pos += lo
-        return r, pos, values
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def collect(q, stride, rank):
-        """Each row's cut c, and the row, column and screened value of each of its
-        candidates, in (row, column) order: every point with a value at most c + 2 delta."""
-        ext = np.empty((len(q), dim + 2))
-        np.subtract(q, center, out=ext[:, :dim])
-        np.ldexp(ext[:, :dim], shift, out=ext[:, :dim])
-        sq_q = np.einsum("ij,ij->i", ext[:, :dim], ext[:, :dim])
-        ext[:, :dim] *= -2.0
-        ext[:, dim] = 1.0
-        ext[:, dim + 1] = sq_q
-        ext = ext.astype(np.float32)
-        norms = sq_q + max_sq
-        delta = np.where(4.0 * norms <= big, 4.0 * (dim + 4) * (eps32 * norms + tiny), np.inf)
-        flat = np.isinf(delta)  # rows screened as zeros
-        flat = flat if flat.any() else None
-        sample = screen if stride == 1 else _sampled(data, stride)
-        a = np.matmul(ext, sample, out=_workspace("block", (len(q), sample.shape[1]), np.float32))
-        if flat is not None:
-            a[flat] = 0.0
-        c = _cut(a, stride, rank)
-        bound = c + 2.0 * delta
-        top = bound.astype(np.float32)
-        np.nextafter(top, np.inf, out=top, where=top < bound)  # rounded up
-        if stride == 1:
-            return (c, *below(a, top, 0))
-        pieces = []
-        for lo in range(0, n, tile):
-            t = _workspace("tile", (len(q), min(tile, n - lo)), np.float32)
-            np.matmul(ext, screen[:, lo:lo + t.shape[1]], out=t)
-            if flat is not None:
-                t[flat] = 0.0
-            pieces.append(below(t, top, lo))
-        if len(pieces) == 1:
-            return (c, *pieces[0])
-        r, col, values = map(np.concatenate, zip(*pieces))
-        del pieces  # free the tiles' arrays before the sorted copies are made
-        order = np.argsort(r, kind="stable")  # tile by tile, each in (row, column) order
-        r = np.repeat(np.arange(len(q)), np.bincount(r, minlength=len(q)))  # r.take(order)
-        return c, r, col.take(order), values.take(order)
-
+    ext, margin, flat = _scaled_queries(_screen(data), queries)
     for lo in range(0, len(queries), rows):
-        q = queries[lo:lo + rows]
+        hi = lo + rows
+        q = queries[lo:hi]
         # Screen, in units scaled by 2**shift (``_build_screen``): distances
         # and norms below are the true ones times 2**shift, their squares
         # times 2**(2 shift), which is exact as real numbers; the re-rank's
@@ -495,7 +462,7 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         # squared distance of the re-rank below 2M(1 + 4u), so none
         # overflows.
         #
-        # Two products, in two passes (``collect``). Pass 1 multiplies the
+        # Two products, in two passes (``_collect``). Pass 1 multiplies the
         # query rows by the screen's every stride-th column (``_plan``) and
         # cuts: c is each row's rank-th smallest value, or inf where rank
         # reaches their count. Pass 2 multiplies them by column tiles of
@@ -526,25 +493,35 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         # s > 0 and s <= c + e, c now the m-th smallest a, so the check
         # holds unmade. The rows that kept their cut keep their first
         # collection, and the two merge in (row, column) order. With m >=
-        # n, c = inf and every point is a candidate.
-        c, r, col, values = collect(q, stride, rank)
+        # n, c = inf and every point is a candidate. Only these rows can
+        # hold fewer than k nonzero distances, so only they are counted.
+        block = ext[lo:hi], margin[lo:hi], None if flat is None else flat[lo:hi]
+        c, r, col, values = _collect(data, *block, stride, rank, tile)
         d = _distances(pts, q, r, col)
-        sure = (d > 0.0) & (values <= c.take(r))
-        redo = np.flatnonzero(np.bincount(r[sure], minlength=len(q)) < k)
+        sure = values <= c.take(r)
+        sure &= d > 0.0
+        redo = (np.bincount(r, sure, len(q)) < k).nonzero()[0]
         if redo.size:
-            z = int(np.bincount(r[d == 0.0], minlength=len(q))[redo].max())
+            zero = d == 0.0
+            z = int(np.bincount(r[zero], minlength=len(q))[redo].max())
             keep = np.ones(len(q), bool)
             keep[redo] = False
             keep = keep[r]
-            parts = [(r[keep], col[keep], d[keep])]  # copies: collect reuses the buffers
+            parts = [(r[keep], col[keep], d[keep])]  # copies: _collect reuses the buffers
             step = _block(n, 1, k + z, dim, redo.size)[0]
             for s in range(0, redo.size, step):
                 sub = redo[s:s + step]
-                _, r2, col2, _ = collect(q[sub], 1, k + z)
+                sub_block = [x if x is None else x[sub] for x in block]
+                _, r2, col2, _ = _collect(data, *sub_block, 1, k + z, n)
                 parts.append((sub[r2], col2, _distances(pts, q[sub], r2, col2).copy()))
             r, col, d = map(np.concatenate, zip(*parts))
             order = np.argsort(r, kind="stable")  # runs, each in (row, column) order
             r, col, d = r[order], col[order], d[order]
+            found = np.bincount(r[d > 0.0], minlength=len(q))
+            short = (found < k).nonzero()[0]
+            if short.size:
+                row = int(short[0])
+                raise InsufficientNeighborsError(k, int(found[row]), point=names[lo + row])
         # Re-rank: zero distances excluded, the rest in (distance, index)
         # order, as the tests' full sort _sorted_candidates. The
         # candidates come by ascending row, then column, and each row's
@@ -556,23 +533,98 @@ def _knn_kernel(data: DataMatrix, k: int, queries: np.ndarray, names,
         # _rank does, puts its nonzero distances first, ties in ascending
         # column order: the (distance, index) order of the full sort.
         counts = np.bincount(r, minlength=len(q))
-        zero = d == 0.0
-        found = counts - np.bincount(r[zero], minlength=len(q))
-        short = np.flatnonzero(found < k)
-        if short.size:
-            row = int(short[0])
-            raise InsufficientNeighborsError(k, int(found[row]), point=names[lo + row])
-        d[zero] = np.nan
+        d[d == 0.0] = np.nan
         width = int(counts.max())
         pad = _workspace("pad", (len(q), width))
         pad.fill(np.nan)
         pad[np.arange(width) < counts[:, None]] = d
-        take = _rank(pad, k)
-        take += (np.cumsum(counts) - counts)[:, None]  # each row's first candidate
+        take = _rank(pad, k, np.cumsum(counts) - counts)
         # In range, so "clip" clips nothing; "raise" would copy via a temporary.
-        col.take(take, out=idx[lo:lo + rows], mode="clip")
-        d.take(take, out=dist[lo:lo + rows], mode="clip")
+        col.take(take, out=idx[lo:hi], mode="clip")
+        d.take(take, out=dist[lo:hi], mode="clip")
     return idx, dist
+
+
+_EPS32 = float(np.finfo(np.float32).eps)
+
+
+def _scaled_queries(screen: tuple, queries: np.ndarray):
+    """The float32 screen rows (-2 q', 1, |q'|^2) of ``queries``, their bounds' 2 delta, and
+    the rows screened as zeros (None if none is).
+
+    ``screen`` is the matrix's ``_screen``; q' is a query centered and
+    scaled as the points are (the kernel's proof). A row whose 4M
+    overflows ``big`` gets 2 delta = inf and screens as zeros.
+    """
+    _, center, shift, max_sq, tiny, big = screen
+    dim = len(center)
+    scaled = np.subtract(queries, center)
+    np.ldexp(scaled, shift, out=scaled)
+    sq_q = np.einsum("ij,ij->i", scaled, scaled)
+    ext = np.empty((len(queries), dim + 2), np.float32)  # float64 values, rounded once
+    np.multiply(scaled, -2.0, out=ext[:, :dim])
+    ext[:, dim] = 1.0
+    ext[:, dim + 1] = sq_q
+    norms = sq_q + max_sq
+    margin = 8.0 * (dim + 4) * (_EPS32 * norms + tiny)
+    flat = ~(4.0 * norms <= big)  # NaN norms too
+    if not flat.any():
+        return ext, margin, None
+    margin[flat] = np.inf
+    return ext, margin, flat
+
+
+def _collect(data: DataMatrix, ext: np.ndarray, margin: np.ndarray, flat, stride: int,
+             rank: int, tile: int):
+    """Each row's cut c, and the row, column and screened value of each of its candidates,
+    in (row, column) order: every point with a value at most c + 2 delta.
+
+    ``ext``, ``margin`` and ``flat`` are a block's rows of
+    ``_scaled_queries``; the cut is (stride, rank) and pass 2 takes column
+    tiles of ``tile`` (the kernel's proof).
+    """
+    screen = data._screen[0]
+    n = screen.shape[1]
+    sample = screen if stride == 1 else _sampled(data, stride)
+    a = np.matmul(ext, sample, out=_workspace("block", (len(ext), sample.shape[1]), np.float32))
+    if flat is not None:
+        a[flat] = 0.0
+    c = _cut(a, stride, rank)
+    bound = c + margin
+    top = bound.astype(np.float32)
+    np.nextafter(top, np.inf, out=top, where=top < bound)  # rounded up
+    if stride == 1:
+        return (c, *_below(a, top, 0))
+    pieces = []
+    for lo in range(0, n, tile):
+        t = _workspace("tile", (len(ext), min(tile, n - lo)), np.float32)
+        np.matmul(ext, screen[:, lo:lo + t.shape[1]], out=t)
+        if flat is not None:
+            t[flat] = 0.0
+        pieces.append(_below(t, top, lo))
+    if len(pieces) == 1:
+        return (c, *pieces[0])
+    r, col, values = map(np.concatenate, zip(*pieces))
+    del pieces  # free the tiles' arrays before the sorted copies are made
+    order = np.argsort(r, kind="stable")  # tile by tile, each in (row, column) order
+    r = np.repeat(np.arange(len(ext)), np.bincount(r, minlength=len(ext)))  # r.take(order)
+    return c, r, col.take(order), values.take(order)
+
+
+def _below(a: np.ndarray, top: np.ndarray, lo: int):
+    """Row, column (offset by ``lo``) and value of each entry of ``a`` at most its row's top,
+    in (row, column) order."""
+    # By flat position: numpy's 2-d nonzero and boolean gather took 4 and
+    # 30 times as long on a (10, 4 096) block.
+    width = a.shape[1]
+    mask = np.less_equal(a, top[:, None], out=_workspace("mask", a.shape, bool))
+    pos = mask.ravel().nonzero()[0]
+    r = pos // width
+    values = a.ravel().take(pos)
+    pos -= r * width  # flat positions to columns, in place
+    if lo:
+        pos += lo
+    return r, pos, values
 
 
 def _cut(a: np.ndarray, stride: int, rank: int) -> np.ndarray:
@@ -594,8 +646,9 @@ def _cut(a: np.ndarray, stride: int, rank: int) -> np.ndarray:
     return part[:, rank - 1].copy()
 
 
-def _rank(pad: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest of each row of ``pad``, in (value, position) order.
+def _rank(pad: np.ndarray, k: int, first: np.ndarray) -> np.ndarray:
+    """Positions of the k smallest of each row of ``pad``, in (value, position) order, plus
+    the row's ``first``.
 
     ``pad`` holds positive doubles, inf and the canonical NaN. Their int64
     views order as the values do, NaN last, and numpy sorts int64 keys
@@ -607,15 +660,15 @@ def _rank(pad: np.ndarray, k: int) -> np.ndarray:
     """
     keys = pad.view(np.int64)
     order = np.argsort(keys, axis=1)
-    head = np.take_along_axis(keys, order[:, :k + 1], axis=1)
-    tied = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
-    if tied.size:
+    # The sorted keys' first places, read by flat position.
+    head = keys.ravel().take(order[:, :k + 1] + np.arange(0, keys.size, keys.shape[1])[:, None])
+    ties = head[:, 1:] == head[:, :-1]
+    if ties.any():
+        tied = ties.any(axis=1).nonzero()[0]
         order[tied] = np.argsort(pad[tied], axis=1, kind="stable")
-    # Copied out: an add into a strided view of the argsort made a
-    # temporary three times its size.
-    take = _workspace("take", (len(pad), k), np.int64)
-    np.copyto(take, order[:, :k])
-    return take
+    # Into a buffer of its own: an add into a strided view of the argsort
+    # made a temporary three times its size.
+    return np.add(order[:, :k], first[:, None], out=_workspace("take", (len(pad), k), np.int64))
 
 
 def _distances(pts: np.ndarray, q: np.ndarray, r: np.ndarray, col: np.ndarray) -> np.ndarray:

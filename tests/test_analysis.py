@@ -1,5 +1,9 @@
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angleid import analysis, angle_id, baseline_id, neighbors
 from angleid.analysis import (
@@ -13,7 +17,8 @@ from angleid.analysis import (
     write_trails_csv,
 )
 from angleid.angle_id import estimate_table
-from angleid.core import ESTIMATOR_TAGS, MIN_K, DataMatrix, DegenerateInputError
+from angleid.core import (ESTIMATOR_TAGS, MIN_K, DataMatrix, DegenerateInputError,
+                          _check_ged_pair, _integers)
 from angleid.neighbors import direction_bundle, knn
 from angleid.synth import sample_ball
 
@@ -320,6 +325,68 @@ class TestTrailKValues:
         data = sample_ball(100, 2, seed=2)
         tm = trails(data, [20, 10], "abid", point_subset=[0])
         assert tm.k_values == (10, 20)
+
+
+def _sorted_checked_k_values(k_values, estimators, ged_pair=None) -> list[int]:
+    """The oracle of ``analysis._check_k_values``: its rules as first written, one pass each."""
+    values = list(k_values)
+    try:
+        ks = sorted(_integers(values))
+    except TypeError:
+        raise ValueError(f"k values must be integers, got {values!r}") from None
+    if not ks:
+        raise ValueError("k_values must be non-empty")
+    if ks[0] < 1:
+        raise ValueError(f"k values must be >= 1, got {ks[0]}")
+    if not all(map(operator.lt, ks, ks[1:])):  # sorted: a step that does not rise repeats
+        raise ValueError(f"k values must be distinct, got {ks}")
+    _check_ged_pair(ged_pair, ks[0])
+    for tag in estimators:
+        if ks[0] < MIN_K[tag]:
+            raise ValueError(f"estimator {tag} needs k >= {MIN_K[tag]}, got k = {ks[0]}")
+    return ks
+
+
+_K_ITEMS = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(np.int64),
+    st.integers(0, 12).map(np.int32),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, 2.0, np.float64(3.0), 4.5, "5", None]),
+)
+
+
+def _k_collections():
+    """Lists and tuples of mixed items, ranges, and numpy int, bool and float arrays."""
+    ints = st.lists(st.integers(-3, 12), max_size=8)
+    return st.one_of(
+        st.lists(_K_ITEMS, max_size=8),
+        st.lists(_K_ITEMS, max_size=8).map(tuple),
+        st.builds(range, st.integers(-2, 12), st.integers(-2, 30), st.sampled_from([1, 2, 3, -1])),
+        ints.map(lambda v: np.array(v, dtype=np.int64)),
+        ints.map(lambda v: np.array(v, dtype=np.int32)),
+        st.lists(st.booleans(), max_size=4).map(np.array),
+        ints.map(lambda v: np.array(v, dtype=np.float64)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(k_values=_k_collections(),
+       estimators=st.lists(st.sampled_from(ESTIMATOR_TAGS), unique=True, max_size=3),
+       ged_pair=st.one_of(st.none(), st.tuples(st.integers(-1, 12), st.integers(-1, 12)),
+                          st.just((2.5, 4)), st.just((True, 3))))
+def test_check_k_values_keeps_the_rules_and_messages_of_its_oracle(k_values, estimators,
+                                                                    ged_pair):
+    # The same sorted list, or the same error type and message.
+    try:
+        want = _sorted_checked_k_values(k_values, estimators, ged_pair)
+    except Exception as error:  # noqa: BLE001 - the error itself is compared
+        with pytest.raises(type(error)) as got:
+            analysis._check_k_values(k_values, estimators, ged_pair)
+        assert str(got.value) == str(error)
+    else:
+        got = analysis._check_k_values(k_values, estimators, ged_pair)
+        assert got == want and all(type(k) is int for k in got)
 
 
 class TestCorrelations:

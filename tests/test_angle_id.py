@@ -125,6 +125,23 @@ def test_mean_cosines_round_like_one_dot_per_row(dim):
         assert angle_id._mean_cosines(u[:rows]).tobytes() == want[:rows].tobytes(), rows
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 784])
+def test_mean_cosines_sum_over_k_as_the_block_sum_does(dim):
+    # ``_mean_cosines`` sums over k from a k-major copy where a block has
+    # two or more rows and coordinates; u.sum(axis=1) is its oracle, also at
+    # D = 1, where numpy sums each row pairwise rather than plane by plane.
+    # The rows are not unit vectors: at D = 1 those sum exactly in any order.
+    rng = np.random.default_rng(dim + 1000)
+    for rows in (1, 2, 7, 40):
+        for k in (2, 3, 9, 33, 200):
+            if rows * k * dim > 300_000:
+                continue
+            u = rng.standard_normal((rows, k, dim)) * (0.9 / math.sqrt(dim))
+            dots = np.array([float(r @ r) for r in u.sum(axis=1)])
+            want = np.clip((dots - k) / (k * k - k), -1.0, 1.0)
+            assert angle_id._mean_cosines(u).tobytes() == want.tobytes(), (rows, k)
+
+
 def _unit_rows(kind: str, k_max: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "orthonormal":

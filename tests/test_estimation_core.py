@@ -227,8 +227,9 @@ def test_the_outer_sums_do_not_depend_on_their_k_chunks(monkeypatch):
     ks = list(range(4, 91))
     want = angle_id._sq_sums(u, ks)
     # 10 products per direction: _outer_sums takes the whole block where its
-    # 2 700 products fit _CHUNK, else an even number of whole rows where two
-    # rows' 1 800 fit, else runs of _CHUNK // 20 directions of two rows.
+    # 2 700 products fit twice _CHUNK, else an even number of whole rows
+    # where two rows' 1 800 fit _CHUNK, else runs of _CHUNK // 20
+    # directions of two rows.
     for chunk in (10, 10 * 7, 10 * 33, 900, 900 * 3):  # runs of 1, 3, 16, 45; the whole block
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
@@ -252,9 +253,9 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
     monkeypatch.setattr(angle_id, "_CHUNK", 7 * 400 * 21)  # the whole block in one chunk
     whole = angle_id._sq_sums(u, ks)
     assert chunks == [(400, 8)]
-    # Where the block does not fit _CHUNK, _outer_sums takes an even number
-    # of whole rows where two rows' products fit, else runs of two rows'
-    # directions: rows of 2 (the last alone, padded), and runs of 18
+    # Where the block does not fit twice _CHUNK, _outer_sums takes an even
+    # number of whole rows where two rows' products fit _CHUNK, else runs of
+    # two rows' directions: rows of 2 (the last alone, padded), and runs of 18
     # directions, 22 per pair of rows and a last one of 4.
     for chunk, want in ((2 * 400 * 21, [(400, 2)] * 4),
                         (37 * 21, ([(18, 2)] * 22 + [(4, 2)]) * 4)):
@@ -262,6 +263,28 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
         chunks.clear()
         assert angle_id._sq_sums(u, ks).tobytes() == whole.tobytes()
         assert chunks == want
+
+
+def test_a_trails_block_is_one_chunk_and_a_table_block_keeps_its_rows(monkeypatch):
+    # At the default _CHUNK, an every-k trails block on the 6-D lattice (10
+    # rows of 400 directions, 84 000 products) fits twice the budget and is
+    # one chunk; a 100-query table at k = 100, D = 5 (150 000 products) does
+    # not and keeps its chunks of 42 rows, whose two rows' products fit it.
+    rng = np.random.default_rng(11)
+    chunks = []
+    gather = angle_id._gather
+    monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: (
+        name == "products" and chunks.append(a.shape[1:])) or gather(a, indices, axis, name))
+    for shape, ks, want in (((10, 400, 6), np.arange(10, 401), [(400, 10)]),
+                            ((100, 100, 5), np.array([100]), [(100, 42), (100, 42), (100, 16)])):
+        u = rng.standard_normal(shape)
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+        chunks.clear()
+        whole = angle_id._sq_sums(u, ks)
+        assert chunks == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(angle_id, "_CHUNK", 2 * 400 * 21)  # rows of 2
+            assert angle_id._sq_sums(u, ks).tobytes() == whole.tobytes()
 
 
 def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
@@ -295,10 +318,10 @@ def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 20])
 def test_both_pair_sums_give_the_same_outer_sums(monkeypatch, dim):
-    # _outer_sums sums a chunk's pairs with one add per pair where it has
-    # at least _LANES (row, k) lanes, else with one cumsum per lane. Each
-    # path is forced here through that threshold; both must give bitwise
-    # the same S(k), and a table's single k the same as every-k trails.
+    # _outer_sums sums a chunk's pairs with one sum over the pair axis
+    # where it has at least _LANES (row, k) lanes, else with one cumsum per
+    # lane. Each path is forced here through that threshold; both must give
+    # bitwise the same S(k), and a table's single k the same as every-k trails.
     rng = np.random.default_rng(dim)
     u = rng.standard_normal((9, 60, dim))
     u /= np.linalg.norm(u, axis=2, keepdims=True)
@@ -306,7 +329,7 @@ def test_both_pair_sums_give_the_same_outer_sums(monkeypatch, dim):
     results = []
     for lanes in (0, 1 << 62):  # every chunk on the add path, then on the cumsum path
         monkeypatch.setattr(angle_id, "_LANES", lanes)
-        for chunk in (1 << 16, 7 * dim * (dim + 1) // 2):  # whole rows, runs of 3 directions
+        for chunk in (1 << 16, 7 * dim * (dim + 1) // 2):  # whole blocks, runs of 3 directions
             monkeypatch.setattr(angle_id, "_CHUNK", chunk)
             got = angle_id._outer_sums(u, every)
             assert angle_id._outer_sums(u, some).tobytes() == got[:, ::4].tobytes()
@@ -424,6 +447,34 @@ class TestRowReductions:
                         sums = np.moveaxis(getattr(got, part), axis, -1).reshape(-1, n)
                         for row, row_sums in zip(rows, sums):
                             assert row_sums.tobytes() == np.cumsum(row).tobytes(), axis
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 784])
+    def test_a_k_major_copy_sums_over_k_as_the_block_does(self, dim):
+        # _mean_cosines sums over k from a k-major copy of a block of two or
+        # more rows: numpy adds its (B, D) planes one after another, as it
+        # does along axis 1 of the block itself, whatever the row count.
+        rng = np.random.default_rng(dim)
+        for rows in (2, 3, 17):
+            for k in (2, 9, 64, 301):
+                if rows * k * dim > 300_000:
+                    continue
+                u = rng.standard_normal((rows, k, dim))
+                copy = np.ascontiguousarray(u.transpose(1, 0, 2))
+                assert copy.sum(axis=0).tobytes() == u.sum(axis=1).tobytes(), (rows, k)
+
+    @pytest.mark.parametrize("shape", [(1, 5, 2), (2, 3, 4), (21, 400, 10), (15, 100, 42),
+                                       (36, 500, 2), (210, 60, 10), (3, 7, 1)])
+    def test_a_sum_over_the_pair_axis_adds_its_planes_in_order(self, shape):
+        # _outer_sums sums the weighted squares of a chunk's (P, kc, L)
+        # products with one reduce over the pair axis: each entry must be
+        # the pairs' sequential sum, ((c_0 + c_1) + c_2) + ..., in pair order.
+        rng = np.random.default_rng(shape[0])
+        c = rng.standard_normal(shape) ** 2 * 10.0 ** rng.integers(-8, 8, shape)
+        want = c[0].copy()
+        for p in range(1, shape[0]):
+            want += c[p]
+        out = np.empty(shape[1:])
+        assert np.add.reduce(c, axis=0, out=out).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13])
     def test_direction_sums_are_the_per_neighborhood_ones(self, dim):

@@ -109,6 +109,20 @@ def test_histogram_loads_no_estimator(package_env, tmp_path):
                          "concurrent.futures"}
 
 
+def test_importtime_logs_the_submodules_a_command_loads(package_env, tmp_path):
+    # The package loads its submodules with the interpreter's own import,
+    # which ``-X importtime`` logs; importlib.import_module is not logged.
+    table = tmp_path / "est.csv"
+    table.write_text("index,abid\n0,1.5\n1,2.5\n")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "angleid", "histogram",
+                           "--input", str(table), "--column", "abid", "--bin-width", "0.5",
+                           "-o", str(tmp_path / "h.csv")],
+                          capture_output=True, text=True, env=package_env(), check=True)
+    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"angleid", "angleid.cli", "angleid.analysis", "angleid.core"} <= logged
+
+
 def test_generate_loads_neither_the_search_nor_the_estimators(package_env, tmp_path):
     loaded = _loaded(package_env, tmp_path, "-m", "angleid", "generate", "--shape", "ball",
                      "--d", "2", "--n", "10", "-o", str(tmp_path / "b.csv"))

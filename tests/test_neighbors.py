@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -786,6 +787,51 @@ class TestKnnMany:
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", per_row * fit)
             assert neighbors._block(data.n, 1, 26, 3, len(queries))[0] == rows
             _assert_bitwise(knn_many(data, queries, 25), want)
+
+    def test_a_tile_is_never_narrower_than_min_n_and_the_tile_floor(self):
+        # Where half the budget would hold tiles under _TILE columns, blocks
+        # take fewer rows: 1 000 queries of 15 000 2-D points at k = 63 take
+        # 31-row blocks and tiles of 5 000, not 33 rows and tiles of 3 750.
+        assert neighbors._plan(15000, 63, 2) == (4, 32)
+        assert neighbors._block(15000, 4, 32, 2, 1000) == (31, 5000)
+        # The benchmark's blocks keep their shapes: the cube tables' 20 rows
+        # in 4 tiles, the 8-D lattice's 4 rows in one tile, and the trails'
+        # whole-row plan at k = 400.
+        assert neighbors._block(25000, *neighbors._plan(25000, 100, 5), 5, 100) == (20, 6250)
+        assert neighbors._block(65536, *neighbors._plan(65536, 500, 8), 8, 16) == (4, 65536)
+        assert neighbors._block(4096, *neighbors._plan(4096, 400, 6), 6, 10) == (10, 4096)
+        budget = neighbors._BLOCK_BYTES
+        for n in (50, 3000, 4097, 5000, 8193, 15000, 25000, 65536, 300000):
+            for k in (1, 10, 63, 100, 500):
+                for dim in (1, 2, 5, 8, 40):
+                    stride, rank = neighbors._plan(n, k, dim)
+                    per_row = 4 * -(-n // stride) + stride * rank * 16 * (dim + 6)
+                    for queries in (0, 1, 7, 100, 1000):
+                        rows, tile = neighbors._block(n, stride, rank, dim, queries)
+                        shape = (n, k, dim, queries, rows, tile)
+                        assert rows == 1 or rows * per_row <= budget, shape
+                        assert min(n, neighbors._TILE) <= tile <= n, shape
+                        assert 4 * rows * tile <= budget, shape
+                        tiles = -(-n // tile)  # even: each tile ceil(n / tiles) wide
+                        assert tiles * (tile - 1) < n <= tiles * tile, shape
+
+    @pytest.mark.parametrize("case", ["scale_1e150", "scale_1e306", "far_query"])
+    def test_a_search_warns_of_nothing_and_leaves_the_error_state(self, case):
+        # The kernel ignores the screen's overflows inside one errstate:
+        # outside it, the caller's state holds, even where the search raises.
+        points, queries, k = _kernel_case(case)
+        data = DataMatrix(points)
+        want = _full_sort(data, queries, k)
+        for state in ({}, {"over": "raise", "invalid": "raise"}):
+            with np.errstate(**state):
+                before = np.geterr()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = knn_many(data, queries, k)
+                    with pytest.raises(InsufficientNeighborsError):
+                        knn_many(data, queries, data.n)
+                assert np.geterr() == before
+            _assert_bitwise(got, want)
 
     @pytest.mark.parametrize("case", ["copies_and_kth_ties", "inf_at_scale_1e160"])
     def test_rows_of_very_different_widths_rank_alone(self, monkeypatch, case):
