@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MIN_K, DataMatrix, DegenerateInputError, _adopt, _check_ged_pair,
-                   _check_integer, _frozen, _integers, _write_csv)
+from .core import (DataMatrix, DegenerateInputError, _adopt, _check_integer, _check_k_values,
+                   _frozen, _write_csv)
 # knn and direction_bundle are no longer called here; they stay importable
 # as analysis.knn and analysis.direction_bundle because the benchmark
 # tracer (bench/spans.py) patches those names.
@@ -162,36 +162,6 @@ def trails(
     est, _ = angle_id._estimate_many(data, rows, names, tags, ks, ged_pair, threads)
     return _adopt(TrailMatrix, k_values=tuple(ks), estimates=est[estimator][0],
                   estimator=estimator, point_indices=tuple(names))
-
-
-def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = None) -> list[int]:
-    """The k values in ascending order, or a ValueError saying what is wrong.
-
-    They must be distinct positive integers; a given ``ged_pair`` must lie
-    in [1, k] for the smallest k whatever the estimators, and that k must
-    reach each estimator's minimum (``core.MIN_K``), in the order given.
-    The values are converted once, into a set; their types are read only
-    where 0 or 1 is among them, the only values a bool converts to.
-    """
-    values = list(k_values)
-    try:
-        distinct = set(map(operator.index, values))
-        if not distinct.isdisjoint((0, 1)):
-            _integers(values)  # a TypeError for a bool
-    except TypeError:
-        raise ValueError(f"k values must be integers, got {values!r}") from None
-    ks = sorted(distinct)
-    if not ks:
-        raise ValueError("k_values must be non-empty")
-    if ks[0] < 1:
-        raise ValueError(f"k values must be >= 1, got {ks[0]}")
-    if len(ks) < len(values):
-        raise ValueError(f"k values must be distinct, got {sorted(map(operator.index, values))}")
-    _check_ged_pair(ged_pair, ks[0])
-    for tag in estimators:
-        if ks[0] < MIN_K[tag]:
-            raise ValueError(f"estimator {tag} needs k >= {MIN_K[tag]}, got k = {ks[0]}")
-    return ks
 
 
 def pearson(a, b) -> float:

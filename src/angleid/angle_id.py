@@ -111,13 +111,12 @@ class CosineSquareStats:
 # Elements of the largest array the estimation core builds per block
 # (512 KiB): the query rows of an estimation block (``_estimate_rows``) are
 # sized by it. Larger blocks were no faster on the benchmark's workloads
-# and raise the peak memory. ``_outer_sums`` takes a whole block's
-# products in one chunk where they fit twice this many, else chunks of at
-# most this many and a zero pad row: an every-k trails block of 10 rows
-# at k = 400 and D = 6 is one chunk of 84 000 products, which ran
-# ``_sq_sums`` about 14 % faster than rows of 6 and 4. The per-block
-# arrays of that size live in the thread's workspace
-# (``neighbors._workspace``), so no block pages them in again.
+# and raise the peak memory. ``_outer_sums`` takes at most twice this many
+# products per chunk (1 MiB): an every-k trails block of 10 rows at k = 400
+# and D = 6 is one chunk of 84 000 products, and a 100-query table at
+# k = 100 and D = 5 two chunks of 50 rows. The per-block arrays of that
+# size live in the thread's workspace (``neighbors._workspace``), so no
+# block pages them in again.
 _CHUNK = 1 << 16
 
 # Bytes of the neighbor lists, 16 per (query, neighbor), that a query map
@@ -146,13 +145,12 @@ def _sq_sums(u: np.ndarray, ks) -> np.ndarray:
     products; for k < D it is the sum of the squared entries of the
     k-by-k Gram matrix, read off running sums of its rows. Sums over
     directions run in index order (np.cumsum), so do the sums of squared
-    entries (``_outer_sums`` has two paths that add alike), and each
-    Gram entry is a dot product of fixed length D, so S(k) depends only
-    on the first k directions of its row and is bitwise the same
-    whichever other k values, rows or block size are involved; a BLAS
-    matrix product is avoided because its rounding depends on the
-    matrix size. Cost O(k_max * D * min(D, k_max)) per row for k_max =
-    max(ks).
+    entries, and each Gram entry is a dot product of fixed length D, so
+    S(k) depends only on the first k directions of its row and is
+    bitwise the same whichever other k values, rows or block size are
+    involved; a BLAS matrix product is avoided because its rounding
+    depends on the matrix size. Cost O(k_max * D * min(D, k_max)) per row
+    for k_max = max(ks).
     """
     ks = np.asarray(ks, dtype=np.int64)
     dim = u.shape[2]
@@ -172,36 +170,33 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # Only the upper triangle a <= b of each outer product is summed; the
     # off-diagonal entries count twice in the Frobenius norm. The products
-    # go in chunks: the whole block where its products fit twice _CHUNK,
-    # else an even number of whole rows where two rows' fit _CHUNK, else
-    # runs of two rows' directions within _CHUNK. One chunk per block
-    # spares the calls every chunk makes: an every-k trails block of 10
-    # rows at k = 400 and D = 6 (84 000 products) is one chunk, not rows of
-    # 6 and 4, while the 100-query tables at k = 100, D = 5 keep their
-    # chunks of 42 rows. A chunk's R rows of kc directions are copied
-    # transposed, (D, kc, L) with the rows innermost: L = R, or R + 1 with
-    # a zero pad row where R is odd (a whole odd block, or a block's last
-    # row), so a row chunk holds at most one row over the budget. The
-    # products c of the P pairs lie as (P, kc, L): numpy's take gathers
+    # go in chunks of at most 2 * _CHUNK: where two rows' products fit, the
+    # block splits evenly into the fewest chunks of an even number of whole
+    # rows (the last chunk may have fewer), else into runs of two rows'
+    # directions that carry their running sums from one run to the next. A
+    # table block of 100 rows ran as fast in chunks of 50 and 50 as in 42,
+    # 42 and 16, and slower in 86 and 14. A chunk's R rows of kc directions
+    # are copied transposed, (D, kc, L) with the rows innermost: L = R, or
+    # R + 1 with a zero pad row where R is odd, never more than the budget.
+    # The products c of the P pairs lie as (P, kc, L): numpy's take gathers
     # each pair's first factor as a whole (kc, L) block, and the second
     # factors of pairs (i, i..D-1) are the contiguous blocks i..D-1. The
-    # running sums run along k over a complex128 view of c whose lanes
-    # hold two adjacent rows: a complex add is the two rows' own float64
-    # adds, so one cumsum advances two rows per dependent add, and each
-    # row's sums are bitwise its float64 cumsum (TestRowReductions pins
-    # this). S(k) then sums the weighted squares over the pairs in index
-    # order: one sum over the pair axis of the whole (P, kc, L) products,
-    # which adds the (kc, L) planes one after another (TestRowReductions
-    # pins this too), where the requested k give the chunk at least _LANES
-    # (row, k) lanes, else one cumsum per lane over a transposed copy of
-    # the requested columns. Either adds in the order of the row-wise
-    # cumsum, so S(k) is bitwise the same on both paths.
+    # running sums run along k over a complex128 view of c whose lanes hold
+    # two adjacent rows: a complex add is the two rows' own float64 adds,
+    # so one cumsum advances two rows per dependent add, and each row's
+    # sums are bitwise its float64 cumsum (TestRowReductions pins this).
+    # S(k) then takes the requested k's columns (a slice where they are a
+    # run, else a gather), squares and weights them and sums them over the
+    # pairs in index order: one reduce over the pair axis adds the planes
+    # one after another (TestRowReductions pins this too).
     dim = u.shape[2]
     a, starts, weight = _triu(dim)
     pairs, k_max = a.size, int(ks[-1])
-    whole = len(u) * k_max * pairs <= 2 * _CHUNK
-    rows = len(u) if whole else _CHUNK // (k_max * pairs) // 2 * 2
-    step = k_max if rows else max(1, _CHUNK // (2 * pairs))
+    rows = 2 * _CHUNK // (k_max * pairs) // 2 * 2
+    step = k_max if rows else max(1, _CHUNK // pairs)
+    if len(u) > rows > 0:  # the fewest chunks, as even as they go
+        rows = -(-len(u) // -(-len(u) // rows))
+        rows += rows % 2
     rows = max(2, rows)
     out = np.empty((len(u), ks.size))
     for r in range(0, len(u), rows):
@@ -223,32 +218,17 @@ def _outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
             j0, j1 = ks.searchsorted(lo + 1), ks.searchsorted(lo + kc, side="right")
             if j0 == j1:
                 continue
+            # "transposed" is spent: it takes the gathered columns, or else the pairs' sums.
             cols = _columns(ks[j0:j1], lo + 1)
-            o = out[r:r + rows, j0:j1]
-            # "transposed" is spent: it takes the pairs' sums, gathered columns, or else the copy.
-            if o.size >= _LANES:
-                np.square(c, out=c)
-                for i, s in enumerate(starts[:-1]):  # weight 2 off the diagonal; 1 is a no-op
-                    c[s + 1:s + dim - i] *= 2.0
-                summed = np.add.reduce(c, axis=0, out=_workspace("transposed", c.shape[1:]))
-                o[...] = summed[cols, :n].T
+            if isinstance(cols, slice):
+                sel, spare = c[:, cols], "transposed"
             else:
-                if isinstance(cols, slice):
-                    sel, spare = c[:, cols], "transposed"
-                else:
-                    sel, spare = _gather(c, cols, 1, "transposed"), "products"
-                t = _workspace(spare, o.shape + (pairs,))
-                np.copyto(t, sel[..., :n].transpose(2, 1, 0))
-                np.square(t, out=t)
-                t *= weight
-                o[...] = _row_sums(t)
+                sel, spare = _gather(c, cols, 1, "transposed"), "products"
+            np.square(sel, out=sel)
+            sel *= weight[:, None, None]
+            summed = np.add.reduce(sel, axis=0, out=_workspace(spare, sel.shape[1:]))
+            out[r:r + rows, j0:j1] = summed[:, :n].T
     return out
-
-
-# (row, k) lanes of a chunk from which ``_outer_sums`` sums the pairs with
-# one add per pair rather than one cumsum per lane. The two cost the same
-# at about 200 to 270 lanes, for D from 3 to 20 on a 2-core Xeon.
-_LANES = 1 << 8
 
 
 def _columns(ks: np.ndarray, first: int) -> slice | np.ndarray:
@@ -270,15 +250,14 @@ def _triu(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _gram_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    # k < D here, so each Gram matrix is smaller than its directions. One
-    # row at a time: a batched einsum need not round the same way.
-    out = np.empty((len(u), ks.size))
-    for r, v in enumerate(u[:, :int(ks[-1])]):
-        g = np.einsum("id,jd->ij", v, v)
-        g *= g
-        rows = np.diagonal(g) + 2.0 * _row_sums(np.tril(g, -1))
-        out[r] = np.cumsum(rows)[ks - 1]
-    return out
+    # k < D here, so each Gram matrix is smaller than its directions and a
+    # block's fit the block's budget. Each entry is einsum's dot product of
+    # length D, the same batched as per row (TestRowReductions pins this).
+    v = u[:, :int(ks[-1])]
+    g = np.einsum("bid,bjd->bij", v, v)
+    g *= g
+    rows = np.diagonal(g, axis1=1, axis2=2) + 2.0 * _row_sums(np.tril(g, -1))
+    return np.cumsum(rows, axis=1)[:, ks - 1]
 
 
 def _mean_cosines(u: np.ndarray) -> np.ndarray:
@@ -468,7 +447,9 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     equal, d_0 == d_{k-1}, and that is the degeneracy rule. GED reads two
     distances per k. The sums run in index order and ``log1p`` is
     elementwise (a test pins both), so a row's values do not depend on the
-    block it came in, nor on the other k values. The callers check ``ks``
+    block it came in, nor on the other k values. Where the k-th distance
+    is not finite (the data's distances overflow float64), every estimator
+    gives k with the degeneracy flag at that k. The callers check ``ks``
     and ``ged_pair`` (``_check_ks``).
     """
     ks = np.asarray(ks, dtype=np.int64)
@@ -476,17 +457,17 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
     if any(t in ANGLE_TAGS for t in tags):
         off = _off_diag(_sq_sums(u, ks), kf)
     last = _columns(ks, 1)  # a slice where ks is a run, as in every-k trails
-    if "mle" in tags or "mom" in tags:
-        rises = _columns(ks, 2)
-        d = d[:, :ks[-1]]
-        # Column j - 1 holds d_j - d_{j-1} >= 0. The (B, k_max) arrays live
-        # in the thread's workspace: with distance estimators alone they
-        # are the block's largest.
-        rise = np.subtract(d[:, 1:], d[:, :-1], out=_workspace("rise", (len(d), ks[-1] - 1)))
-        weights = np.arange(1.0, ks[-1])
-        equal = d[:, :1] == d[:, last]
     out = {}
     with np.errstate(divide="ignore", invalid="ignore"):
+        if "mle" in tags or "mom" in tags:
+            rises = _columns(ks, 2)
+            d = d[:, :ks[-1]]
+            # Column j - 1 holds d_j - d_{j-1} >= 0. The (B, k_max) arrays
+            # live in the thread's workspace: with distance estimators alone
+            # they are the block's largest.
+            rise = np.subtract(d[:, 1:], d[:, :-1], out=_workspace("rise", (len(d), ks[-1] - 1)))
+            weights = np.arange(1.0, ks[-1])
+            equal = d[:, :1] == d[:, last]
         for tag in tags:
             if tag in ANGLE_TAGS:
                 out[tag] = _angle(tag, off, kf)
@@ -510,6 +491,12 @@ def _estimates(u: np.ndarray | None, d: np.ndarray | None, tags, ks,
                     k1, k2 = np.full_like(ks, ged_pair[0]), np.full_like(ks, ged_pair[1])
                 d1, d2 = d[:, k1 - 1], d[:, _columns(k2, 1)]
                 out[tag] = _degenerate(np.log(k2 / k1) / np.log(d2 / d1), d1 == d2, kf)
+    if d is not None:
+        far = ~np.isfinite(d[:, last])  # the k-th distance overflowed float64
+        if far.any():
+            for values, flags in out.values():
+                np.copyto(values, kf, where=far)
+                flags[far] = _DEGENERATE
     return out
 
 

@@ -18,11 +18,11 @@ import warnings
 
 import numpy as np
 
-# analysis, angle_id and theory are imported by the commands that call
-# them, so each command loads only its own modules.
-from . import synth
+# analysis, angle_id, synth and theory are imported by the commands that
+# call them, so each command loads only its own modules.
 from .core import (
     ESTIMATOR_TAGS,
+    SHAPES,
     AngleIdError,
     CsvFormatError,
     DataMatrix,
@@ -30,6 +30,7 @@ from .core import (
     write_csv,
     _adopt,
     _check_delimiter as _delimiter_rule,
+    _check_k_values,
     _read_csv,
     _rng,
 )
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset as CSV")
-    gen.add_argument("--shape", required=True, choices=synth.SHAPES)
+    gen.add_argument("--shape", required=True, choices=SHAPES)
     gen.add_argument("--n", type=int, help="point count (shapes with a free size)")
     gen.add_argument("--d", type=int, help="dimension for ball/sphere/gaussian")
     # Shape parameters, under synth's names: an option not given is left
@@ -186,8 +187,11 @@ def _load_queries(args) -> tuple[DataMatrix, list[int] | None]:
 
 
 def cmd_generate(args) -> int:
+    from . import synth
+
     try:
-        spec = _spec_from_args(args)
+        spec = synth.GeneratorSpec(shape=args.shape, n=args.n, seed=args.seed,
+                                   params=_shape_params(args))
         out = synth.generate(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -204,24 +208,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args) -> synth.GeneratorSpec:
-    """The spec of the given shape options; ``synth.generate`` checks them."""
+def _shape_params(args) -> dict:
+    """The shape options given, by synth's names; ``synth.generate`` checks them."""
     params = {name: value for name, value in vars(args).items() if value is not None
               and name not in ("command", "func", "shape", "n", "seed", "output")}
     if "levels" in params:
         params["levels"] = _parse_list(params["levels"], "--levels", float)
-    return synth.GeneratorSpec(shape=args.shape, n=args.n, seed=args.seed, params=params)
+    return params
 
 
 def cmd_estimate(args) -> int:
-    from . import analysis, angle_id
+    from . import angle_id
 
     ged_pair = None
     if args.ged_pair is not None:
         ged_pair = tuple(_parse_list(args.ged_pair, "--ged-pair", int))
     try:
         tags = angle_id._check_tags(t.strip() for t in args.estimators.split(",") if t.strip())
-        analysis._check_k_values([args.k], tags, ged_pair)
+        _check_k_values([args.k], tags, ged_pair)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     data, queries = _load_queries(args)
@@ -299,7 +303,7 @@ def cmd_trails(args) -> int:
             raise UsageError(f"--k-step must be >= 1, got {args.k_step}")
         ks = list(range(args.k_min, args.k_max + 1, args.k_step))
     try:
-        ks = analysis._check_k_values(ks, [args.estimator])
+        ks = _check_k_values(ks, [args.estimator])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     data, points = _load_queries(args)

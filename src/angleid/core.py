@@ -41,6 +41,10 @@ ANGLE_TAGS = ("abid", "rabid")
 DISTANCE_TAGS = ("mle", "mom", "ged")
 ESTIMATOR_TAGS = ANGLE_TAGS + DISTANCE_TAGS
 
+# The shapes ``synth.generate`` makes (re-exported as ``synth.SHAPES``);
+# the CLI's ``--shape`` choices read them here, so its parser needs no synth.
+SHAPES = ("ball", "sphere", "gaussian", "koch", "lattice", "nested_cubes", "offset_disc", "line")
+
 # The smallest neighborhood each estimator is defined on.
 MIN_K = {"abid": 1, "rabid": 2, "mle": 2, "mom": 2, "ged": 4}
 
@@ -147,6 +151,40 @@ def _check_ged_pair(pair, k: int) -> None:
         raise ValueError(f"ged_pair needs 1 <= k1 < k2, got ({k1}, {k2})")
     if k2 > k:
         raise ValueError(f"ged_pair ({k1}, {k2}) needs k >= {k2}, got k = {k}")
+
+
+def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = None) -> list[int]:
+    """The k values in ascending order, or a ValueError saying what is wrong.
+
+    They must be distinct positive integers; a given ``ged_pair`` must lie
+    in [1, k] for the smallest k whatever the estimators, and that k must
+    reach each estimator's minimum (``MIN_K``), in the order given. An
+    ascending range holds distinct ints in order and is taken as it is;
+    other values are converted once, into a set, and their types are read
+    only where 0 or 1 is among them, the only values a bool converts to.
+    """
+    if isinstance(k_values, range) and k_values.step > 0:
+        ks = values = list(k_values)
+    else:
+        values = list(k_values)
+        try:
+            distinct = set(map(operator.index, values))
+            if not distinct.isdisjoint((0, 1)):
+                _integers(values)  # a TypeError for a bool
+        except TypeError:
+            raise ValueError(f"k values must be integers, got {values!r}") from None
+        ks = sorted(distinct)
+    if not ks:
+        raise ValueError("k_values must be non-empty")
+    if ks[0] < 1:
+        raise ValueError(f"k values must be >= 1, got {ks[0]}")
+    if len(ks) < len(values):
+        raise ValueError(f"k values must be distinct, got {sorted(map(operator.index, values))}")
+    _check_ged_pair(ged_pair, ks[0])
+    for tag in estimators:
+        if ks[0] < MIN_K[tag]:
+            raise ValueError(f"estimator {tag} needs k >= {MIN_K[tag]}, got k = {ks[0]}")
+    return ks
 
 
 def _frozen(values, dtype) -> np.ndarray:

@@ -266,16 +266,18 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     - the estimation core's neighbor lists "idx" and "dist" (of maps
       that keep none, ``angle_id._estimate_many``), directions
       "directions", distance increments "rise" and "terms", and the Gram
-      chunks "products" (a whole block's products within 1 MiB, twice
-      ``angle_id._CHUNK``, else at most 512 KiB and a zero pad row over
-      it where a chunk's rows are odd) and "transposed", a chunk's
-      directions copied transposed with the rows innermost (2 / (D + 1)
-      of that), which the pairs' sums or the requested k's gathered or
-      copied columns reuse once they are spent (``angle_id._outer_sums``;
-      at most as large as "products"); ``angle_id._mean_cosines`` copies
-      a block's directions k-major into the spent "products"; these
-      budgets hold wherever one query row fits them, and the Gram chunks'
-      wherever two rows' products of one direction do.
+      chunks "products" (at most 1 MiB, twice ``angle_id._CHUNK``, a zero
+      pad row included) and "transposed", a chunk's directions copied
+      transposed with the rows innermost (2 / (D + 1) of that), which the
+      requested k's gathered columns, or else the pairs' sums, reuse once
+      it is spent; the sums of gathered columns go to the spent
+      "products" (``angle_id._outer_sums``; "transposed" is at most as
+      large as "products"); ``angle_id._mean_cosines`` copies a block's
+      directions k-major into the spent "products"; these budgets hold
+      wherever one query row fits them, and the Gram chunks' wherever two
+      rows' products of one direction do. ``angle_id._gram_sums`` keeps
+      no buffer: at k < D a block's (B, k, k) Gram matrices are smaller
+      than its directions.
     """
     size = math.prod(shape)
     buf = getattr(_local, name, None)

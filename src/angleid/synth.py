@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, _check_integer, _rng
+from .core import SHAPES, DataMatrix, _check_integer, _rng
 
 __all__ = [
     "GeneratorSpec",
@@ -37,8 +37,6 @@ __all__ = [
 
 LATTICE_LEVELS = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 LATTICE_JITTER_MAX = 1.0 / 3.0
-
-SHAPES = ("ball", "sphere", "gaussian", "koch", "lattice", "nested_cubes", "offset_disc", "line")
 
 
 def sample_ball(n: int, d: int, seed: int) -> DataMatrix:

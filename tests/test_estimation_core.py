@@ -220,17 +220,64 @@ def test_a_table_on_an_orthogonal_cross_sets_every_flag():
     assert table.mean_cosines == (0.0,)
 
 
+def test_neighbors_beyond_float64_give_k_and_the_degeneracy_flag():
+    # At this scale every neighbor distance overflows to inf (the lists stay
+    # exact), so no estimate is defined: every estimator gives k with the
+    # degeneracy flag, in tables, trails, estimate_point and the public
+    # distance estimators, and no RuntimeWarning escapes.
+    data = DataMatrix(np.abs(np.random.default_rng(9).standard_normal((800, 3))) * 1e306)
+    k, queries = 10, list(range(0, 800, 40))
+    degenerate = FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isinf(knn(data, 0, k).distances).all()
+        table = angle_id.estimate_table(data, k, ESTIMATOR_TAGS, queries=queries,
+                                        with_diagnostics=True)
+        point = angle_id.estimate_point(data, 0, k, ESTIMATOR_TAGS)
+        ks = range(MIN_K["ged"], k + 1)
+        trails = {t: analysis.trails(data, ks, t, point_subset=queries) for t in ESTIMATOR_TAGS}
+        mle = baseline_id.mle_hill(knn(data, 0, k))
+    for tag in ESTIMATOR_TAGS:
+        assert table.values(tag).tolist() == [k] * len(queries), tag
+        assert table.flags(tag).tolist() == [degenerate] * len(queries), tag
+        assert (point[tag].value, point[tag].flags) == (k, {DEGENERATE_ZERO_DENOMINATOR}), tag
+        assert trails[tag].estimates.tolist() == [list(ks)] * len(queries), tag
+    assert (mle.value, mle.flags) == (k, {DEGENERATE_ZERO_DENOMINATOR})
+
+
+def test_only_the_k_whose_distance_overflows_are_flagged():
+    # Six points near the origin and six at 1e306: a near point's five near
+    # neighbors have finite distances, every farther one is at inf.
+    rng = np.random.default_rng(3)
+    data = DataMatrix(np.vstack([rng.standard_normal((6, 3)),
+                                 np.abs(rng.standard_normal((6, 3))) * 1e306]))
+    queries, ks = [0, 1, 2], range(4, 10)
+    degenerate = FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trails = {t: analysis.trails(data, ks, t, point_subset=queries) for t in ESTIMATOR_TAGS}
+        tables = {k: angle_id.estimate_table(data, k, ESTIMATOR_TAGS, queries=queries) for k in ks}
+    for k, table in tables.items():
+        for tag in ESTIMATOR_TAGS:
+            assert trails[tag].column(k).tobytes() == table.values(tag).tobytes(), (k, tag)
+            if k > 5:
+                assert table.values(tag).tolist() == [k] * 3, (k, tag)
+                assert table.flags(tag).tolist() == [degenerate] * 3, (k, tag)
+            else:
+                assert np.isfinite(table.values(tag)).all(), (k, tag)
+    assert not tables[5].flags("abid").any()
+
+
 def test_the_outer_sums_do_not_depend_on_their_k_chunks(monkeypatch):
     rng = np.random.default_rng(8)
     u = rng.standard_normal((3, 90, 4))
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     ks = list(range(4, 91))
     want = angle_id._sq_sums(u, ks)
-    # 10 products per direction: _outer_sums takes the whole block where its
-    # 2 700 products fit twice _CHUNK, else an even number of whole rows
-    # where two rows' 1 800 fit _CHUNK, else runs of _CHUNK // 20
-    # directions of two rows.
-    for chunk in (10, 10 * 7, 10 * 33, 900, 900 * 3):  # runs of 1, 3, 16, 45; the whole block
+    # 10 products per direction: _outer_sums takes chunks of at most twice
+    # _CHUNK products, an even number of whole rows (900 products each)
+    # where two fit, else runs of _CHUNK // 10 directions of two rows.
+    for chunk in (10, 10 * 7, 10 * 33, 900, 900 * 3):  # runs of 1, 7, 33; rows of 2; the whole block
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
     for r in range(3):
@@ -254,11 +301,11 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
     whole = angle_id._sq_sums(u, ks)
     assert chunks == [(400, 8)]
     # Where the block does not fit twice _CHUNK, _outer_sums takes an even
-    # number of whole rows where two rows' products fit _CHUNK, else runs of
-    # two rows' directions: rows of 2 (the last alone, padded), and runs of 18
+    # number of whole rows whose products fit it, else runs of two rows'
+    # directions: rows of 2 (the last alone, padded), and runs of 18
     # directions, 22 per pair of rows and a last one of 4.
-    for chunk, want in ((2 * 400 * 21, [(400, 2)] * 4),
-                        (37 * 21, ([(18, 2)] * 22 + [(4, 2)]) * 4)):
+    for chunk, want in ((400 * 21, [(400, 2)] * 4),
+                        (18 * 21, ([(18, 2)] * 22 + [(4, 2)]) * 4)):
         monkeypatch.setattr(angle_id, "_CHUNK", chunk)
         chunks.clear()
         assert angle_id._sq_sums(u, ks).tobytes() == whole.tobytes()
@@ -269,21 +316,21 @@ def test_a_trails_block_is_one_chunk_and_a_table_block_keeps_its_rows(monkeypatc
     # At the default _CHUNK, an every-k trails block on the 6-D lattice (10
     # rows of 400 directions, 84 000 products) fits twice the budget and is
     # one chunk; a 100-query table at k = 100, D = 5 (150 000 products) does
-    # not and keeps its chunks of 42 rows, whose two rows' products fit it.
+    # not and splits evenly into the fewest chunks of whole rows that fit it.
     rng = np.random.default_rng(11)
     chunks = []
     gather = angle_id._gather
     monkeypatch.setattr(angle_id, "_gather", lambda a, indices, axis, name: (
         name == "products" and chunks.append(a.shape[1:])) or gather(a, indices, axis, name))
     for shape, ks, want in (((10, 400, 6), np.arange(10, 401), [(400, 10)]),
-                            ((100, 100, 5), np.array([100]), [(100, 42), (100, 42), (100, 16)])):
+                            ((100, 100, 5), np.array([100]), [(100, 50), (100, 50)])):
         u = rng.standard_normal(shape)
         u /= np.linalg.norm(u, axis=2, keepdims=True)
         chunks.clear()
         whole = angle_id._sq_sums(u, ks)
         assert chunks == want
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(angle_id, "_CHUNK", 2 * 400 * 21)  # rows of 2
+            mp.setattr(angle_id, "_CHUNK", 400 * 21)  # rows of 2
             assert angle_id._sq_sums(u, ks).tobytes() == whole.tobytes()
 
 
@@ -308,36 +355,12 @@ def test_the_outer_sums_gather_from_contiguous_chunks_only(monkeypatch):
         # 10 products per direction: runs of 7 directions of two rows (runs of
         # 3 would hold one requested k each, a slice), rows of 2, the whole
         # block (its 7 rows and a pad row).
-        for chunk in (2 * 10 * 7, 10 * 90 * 3, 10 * 90 * 7):
+        for chunk in (10 * 7, 10 * 90, 10 * 90 * 4):
             monkeypatch.setattr(angle_id, "_CHUNK", chunk)
             gathers.clear()
             assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
             assert gathers[0] == (True, 0, "products")
             assert set(gathers) == {gathers[0], *selected}
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 20])
-def test_both_pair_sums_give_the_same_outer_sums(monkeypatch, dim):
-    # _outer_sums sums a chunk's pairs with one sum over the pair axis
-    # where it has at least _LANES (row, k) lanes, else with one cumsum per
-    # lane. Each path is forced here through that threshold; both must give
-    # bitwise the same S(k), and a table's single k the same as every-k trails.
-    rng = np.random.default_rng(dim)
-    u = rng.standard_normal((9, 60, dim))
-    u /= np.linalg.norm(u, axis=2, keepdims=True)
-    every, some = np.arange(dim, 61), np.arange(dim, 61, 4)
-    results = []
-    for lanes in (0, 1 << 62):  # every chunk on the add path, then on the cumsum path
-        monkeypatch.setattr(angle_id, "_LANES", lanes)
-        for chunk in (1 << 16, 7 * dim * (dim + 1) // 2):  # whole blocks, runs of 3 directions
-            monkeypatch.setattr(angle_id, "_CHUNK", chunk)
-            got = angle_id._outer_sums(u, every)
-            assert angle_id._outer_sums(u, some).tobytes() == got[:, ::4].tobytes()
-            for j in (0, 17 % every.size, every.size - 1):
-                single = angle_id._outer_sums(u, every[j:j + 1])
-                assert single.tobytes() == got[:, j:j + 1].tobytes(), (lanes, chunk, j)
-            results.append(got.tobytes())
-    assert len(set(results)) == 1
 
 
 def _float_lane_outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -356,6 +379,53 @@ def _float_lane_outer_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
         c = np.square(c) * weight
         out[r] = np.cumsum(c, axis=1)[:, -1]
     return out
+
+
+def _per_row_gram_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The oracle of ``_gram_sums``: S(k) at k < D from one row's k-by-k Gram matrix at a time.
+
+    This is the arithmetic of ``_gram_sums`` before it took a block's Gram
+    matrices in one einsum: per row, the dot products of its first k_max
+    directions, squared, each Gram row's diagonal plus twice its entries
+    left of it added in index order, and the running sums of those rows.
+    """
+    out = np.empty((len(u), ks.size))
+    for r, v in enumerate(u[:, :ks[-1]]):
+        g = np.einsum("id,jd->ij", v, v)
+        g *= g
+        rows = np.diagonal(g) + 2.0 * np.cumsum(np.tril(g, -1), axis=-1)[:, -1]
+        out[r] = np.cumsum(rows)[ks - 1]
+    return out
+
+
+def _oracle_sq_sums(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """S(k) by the oracle of each side of ``_sq_sums``: the Gram side below D, the outer one above."""
+    gram = ks < u.shape[2]
+    out = np.empty((len(u), ks.size))
+    if gram.any():
+        out[:, gram] = _per_row_gram_sums(u, ks[gram])
+    if not gram.all():
+        out[:, ~gram] = _float_lane_outer_sums(u, ks[~gram])
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 20])
+@pytest.mark.parametrize("rows", [1, 2, 7, 10])
+def test_sq_sums_equal_the_oracles_on_every_chunk_plan(monkeypatch, dim, rows):
+    # Odd and even row counts; every k (a run across both sides of D), the
+    # outer side's run, every fourth k (gathered) and single k; the whole
+    # block in one chunk, rows of 2, and runs of 3 directions of two rows.
+    rng = np.random.default_rng(100 * dim + rows)
+    u = rng.standard_normal((rows, 60, dim))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    every = np.arange(1, 61)
+    want = _oracle_sq_sums(u, every)
+    pairs = dim * (dim + 1) // 2
+    for chunk in (angle_id._CHUNK, 60 * pairs, 3 * pairs):
+        monkeypatch.setattr(angle_id, "_CHUNK", chunk)
+        for ks in (every, every[dim - 1:], every[::4], every[:1], every[dim - 1:dim],
+                   every[17:18], every[-1:]):
+            assert angle_id._sq_sums(u, ks).tobytes() == want[:, ks - 1].tobytes(), (chunk, ks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,16 +448,9 @@ def test_sq_sums_equal_the_float_lane_oracle(data):
         st.integers(1, 10).map(lambda r: r * k_max * pairs),  # whole rows
         st.integers(1, 2 * k_max).map(lambda s: s * pairs),  # runs of directions
     ), label="_CHUNK")
-    lanes = data.draw(st.sampled_from([0, angle_id._LANES, 1 << 62]), label="_LANES")
-    gram = ks < dim
-    want = np.empty((rows, ks.size))
-    if gram.any():
-        want[:, gram] = angle_id._gram_sums(u, ks[gram])
-    if not gram.all():
-        want[:, ~gram] = _float_lane_outer_sums(u, ks[~gram])
+    want = _oracle_sq_sums(u, ks)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(angle_id, "_CHUNK", chunk)
-        mp.setattr(angle_id, "_LANES", lanes)
         assert angle_id._sq_sums(u, ks).tobytes() == want.tobytes()
 
 
@@ -475,6 +538,37 @@ class TestRowReductions:
             want += c[p]
         out = np.empty(shape[1:])
         assert np.add.reduce(c, axis=0, out=out).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 5, 2), (3, 9, 2), (21, 400, 10), (36, 500, 2),
+                                       (210, 60, 8)])
+    def test_a_sum_over_the_pair_axis_of_a_k_slice_adds_its_planes_in_order(self, shape):
+        # A run of requested k is reduced as a slice of the products, a
+        # strided (P, m, L) view; its planes too must add in pair order.
+        rng = np.random.default_rng(shape[0])
+        c = rng.standard_normal(shape) ** 2 * 10.0 ** rng.integers(-8, 8, shape)
+        for cols in (slice(0, 1), slice(1, shape[1] - 1), slice(shape[1] - 1, None)):
+            part = c[:, cols]
+            want = part[0].copy()
+            for p in range(1, shape[0]):
+                want += part[p]
+            out = np.empty(part.shape[1:])
+            assert np.add.reduce(part, axis=0, out=out).tobytes() == want.tobytes(), cols
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 6, 8, 13, 20, 64, 784])
+    def test_a_batched_einsum_takes_each_rows_dot_products(self, dim):
+        # _gram_sums takes a block's Gram matrices in one einsum over the
+        # first k directions of each row, a strided (B, k, D) view; each
+        # entry must be bitwise the per-row einsum's dot product.
+        rng = np.random.default_rng(dim)
+        k_max = min(dim - 1, 40)
+        for rows in (1, 2, 7, 33):
+            u = rng.standard_normal((rows, k_max + 3, dim))
+            for k in sorted({1, 2, (k_max + 1) // 2, k_max}):
+                v = u[:, :k]
+                got = np.einsum("bid,bjd->bij", v, v)
+                for r in range(rows):
+                    row = np.einsum("id,jd->ij", v[r], v[r])
+                    assert got[r].tobytes() == row.tobytes(), (rows, k, r)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13])
     def test_direction_sums_are_the_per_neighborhood_ones(self, dim):

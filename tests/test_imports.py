@@ -123,6 +123,26 @@ def test_importtime_logs_the_submodules_a_command_loads(package_env, tmp_path):
     assert {"angleid", "angleid.cli", "angleid.analysis", "angleid.core"} <= logged
 
 
+def test_estimate_loads_neither_the_trails_nor_the_generators(package_env, tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("".join(f"{i % 5},{i // 5},{i % 3}\n" for i in range(40)))
+    loaded = _loaded(package_env, tmp_path, "-m", "angleid", "estimate", "--input", str(points),
+                     "--k", "5", "--estimators", "abid,mle", "-o", str(tmp_path / "e.csv"))
+    assert {"angleid.angle_id", "angleid.neighbors"} <= loaded
+    assert not loaded & {"angleid.analysis", "angleid.synth"}
+
+
+@pytest.mark.parametrize("command", ["histogram", "trails"])
+def test_only_generate_and_validate_load_the_generators(package_env, tmp_path, command):
+    table = tmp_path / "data.csv"
+    table.write_text("index,abid\n" + "".join(f"{i},{i % 5}.5\n" for i in range(40)))
+    args = {"histogram": ["--column", "abid", "--bin-width", "0.5"],
+            "trails": ["--header", "--k-values", "3,5"]}[command]
+    loaded = _loaded(package_env, tmp_path, "-m", "angleid", command, "--input", str(table),
+                     *args, "-o", str(tmp_path / "out.csv"))
+    assert "angleid.analysis" in loaded and "angleid.synth" not in loaded
+
+
 def test_generate_loads_neither_the_search_nor_the_estimators(package_env, tmp_path):
     loaded = _loaded(package_env, tmp_path, "-m", "angleid", "generate", "--shape", "ball",
                      "--d", "2", "--n", "10", "-o", str(tmp_path / "b.csv"))
