@@ -106,7 +106,7 @@ def test_histogram_loads_no_estimator(package_env, tmp_path):
                      "-o", str(tmp_path / "h.csv"))
     assert "angleid.analysis" in loaded
     assert not loaded & {"angleid.angle_id", "angleid.baseline_id", "angleid.theory",
-                         "concurrent.futures"}
+                         "angleid.synth", "concurrent.futures"}
 
 
 def test_importtime_logs_the_submodules_a_command_loads(package_env, tmp_path):
@@ -123,7 +123,7 @@ def test_importtime_logs_the_submodules_a_command_loads(package_env, tmp_path):
     assert {"angleid", "angleid.cli", "angleid.analysis", "angleid.core"} <= logged
 
 
-def test_estimate_loads_neither_the_trails_nor_the_generators(package_env, tmp_path):
+def test_estimate_loads_neither_analysis_nor_synth(package_env, tmp_path):
     points = tmp_path / "points.csv"
     points.write_text("".join(f"{i % 5},{i // 5},{i % 3}\n" for i in range(40)))
     loaded = _loaded(package_env, tmp_path, "-m", "angleid", "estimate", "--input", str(points),
@@ -132,14 +132,11 @@ def test_estimate_loads_neither_the_trails_nor_the_generators(package_env, tmp_p
     assert not loaded & {"angleid.analysis", "angleid.synth"}
 
 
-@pytest.mark.parametrize("command", ["histogram", "trails"])
-def test_only_generate_and_validate_load_the_generators(package_env, tmp_path, command):
-    table = tmp_path / "data.csv"
-    table.write_text("index,abid\n" + "".join(f"{i},{i % 5}.5\n" for i in range(40)))
-    args = {"histogram": ["--column", "abid", "--bin-width", "0.5"],
-            "trails": ["--header", "--k-values", "3,5"]}[command]
-    loaded = _loaded(package_env, tmp_path, "-m", "angleid", command, "--input", str(table),
-                     *args, "-o", str(tmp_path / "out.csv"))
+def test_trails_loads_no_synth(package_env, tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("".join(f"{i},{i % 5}.5\n" for i in range(40)))
+    loaded = _loaded(package_env, tmp_path, "-m", "angleid", "trails", "--input", str(points),
+                     "--k-values", "3,5", "-o", str(tmp_path / "t.csv"))
     assert "angleid.analysis" in loaded and "angleid.synth" not in loaded
 
 
