@@ -158,22 +158,18 @@ def _check_k_values(k_values, estimators, ged_pair: tuple[int, int] | None = Non
 
     They must be distinct positive integers; a given ``ged_pair`` must lie
     in [1, k] for the smallest k whatever the estimators, and that k must
-    reach each estimator's minimum (``MIN_K``), in the order given. An
-    ascending range holds distinct ints in order and is taken as it is;
-    other values are converted once, into a set, and their types are read
-    only where 0 or 1 is among them, the only values a bool converts to.
+    reach each estimator's minimum (``MIN_K``), in the order given. The
+    values are converted once, into a set, and their types are read only
+    where 0 or 1 is among them, the only values a bool converts to.
     """
-    if isinstance(k_values, range) and k_values.step > 0:
-        ks = values = list(k_values)
-    else:
-        values = list(k_values)
-        try:
-            distinct = set(map(operator.index, values))
-            if not distinct.isdisjoint((0, 1)):
-                _integers(values)  # a TypeError for a bool
-        except TypeError:
-            raise ValueError(f"k values must be integers, got {values!r}") from None
-        ks = sorted(distinct)
+    values = list(k_values)
+    try:
+        distinct = set(map(operator.index, values))
+        if not distinct.isdisjoint((0, 1)):
+            _integers(values)  # a TypeError for a bool
+    except TypeError:
+        raise ValueError(f"k values must be integers, got {values!r}") from None
+    ks = sorted(distinct)
     if not ks:
         raise ValueError("k_values must be non-empty")
     if ks[0] < 1:

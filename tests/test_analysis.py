@@ -389,24 +389,6 @@ def test_check_k_values_keeps_the_rules_and_messages_of_its_oracle(k_values, est
         assert got == want and all(type(k) is int for k in got)
 
 
-@pytest.mark.parametrize("k_values", [range(0), range(4, 4), range(0, 5), range(1, 5),
-                                      range(2, 9), range(1, 14, 4), range(2, 20, 3),
-                                      range(0, 9, 2), range(9, 1, -2)])
-def test_a_range_of_k_values_is_checked_as_the_same_values_in_a_list(k_values):
-    # An ascending range is taken as it is; it must give what its list gives.
-    for estimators in ([], ["abid"], ["rabid", "ged"]):
-        for ged_pair in (None, (1, 2), (2, 4)):
-            try:
-                want = analysis._check_k_values(list(k_values), estimators, ged_pair)
-            except ValueError as error:
-                with pytest.raises(ValueError) as got:
-                    analysis._check_k_values(k_values, estimators, ged_pair)
-                assert str(got.value) == str(error)
-            else:
-                got = analysis._check_k_values(k_values, estimators, ged_pair)
-                assert got == want and all(type(k) is int for k in got)
-
-
 class TestCorrelations:
     def test_identical_series(self):
         a = np.array([0.3, 1.2, 5.0, 2.2])

@@ -312,7 +312,7 @@ def test_the_outer_sums_of_a_trails_block_equal_one_unchunked_pass(monkeypatch):
         assert chunks == want
 
 
-def test_a_trails_block_is_one_chunk_and_a_table_block_keeps_its_rows(monkeypatch):
+def test_a_trails_block_is_one_chunk_and_a_table_block_splits_evenly(monkeypatch):
     # At the default _CHUNK, an every-k trails block on the 6-D lattice (10
     # rows of 400 directions, 84 000 products) fits twice the budget and is
     # one chunk; a 100-query table at k = 100, D = 5 (150 000 products) does
