@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, inf, isfinite
 
@@ -50,6 +49,7 @@ from .core import (
     _check_ged_pair,
     _check_indices,
     _check_integer,
+    _thread_map,
 )
 from . import neighbors
 from .neighbors import DirectionBundle, _directions, _gather, _resolve_query, _workspace
@@ -632,10 +632,10 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
     search, which splits it evenly into blocks of its own
     (``neighbors._block``), then ``_directions`` and ``_estimates`` on the
     calling thread's workspace buffers (``neighbors._workspace``), and
-    writes its rows of the outputs. With
-    ``threads > 1`` the blocks run in a thread pool, drained in block
-    order, so a neighbor shortage names the first short query (the kernel
-    names a block's first short row). No result depends on the block size.
+    writes its rows of the outputs. The blocks run on ``threads`` threads
+    (``core._thread_map``), whose results are taken in block order, so a
+    neighbor shortage names the first short query (the kernel names a
+    block's first short row). No result depends on the block size.
 
     The matrix keeps the neighbor lists of its last map (``_neighbors``)
     if every query is a point index and the (Q, k_max) lists fit
@@ -674,18 +674,20 @@ def _estimate_many(data: DataMatrix, queries: np.ndarray, names, tags, ks, ged_p
                 out = _workspace("idx", shape, np.int64), _workspace("dist", shape)
             # Looked up per call, so one patch of neighbors._knn_kernel reaches every search.
             idx, dist = neighbors._knn_kernel(data, k_max, q, names[span], out)
-        u = _directions(data.points, q, idx, dist) if need_u else None
+        u = None
+        if need_u:
+            # Where the k-th distance is not finite, p - q may overflow and
+            # (p - q) / inf be NaN; those rows get k, flagged, and a NaN mean cosine.
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = _directions(data.points, q, idx, dist)
         for t, (values, flags) in _estimates(u, dist, tags, ks, ged_pair).items():
             est[t][0][span], est[t][1][span] = values, flags
         if with_diagnostics:
-            mean_cosines[span] = _mean_cosines(u)
+            mean_cosines[span] = np.where(np.isfinite(dist[:, -1]), _mean_cosines(u), np.nan)
 
     blocks = [range(len(queries))[lo:lo + rows] for lo in range(0, len(queries), rows)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks))  # in block order, so the first short query raises
-    else:
-        list(map(work, blocks))
+    for _ in _thread_map(work, blocks, threads):  # in block order: the first short query raises
+        pass
     if keep is not None:
         for a in keep:
             a.setflags(write=False)

@@ -109,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--points", type=int, default=None,
                         help="estimate only this many query points (seeded subsample)")
     shared.add_argument("--subsample-seed", type=int, default=0)
-    shared.add_argument("--threads", type=int, default=1)
+    shared.add_argument("--threads", type=int, default=1,
+                        help="threads that parse the input and run the estimates (default 1); "
+                             "results never depend on it")
     shared.add_argument("-o", "--output", required=True)
 
     est = sub.add_parser("estimate", parents=[shared], help="per-point ID estimates as CSV")
@@ -173,7 +175,8 @@ def _load_queries(args) -> tuple[DataMatrix, list[int] | None]:
     _check_delimiter(args)
     if args.points is not None and args.points < 1:
         raise UsageError("--points must be >= 1")
-    data = load_csv(args.input, delimiter=args.delimiter, skip_header=args.header)
+    data = load_csv(args.input, delimiter=args.delimiter, skip_header=args.header,
+                    threads=args.threads)
     if args.label_column:
         if data.dim < 2:
             raise UsageError("--label-column needs at least 2 input columns")

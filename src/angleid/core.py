@@ -7,13 +7,17 @@ accumulation visibly biases results.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
+import re
 import string
-from contextlib import suppress
+from collections import deque
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from itertools import count, islice
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -188,6 +192,30 @@ def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _thread_map(fn, items, threads: int):
+    """``fn`` of each of ``items``, yielded in order, on ``threads`` threads.
+
+    With ``threads > 1`` the calls run in a pool of that many threads,
+    started for this map alone. At most ``threads + 1`` items are taken
+    from ``items`` ahead of the result yielded, so a lazy iterable is read
+    only that far ahead. An error raises when its item's turn comes, so
+    the first failing item in order raises, after the calls in flight end.
+    """
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by one-thread commands
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _adopt(cls, **fields):
@@ -386,15 +414,21 @@ def _flag_mask(flags) -> int:
     return sum(FLAG_BITS[f] for f in flags)
 
 
-def load_csv(path, delimiter: str = ",", skip_header: bool = False) -> DataMatrix:
+def load_csv(path, delimiter: str = ",", skip_header: bool = False,
+             threads: int = 1) -> DataMatrix:
     """Parse a numeric CSV file into a DataMatrix, preserving row order.
 
     Data files carry no header by default; pass ``skip_header=True`` to
     drop the first line. Raises CsvFormatError naming the offending
-    1-based line for ragged rows or non-numeric or non-finite fields.
-    The matrix keeps the reader's array without copying it again.
+    1-based line for ragged rows, non-numeric or non-finite fields, or a
+    byte that is not UTF-8. ``threads``, a positive integer, sets how
+    many threads parse a matrix with a one-character delimiter
+    (``_read_csv``); the result never depends on it. Every value is
+    bitwise Python's ``float`` of its field. The matrix keeps the
+    reader's array without copying it again.
     """
-    return _adopt(DataMatrix, points=_read_csv(path, delimiter, skip_header))
+    threads = _check_integer("threads", threads)
+    return _adopt(DataMatrix, points=_read_csv(path, delimiter, skip_header, threads=threads))
 
 
 def write_csv(obj, path, delimiter: str = ",") -> None:
@@ -429,8 +463,8 @@ def _flag_cells(table: EstimateTable, tags: tuple[str, ...]) -> list[str]:
 
 
 # Lines parsed or formatted at a time, which bounds the memory the block
-# parser and the writer hold besides their result; and bytes scanned at a
-# time before numpy's parser reads a file.
+# parser and the writer hold besides their result; and bytes read at a
+# time by the number reader (``_read_matrix``).
 _CSV_ROWS = 4096
 _CSV_BYTES = 1 << 20
 
@@ -479,7 +513,8 @@ def _write_csv(path, rows: np.ndarray, delimiter: str, header=None) -> None:
                 fh.write((fmt * len(part)) % tuple(part.ravel().tolist()))
 
 
-def _read_csv(path, delimiter: str, skip_header: bool = False, column: str | None = None):
+def _read_csv(path, delimiter: str, skip_header: bool = False, column: str | None = None,
+              threads: int = 1):
     """The numbers of a CSV file: a float64 array with one row per line.
 
     Every line must have as many fields as the first line read, and every
@@ -487,76 +522,151 @@ def _read_csv(path, delimiter: str, skip_header: bool = False, column: str | Non
     line. With ``column`` the first line is a header: it sets the field
     count, and only the named column is parsed, into a 1-D array; a name
     not in the header raises KeyError. Raises CsvFormatError naming the
-    1-based line of a ragged row or of a non-numeric or non-finite field,
-    and for a file without data lines.
+    1-based line of a ragged row, of a non-numeric or non-finite field or
+    of a byte that is not UTF-8, and for a file without data lines.
 
-    A whole matrix with a one-character delimiter is first read by
-    numpy's C parser (``_loadtxt``), if the file is seekable: both readers
-    may read it. Every file numpy declines, and every column read, goes
-    to the block parser (``_parse_blocks``), which writes every error.
-    The array is bitwise the same either way.
+    A whole matrix with a one-character delimiter is first read by the
+    number reader (``_read_matrix``), on ``threads`` threads, if the file
+    is seekable. Every file it declines, and every column read, goes to
+    the block parser (``_parse_blocks``), which writes every error. The
+    array is bitwise the same either way.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
-    with open(path, encoding="utf-8") as fh:
-        if column is None and len(delimiter) == 1 and fh.seekable():
-            values = _loadtxt(fh, delimiter, skip_header)
+    with open(path, "rb") as raw:
+        if column is None and len(delimiter) == 1 and raw.seekable():
+            values = _read_matrix(raw, delimiter, skip_header, threads)
             if values is not None:
                 return values
-            fh.seek(0)
-        return _parse_blocks(fh, path, delimiter, skip_header, column)
+            raw.seek(0)
+        with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
+            return _parse_blocks(fh, path, delimiter, skip_header, column)
 
 
-# numpy strips these four ASCII separators from a field's ends as whitespace,
-# where ``float`` refuses the field. Each is one byte in UTF-8.
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# The bytes of a number the number reader reads; besides them and the
+# delimiter it reads only line breaks, and declines a file with any other.
+_NUMBER_BYTES = b"0123456789.+-eE"
+# A line and its break (LF, CR or CRLF, as Python's universal newlines).
+_LINE = re.compile(rb"([^\r\n]*)(?:\r\n?|\n)?")
 
 
-def _loadtxt(fh, delimiter: str, skip_header: bool) -> np.ndarray | None:
-    """The matrix in text file ``fh`` by ``np.loadtxt``, or None where it may differ.
+def _read_matrix(raw, delimiter: str, skip_header: bool, threads: int) -> np.ndarray | None:
+    """The matrix in binary file ``raw``, or None where it could differ from the block parser.
 
-    numpy reads the lines of ``fh``, split by Python's universal newlines
-    as the block parser's are, and converts each field with CPython's own
-    string-to-double. It differs where it skips a blank line, strips
-    ``_SEPARATORS``, declines a field that ``float`` reads (``1_0``,
-    non-ASCII digits) or warns on a file without data rows. So a file
-    whose first data line is blank or missing, which the block parser
-    refuses too, or that holds a separator is declined before numpy runs;
-    numpy then returns at least one row or raises, and never warns. Its
-    array counts only if it raised nothing, holds one row per data line
-    (none was skipped) and only finite values.
+    The file is read in line-aligned blocks of about ``_CSV_BYTES``, each
+    parsed by ``_parse_numbers`` in block order over ``threads`` threads
+    (``_thread_map``), so at most ``threads + 1`` blocks are held at once.
+    The reader declines where the long double is not IEEE double,
+    x87 extended or binary128 precision, where the delimiter is more than
+    one byte, a number byte or a line break, where the header (with
+    ``skip_header``) is not UTF-8, where the file holds no data line, and
+    wherever a block is declined. Line breaks are LF, CR or CRLF, as
+    Python's universal newlines read them.
     """
-    skip = 1 if skip_header else 0
-    try:
-        if skip_header:
-            fh.readline()
-        if fh.readline() in ("", "\n"):  # no first data line, or a blank one
+    sep = delimiter.encode()
+    if (np.finfo(np.longdouble).nmant not in (52, 63, 112) or len(sep) != 1
+            or sep in _NUMBER_BYTES + b"\r\n"):
+        return None
+    blocks = _line_blocks(raw)
+    first = next(blocks, b"")
+    if skip_header:
+        header = _LINE.match(first)
+        try:
+            header[1].decode()
+        except UnicodeDecodeError:
             return None
-        fh.seek(0)
-        while block := fh.buffer.read(_CSV_BYTES):
-            if any(s in block for s in _SEPARATORS):
+        first = first[header.end():] or next(blocks, b"")
+    if not first:
+        return None
+    width = _LINE.match(first)[1].count(sep) + 1
+    parse = partial(_parse_numbers, sep=sep, width=width)
+    parts = []
+    with closing(_thread_map(parse, chain([first], blocks), threads)) as results:
+        for part in results:
+            if part is None:
                 return None
-        fh.seek(0)
-        lines = count()  # numpy takes each line of ``fh`` through ``zip``, which counts it
-        values = np.loadtxt(map(operator.itemgetter(0), zip(fh, lines)), delimiter=delimiter,
-                            comments=None, ndmin=2, skiprows=skip)
-    except (ValueError, TypeError):  # TypeError: a line break as the delimiter
+            parts.append(part)
+    return np.concatenate(parts).reshape(-1, width)
+
+
+def _line_blocks(raw):
+    """The bytes of binary file ``raw`` in blocks of whole lines, about ``_CSV_BYTES`` each.
+
+    Each block but the last ends in a line break; a CR that ends a read
+    stays with the next block, so no CRLF is split. A block grows past
+    ``_CSV_BYTES`` until its first line ends.
+    """
+    rest = b""
+    while chunk := raw.read(_CSV_BYTES):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _parse_numbers(block: bytes, sep: bytes, width: int) -> np.ndarray | None:
+    """The values of a block of lines of ``width`` fields, each bitwise ``float(field)``, or None.
+
+    None declines the block: a byte other than a number byte, ``sep`` or
+    a line break, a line without ``width`` fields (a blank line too), a
+    field numpy leaves unread, or a value that is not finite as float64.
+    One ``bytes.translate`` maps ``sep`` and LF to ",", so that tab and
+    space delimiters never act as numpy's whitespace separators, and
+    numpy's text parser reads the fields as long doubles (``strtold``,
+    which releases the GIL). A long double with a 64- or 113-bit
+    significand holds the correctly rounded value of a field, and
+    rounding it on to float64 gives ``float(field)``'s value unless it lies
+    exactly on a float64 midpoint: then the two roundings can differ, so
+    those fields are read again by ``float``. The midpoint test runs in
+    long double, where the half-ulp residual of a subnormal float64 does
+    not underflow.
+    """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    seps = block.translate(None, _NUMBER_BYTES)
+    breaks, tail = seps.count(b"\n"), not block.endswith(b"\n")
+    if seps != (sep * (width - 1) + b"\n") * breaks + sep * (width - 1) * tail:
         return None
-    if len(values) != next(lines) - skip or not np.isfinite(values).all():
+    lines = breaks + tail
+    text = block.translate(bytes.maketrans(sep + b"\n", b",,"))
+    try:
+        x = np.fromstring(text, dtype=np.longdouble, sep=",")
+    except ValueError:  # a field numpy leaves unread
         return None
-    return values
+    if len(x) != lines * width:
+        return None
+    with np.errstate(over="ignore"):  # casts beyond float64's range give inf
+        y = x.astype(np.float64)
+        if not np.isfinite(y).all():
+            return None
+        # x is a float64 midpoint exactly when it is not a float64 and the
+        # value on y's other side, x + (x - y), is one; both sums are exact.
+        other = x + (x - y.astype(np.longdouble))
+        mid = np.flatnonzero((other != x) & (other == other.astype(np.float64)))
+    if len(mid):
+        fields = text.split(b",")
+        y[mid] = [float(fields[i]) for i in mid.tolist()]
+    return y
 
 
 def _parse_blocks(fh, path, delimiter: str, skip_header: bool = False,
                   column: str | None = None):
     """``_read_csv`` of the text file ``fh``, opened from ``path``, in blocks of lines.
 
-    It reads what ``_loadtxt`` declines: any delimiter, and every field
-    ``float`` accepts.
+    It reads what ``_read_matrix`` declines: any delimiter, and every
+    field ``float`` accepts. ``fh`` decodes UTF-8 with ``surrogateescape``,
+    so a byte that is not UTF-8 reaches it as a lone surrogate, which it
+    reports with its line.
     """
     blocks, width, start, step, lineno = [], None, 0, 1, 1
     if skip_header or column is not None:
-        header, lineno = fh.readline().rstrip("\r\n").split(delimiter), 2
+        line = fh.readline()
+        _check_text(path, 1, line)
+        header, lineno = line.rstrip("\r\n").split(delimiter), 2
     if column is not None:
         if column not in header:
             raise KeyError(f"column {column!r} not in header {header}")
@@ -565,8 +675,9 @@ def _parse_blocks(fh, path, delimiter: str, skip_header: bool = False,
     while lines := [line.rstrip("\r\n") for line in islice(fh, _CSV_ROWS)]:
         width = width or lines[0].count(delimiter) + 1
         block = None
-        if all(line.count(delimiter) == width - 1 for line in lines):
-            fields = delimiter.join(lines).split(delimiter)[start::step]
+        text = delimiter.join(lines)
+        if _bad_byte(text) is None and all(line.count(delimiter) == width - 1 for line in lines):
+            fields = text.split(delimiter)[start::step]
             with suppress(ValueError):
                 block = np.fromiter(map(float, fields), np.float64, len(fields))
         if block is None or not np.isfinite(block).all():
@@ -579,9 +690,28 @@ def _parse_blocks(fh, path, delimiter: str, skip_header: bool = False,
     return values if column is not None else values.reshape(-1, width)
 
 
+def _bad_byte(text: str) -> int | None:
+    """The first byte that was not UTF-8 in ``text``, decoded with ``surrogateescape``, or None."""
+    if text.isascii():
+        return None
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        return ord(text[exc.start]) - 0xDC00
+    return None
+
+
+def _check_text(path, lineno: int, line: str) -> None:
+    """CsvFormatError naming ``lineno`` if ``line`` holds a byte that is not UTF-8."""
+    byte = _bad_byte(line)
+    if byte is not None:
+        raise CsvFormatError(path, lineno, f"non-UTF-8 byte 0x{byte:02x}")
+
+
 def _raise_first_error(path, lineno, lines, delimiter, width, start, step) -> None:
     """Raise CsvFormatError for the first ragged line or bad field of ``lines``."""
     for n, line in enumerate(lines, start=lineno):
+        _check_text(path, n, line)
         fields = line.split(delimiter)
         if len(fields) != width:
             raise CsvFormatError(path, n, f"expected {width} fields, found {len(fields)}")

@@ -339,7 +339,7 @@ class TestEstimate:
 
 
 def test_numpy_and_the_block_parser_give_the_same_outputs(tmp_path, capsys, monkeypatch):
-    """A clean file goes through numpy's parser; the same values with a ``1_0`` go to the block parser."""
+    """A clean file goes through the number reader; the same values with a ``1_0`` go to the block parser."""
     points = np.random.default_rng(8).normal(size=(120, 3))
     points[7, 1] = 10.0
     clean, fallback = tmp_path / "clean.csv", tmp_path / "fallback.csv"
@@ -366,6 +366,24 @@ def test_numpy_and_the_block_parser_give_the_same_outputs(tmp_path, capsys, monk
             results.append((code, out.read_bytes(), capsys.readouterr().err))
         assert results[0] == results[1] and results[0][0] == 0
     assert parsed == [str(fallback)] * 2
+
+
+@pytest.mark.parametrize("text, args, line, byte", [
+    (b"0,1\n2,\xff\n3,4\n", ("estimate", "--k", 1, "--estimators", "abid"), 2, "0xff"),
+    (b"0,1\n2,\xff\n3,4\n", ("histogram", "--column", 1, "--bin-width", 1), 2, "0xff"),
+    (b"a,\xff\n0,1\n3,4\n", ("estimate", "--header", "--k", 1, "--estimators", "abid"), 1,
+     "0xff"),
+    (b"a,\xfe\n0,1\n3,4\n", ("trails", "--header", "--k-values", 1), 1, "0xfe"),
+    (b"abid,\xfe\n2,1\n3,4\n", ("histogram", "--column", "abid", "--bin-width", 1), 1, "0xfe"),
+], ids=["estimate", "histogram", "estimate-header", "trails-header", "histogram-header"])
+def test_a_byte_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_path, capsys, text, args,
+                                                                  line, byte):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    out = tmp_path / "out.csv"
+    assert run(*args, "--input", bad, "-o", out) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: non-UTF-8 byte {byte}\n"
+    assert not out.exists()
 
 
 class TestHistogramCommand:

@@ -1,5 +1,10 @@
+import decimal
 import re
+import sys
+import time
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +131,36 @@ class TestLoadCsv:
             load_csv(_write(tmp_path, "1,2\nx,nan\n3\n"))
         with pytest.raises(CsvFormatError, match="line 2: expected 2 fields, found 3"):
             load_csv(_write(tmp_path, "1,2\n3,4,5\n6,x\n"))
+
+    @pytest.mark.parametrize("text, kwargs, line, byte", [
+        (b"1,2\n3,\xff\n4,5\n", {}, 2, "0xff"),
+        (b"1,2\n3,4\n5,6\xc3\n", {}, 3, "0xc3"),
+        (b"a,\xfe\n1,2\n", {"skip_header": True}, 1, "0xfe"),
+        (b"a,b\n1,2\n\xff,3\n", {"column": "b"}, 3, "0xff"),  # a column not parsed too
+        (b"a,\xe9\n1,2\n", {"column": "a"}, 1, "0xe9"),
+        (b"1,x\n2,\xff\n", {}, 1, None),  # the first bad line wins
+    ])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, text, kwargs, line, byte):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text)
+        with pytest.raises(CsvFormatError) as exc:
+            if "column" in kwargs:
+                _read_csv(p, ",", **kwargs)
+            else:
+                load_csv(p, **kwargs)
+        assert exc.value.line == line
+        if byte is not None:
+            assert str(exc.value) == f"{p}: line {line}: non-UTF-8 byte {byte}"
+
+    def test_utf8_text_in_a_header_is_read(self, tmp_path):
+        p = _write(tmp_path, "α,β\r\n1,2\r\n")
+        assert load_csv(p, skip_header=True).points.tolist() == [[1.0, 2.0]]
+        assert _read_csv(p, ",", column="β").tolist() == [2.0]
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.0, True, "2"])
+    def test_threads_follow_the_integer_rule_before_the_file_is_opened(self, tmp_path, threads):
+        with pytest.raises(ValueError, match="^threads must be a positive integer, got "):
+            load_csv(tmp_path / "missing.csv", threads=threads)
 
     def test_lines_past_the_first_block(self, tmp_path):
         """Files longer than one parse block keep their rows and line numbers."""
@@ -332,8 +367,8 @@ class TestEstimateTable:
 
 
 def _blocks(path, delimiter, skip_header=False):
-    """The block parser on ``path``, called directly: the fast path's oracle."""
-    with open(path, encoding="utf-8") as fh:
+    """The block parser on ``path``, called directly: the number reader's oracle."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return _parse_blocks(fh, path, delimiter, skip_header)
 
 
@@ -351,8 +386,34 @@ def _outcome(read, *args):
 # width or ragged, any line break, and a last line with or without one.
 _TOKENS = [*"0123456789", ".", "e", "+", "-", "_", " ", "x", "nan", "inf"]
 _BREAKS = ["\n", "\r", "\r\n"]
+
+
+@st.composite
+def _midpoint_fields(draw):
+    """A decimal of 17-25 significant digits at or beside the midpoint of two float64 neighbors.
+
+    The midpoint is rounded to those digits either way and moved by up to
+    one unit in their last place; the pair 0, 5e-324 gives the 2**-1075
+    boundary, and the largest finite float64 the overflow threshold. With
+    20 or more digits most such fields have a long double on the midpoint.
+    """
+    low = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072009e-308, 1.0,
+                                          1.7976931348623157e308]),
+                         st.floats(0.0, 1.7976931348623157e308)))
+    high = Fraction(2) ** 1024 if low == sys.float_info.max else Fraction(np.nextafter(low, 2.0))
+    mid = (Fraction(low) + high) / 2
+    digits = draw(st.integers(17, 25))
+    exact = decimal.Decimal(mid.numerator) / mid.denominator
+    with decimal.localcontext(decimal.Context(prec=digits, rounding=draw(
+            st.sampled_from([decimal.ROUND_DOWN, decimal.ROUND_UP])))) as ctx:
+        text = +exact
+        text = {-1: ctx.next_minus, 0: ctx.plus, 1: ctx.next_plus}[draw(st.integers(-1, 1))](text)
+    return ("-" if draw(st.booleans()) else "") + draw(st.sampled_from([str, "{:e}".format]))(text)
+
+
 _field = st.one_of(st.integers(-999, 999).map(str), st.floats(-1e6, 1e6).map(repr),
-                   st.lists(st.sampled_from(_TOKENS), max_size=4).map("".join))
+                   st.lists(st.sampled_from(_TOKENS), max_size=4).map("".join),
+                   _midpoint_fields())
 
 
 @st.composite
@@ -368,7 +429,7 @@ def _csv_files(draw):
 
 
 class TestFastPath:
-    """numpy's C parser reads clean matrices; what it declines goes to the block parser."""
+    """The number reader reads clean matrices; what it declines goes to the block parser."""
 
     @pytest.mark.parametrize("text, line, message", [
         ("1,2\n\n3,4", 2, "expected 2 fields, found 1"),
@@ -384,8 +445,8 @@ class TestFastPath:
             "whitespace-column-line", "bom", "overflow", "trailing-delimiter", "separator"])
     def test_files_numpy_would_read_differently_keep_their_errors(self, tmp_path, text, line,
                                                                    message):
-        # numpy skips blank lines, so it reads the first three as two rows,
-        # and strips the separator as whitespace.
+        # numpy's text parsers skip blank lines and whitespace and strip the
+        # separator as whitespace; the number reader declines each file.
         with pytest.raises(CsvFormatError) as exc:
             _read_csv(_write(tmp_path, text), ",")
         assert exc.value.line == line and str(exc.value).endswith(f"line {line}: {message}")
@@ -411,56 +472,147 @@ class TestFastPath:
                 _read_csv(_write(tmp_path, text), ",", skip_header)
 
     @pytest.mark.parametrize("text, kwargs, want, readers", [
-        ("1,2\n3,4\n", {}, [[1, 2], [3, 4]], ["loadtxt"]),
-        ("1,2\r3,4", {}, [[1, 2], [3, 4]], ["loadtxt"]),
-        ("\n1,2\r\n3,4", {"skip_header": True}, [[1, 2], [3, 4]], ["loadtxt"]),
-        ("1_0,2\n3,4\n", {}, [[10, 2], [3, 4]], ["loadtxt", "_parse_blocks"]),
-        ("1,2\n\n", {}, "line 2: expected 2 fields, found 1", ["loadtxt", "_parse_blocks"]),
-        ("\n1,2", {}, "line 1: non-numeric field ''", ["_parse_blocks"]),
-        ("1\x1c,2", {}, "line 1: non-numeric field '1\\x1c'", ["_parse_blocks"]),
+        ("1,2\n3,4\n", {}, [[1, 2], [3, 4]], ["_read_matrix"]),
+        ("1,2\r3,4", {}, [[1, 2], [3, 4]], ["_read_matrix"]),
+        ("\n1,2\r\n3,4", {"skip_header": True}, [[1, 2], [3, 4]], ["_read_matrix"]),
+        ("1_0,2\n3,4\n", {}, [[10, 2], [3, 4]], ["_read_matrix", "_parse_blocks"]),
+        ("1,2\n\n", {}, "line 2: expected 2 fields, found 1", ["_read_matrix", "_parse_blocks"]),
+        ("\n1,2", {}, "line 1: non-numeric field ''", ["_read_matrix", "_parse_blocks"]),
+        ("1\x1c,2", {}, "line 1: non-numeric field '1\\x1c'", ["_read_matrix", "_parse_blocks"]),
         ("a,b\n1,2\n", {"column": "b"}, [2], ["_parse_blocks"]),
+        ("1,2\r\n3,4\r\n", {}, [[1, 2], [3, 4]], ["_read_matrix"]),
+        ("1\t2\n3\t4\n", {"delimiter": "\t"}, [[1, 2], [3, 4]], ["_read_matrix"]),
+        ("0x10,2\n", {}, "line 1: non-numeric field '0x10'", ["_read_matrix", "_parse_blocks"]),
+        ("1,2\n1e400,4", {}, "line 2: non-finite field '1e400'", ["_read_matrix", "_parse_blocks"]),
+        # Above 1 + 2**-53 by 5e-25: its long double is that float64 midpoint, which
+        # rounds to even, 1.0; ``float`` reads 1 + 2**-52.
+        ("1.000000000000000111022303,2\n", {}, [[1 + 2**-52, 2]], ["_read_matrix"]),
+        ("1,2\n3,\xff\n", {}, "line 2: non-UTF-8 byte 0xff", ["_read_matrix", "_parse_blocks"]),
     ], ids=["clean", "cr-no-final-break", "blank-header", "underscore", "blank-line",
-            "blank-first-line", "separator", "column"])
-    def test_clean_files_go_through_numpy_and_the_rest_through_the_block_parser(
+            "blank-first-line", "separator", "column", "crlf", "tab", "hex", "overflow",
+            "midpoint", "non-utf8"])
+    def test_clean_files_go_through_the_number_reader_and_the_rest_through_the_block_parser(
             self, tmp_path, monkeypatch, text, kwargs, want, readers):
         calls = []
-        for module, name in [(np, "loadtxt"), (core, "_parse_blocks")]:
-            def spy(*args, _real=getattr(module, name), _name=name, **kw):
+        for name in ["_read_matrix", "_parse_blocks"]:
+            def spy(*args, _real=getattr(core, name), _name=name, **kw):
                 calls.append(_name)
                 return _real(*args, **kw)
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(core, name, spy)
+        kwargs = {"delimiter": ",", **kwargs}
+        p = tmp_path / "data.csv"
+        p.write_bytes(text.encode("latin-1"))
         if isinstance(want, str):
             with pytest.raises(CsvFormatError) as exc:
-                _read_csv(_write(tmp_path, text), ",", **kwargs)
+                _read_csv(p, **kwargs)
             assert str(exc.value).endswith(want)
         else:
-            assert _read_csv(_write(tmp_path, text), ",", **kwargs).tolist() == want
+            assert _read_csv(p, **kwargs).tolist() == want
         assert calls == readers
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_number_reader_keeps_crlf_and_cr_files_at_any_block_size(self, tmp_path,
+                                                                          threads):
+        text = b"h,\xce\xb1\r\n1,-2.5\r\n3e2,4\r\n5,.5\r6,7\r\n"
+        p = tmp_path / "d.csv"
+        p.write_bytes(text)
+        for size in range(1, len(text) + 1):
+            with mock.patch.object(core, "_CSV_BYTES", size), open(p, "rb") as raw:
+                values = core._read_matrix(raw, ",", True, threads)
+            assert values is not None, size
+            assert values.tolist() == [[1, -2.5], [300, 4], [5, 0.5], [6, 7]], size
 
     def test_load_csv_keeps_the_readers_array_read_only(self, tmp_path, monkeypatch):
         made = []
 
-        def read(*args):
-            made.append(_read_csv(*args))
+        def read(*args, threads):
+            made.append(_read_csv(*args, threads=threads))
             return made[-1]
 
         monkeypatch.setattr(core, "_read_csv", read)
         m = load_csv(_write(tmp_path, "1,2\n3,4\n"))
         assert m.points is made[0] and not m.points.flags.writeable
 
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @settings(max_examples=200, deadline=None)
     @given(text=_csv_files(), delimiter=st.sampled_from([",", ";", "\t", " ", "-", ";;"]),
-           skip_header=st.booleans())
-    @example(text="1,2\n\n3,4", delimiter=",", skip_header=False)  # numpy alone: two rows
-    def test_the_one_reader_equals_the_block_parser(self, tmp_path_factory, text, delimiter,
-                                                    skip_header):
+           skip_header=st.booleans(), block_bytes=st.integers(1, 40))
+    @example(text="1,2\n\n3,4", delimiter=",", skip_header=False, block_bytes=40)
+    @example(text="2.470328229206232720882844e-324,1\r\n2.470328229206232720882843e-324,2\r",
+             delimiter=",", skip_header=False, block_bytes=3)  # 2**-1075 by either side
+    def test_the_one_reader_equals_the_block_parser(self, tmp_path_factory, threads, text,
+                                                    delimiter, skip_header, block_bytes):
         p = tmp_path_factory.mktemp("diff") / "d.csv"
         p.write_bytes(text.replace(",", delimiter).encode())
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(core, "_CSV_BYTES", block_bytes):
             warnings.simplefilter("always")
-            got = _outcome(_read_csv, p, delimiter, skip_header)
+            got = _outcome(_read_csv, p, delimiter, skip_header, None, threads)
         assert not caught
         assert got == _outcome(_blocks, p, delimiter, skip_header)
+
+    # Decimals on which a long double parse is easy to get wrong: beside
+    # float64 and long double midpoints, at the 2**-1075 and overflow
+    # boundaries, the subnormal range, and long or odd spellings.
+    _HARD = ["1.000000000000000111022303", "1.000000000000000111022302",
+             "2.470328229206232720882844e-324", "2.470328229206232720882843e-324",
+             "2.4703282292062327208828439643e-324", "4.9406564584124654e-324",
+             "2.2250738585072011e-308", "2.2250738585072012e-308", "2.225073858507201136e-308",
+             "1.7976931348623158e308", "1.797693134862315807937289714e308",
+             "9007199254740993", "9007199254740993.000000001", "18446744073709551617",
+             "36893488147419103231", "36893488147419103233", "1e23", "8.5e-323", "0.1",
+             "7.0420557077594588669468784357561207962098443483187940792729600000e59",
+             "1.00000000000000000000000000000000000000000001", "-0", ".5e-3", "5.E+2",
+             "000000000000000000000000000000012345678901234567890e-30"]
+
+    @pytest.mark.parametrize("text", _HARD)
+    def test_numpy_reads_a_long_double_as_the_decimal_rounds_it(self, tmp_path, text):
+        # Pinned on the running numpy and libc: the number reader is exact
+        # only if numpy's long double parse is correctly rounded.
+        (x,) = np.fromstring(text.encode(), dtype=np.longdouble, sep=",")
+        exact = Fraction(decimal.Decimal(text))
+        got = Fraction(*x.as_integer_ratio())
+        for side in (-np.inf, np.inf):
+            other = Fraction(*np.nextafter(x, np.longdouble(side)).as_integer_ratio())
+            assert abs(exact - got) <= abs(exact - other), (text, side)
+        assert _read_csv(_write(tmp_path, text), ",").tobytes() == np.float64(float(text)).tobytes()
+
+    def test_a_midpoint_field_is_read_again_by_float(self, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(core, "float", lambda b: reads.append(b) or float(b), raising=False)
+        text = "1.000000000000000111022303,2.470328229206232720882844e-324,3\n" * 2
+        values = _read_csv(_write(tmp_path, text), ",")
+        assert values.tolist() == [[1 + 2**-52, 5e-324, 3.0]] * 2
+        assert sorted(reads) == sorted([b"1.000000000000000111022303",
+                                        b"2.470328229206232720882844e-324"] * 2)
+
+
+class TestThreadMap:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_results_come_in_order_and_items_are_taken_at_most_threads_plus_one_ahead(
+            self, threads):
+        taken = []
+
+        def items():
+            for i in range(12):
+                taken.append(i)
+                yield i
+
+        results = core._thread_map(lambda i: i * i, items(), threads)
+        assert next(results) == 0
+        assert len(taken) <= threads + 1
+        assert [0, *results] == [i * i for i in range(12)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_first_failing_item_in_order_raises(self, threads):
+        def check(i):
+            if i in (4, 2):
+                time.sleep(0.05 if i == 2 else 0)
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="^item 2$"):
+            list(core._thread_map(check, range(8), threads))
 
 
 # Finite float64 values, with the edge cases that a 17-digit format must

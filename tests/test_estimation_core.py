@@ -268,6 +268,32 @@ def test_only_the_k_whose_distance_overflows_are_flagged():
     assert not tables[5].flags("abid").any()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mixed_signs_near_the_float64_limit_give_a_nan_mean_cosine_only_where_flagged():
+    # Far points have coordinates of both signs up to 1.6e308. Every distance
+    # from one is inf, so its neighbors are the lowest indices, the other far
+    # points, and their differences overflow (inf - inf in a direction).
+    # Twenty near points, after them, keep finite neighborhoods of their own.
+    rng = np.random.default_rng(3)
+    far = np.clip(rng.standard_normal((300, 3)), -2, 2) * 8e307
+    data = DataMatrix(np.vstack([far, rng.standard_normal((20, 3))]))
+    k, degenerate = 10, FLAG_BITS[DEGENERATE_ZERO_DENOMINATOR]
+    tables = [angle_id.estimate_table(data, k, ESTIMATOR_TAGS, with_diagnostics=True,
+                                      threads=threads)
+              for threads in (1, 2)]
+    table = tables[0]
+    far_rows = np.arange(data.n) < 300
+    mean_cosines = np.array(table.mean_cosines)
+    assert np.array_equal(np.isnan(mean_cosines), far_rows)
+    assert np.array_equal(np.array(tables[1].mean_cosines), mean_cosines, equal_nan=True)
+    for tag in ESTIMATOR_TAGS:
+        assert table.values(tag)[far_rows].tolist() == [k] * far_rows.sum(), tag
+        assert table.flags(tag)[far_rows].tolist() == [degenerate] * far_rows.sum(), tag
+        assert np.isfinite(table.values(tag)).all(), tag
+        assert tables[1].values(tag).tobytes() == table.values(tag).tobytes(), tag
+    assert not table.flags("abid")[~far_rows].any()
+
+
 def test_the_outer_sums_do_not_depend_on_their_k_chunks(monkeypatch):
     rng = np.random.default_rng(8)
     u = rng.standard_normal((3, 90, 4))

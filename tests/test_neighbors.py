@@ -980,12 +980,11 @@ class TestBlockedTables:
     def test_every_thread_gets_a_share_of_the_queries(self, monkeypatch):
         units = []
 
-        class Pool(ThreadPoolExecutor):
-            def map(self, fn, blocks):
-                units.append([len(b) for b in blocks])
-                return super().map(fn, blocks)
+        def spy(fn, blocks, threads, _real=angle_id._thread_map):
+            units.append([len(b) for b in blocks])
+            return _real(fn, blocks, threads)
 
-        monkeypatch.setattr(angle_id, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(angle_id, "_thread_map", spy)
         data = synth.sample_ball(1500, 4, seed=12)
         queries = list(range(0, 1480, 40))
         for threads in (2, 3, 4):
